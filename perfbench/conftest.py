@@ -1,0 +1,6 @@
+"""Lets ``pytest perfbench`` import octoweyl from src/ without installing it."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
