@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NotInConeWithinBudget
+from .errors import BudgetExceeded, NotInConeWithinBudget, ValidationError
 from .exact import Vec, dot, format_rational, parse_rational
 from .lattice import RootLattice
-from .weyl import Word, enumerate_real_roots
+from .weyl import Word, enumerate_real_roots, simple_reflection
 
 RationalVec = tuple[Fraction, ...]
 
@@ -55,9 +55,13 @@ def parse_dual_point(data: dict) -> DualPoint:
     )
 
 
-def _dual_reflect(cartan, vals: RationalVec, v: int) -> RationalVec:
-    pivot = vals[v]
-    return tuple(x - cartan[w][v] * pivot for w, x in enumerate(vals))
+def _dual_reflect(
+    lattice: RootLattice, rows: tuple[RationalVec, ...], v: int
+) -> tuple[RationalVec, ...]:
+    """h -> h s_v on each row of values: only vertex v and its neighbours change."""
+    work = [list(r) for r in rows]
+    simple_reflection(lattice, lattice.vertices[v]).act_right(work)
+    return tuple(map(tuple, work))
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def make_dominant(
     which cannot distinguish a point outside the cone from a short budget.
     """
     if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+        raise ValidationError("max_steps must be >= 1")
     re, im = p.re, p.im
     word: list = []
     for step in range(max_steps + 1):
@@ -93,8 +97,7 @@ def make_dominant(
             )
         if step == max_steps:
             break
-        re = _dual_reflect(lattice.cartan, re, neg)
-        im = _dual_reflect(lattice.cartan, im, neg)
+        re, im = _dual_reflect(lattice, (re, im), neg)
         word.append((lattice.vertices[neg], 1))
     raise NotInConeWithinBudget(max_steps)
 

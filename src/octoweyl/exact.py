@@ -54,18 +54,6 @@ def dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-def vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c: int, x: Vec) -> Vec:
-    return tuple(c * a for a in x)
-
-
 def vec_neg(x: Vec) -> Vec:
     return tuple(-a for a in x)
 

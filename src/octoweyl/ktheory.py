@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import IndexOutOfRange, NotNormOne, NotNormTwo, RankMismatch
 from .exact import Mat, Vec, determinant, vec_neg
 from .lattice import RootLattice
-from .weyl import WeylElement, identity_element, reflection
+from .weyl import WeylElement, reflection_transvection
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def braid_act(k: KCollection, move: Move) -> KCollection:
     pivot = y if sign > 0 else x
     if lat.euler_form(pivot, pivot) != 1:
         raise NotNormOne(f"pivot class {pivot} has self-pairing != 1")
-    refl = reflection(lat, pivot)
+    refl = reflection_transvection(lat, pivot)
     if sign > 0:
         classes[i - 1], classes[i] = y, vec_neg(refl.apply(x))
     else:
@@ -140,10 +140,9 @@ def braid_word_act(k: KCollection, moves) -> KCollection:
 
 def coxeter_from_collection(k: KCollection) -> WeylElement:
     """Ordered product of the reflections at the classes of the collection."""
-    out = identity_element(k.lattice)
-    for x in k.classes:
-        out = out * reflection(k.lattice, x)
-    return out
+    return WeylElement.from_factors(
+        k.lattice.rank, (reflection_transvection(k.lattice, x) for x in k.classes)
+    )
 
 
 def spherical_twist_K(lattice: RootLattice, s: Vec, x: Vec) -> Vec:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import NotOctopus
 from .exact import Mat, Vec, dot, integer_kernel, mat_vec, transpose
@@ -161,13 +161,20 @@ def root_lattice(q: BoundQuiver) -> RootLattice:
     )
 
 
+@lru_cache(maxsize=256)
+def _cached_lattice(kind: str, w: Weights, lam: LambdaTuple | None) -> RootLattice:
+    """One shared instance per quiver: lattices are immutable, and the
+    generators that weyl caches per lattice are then built once."""
+    return root_lattice(build_star(w) if kind == "star" else build_octopus(w, lam))
+
+
 def star_lattice(w: Weights | tuple) -> RootLattice:
     if not isinstance(w, Weights):
         w = Weights(tuple(w))
-    return root_lattice(build_star(w))
+    return _cached_lattice("star", w, None)
 
 
 def octopus_lattice(w: Weights | tuple, lam: LambdaTuple | None = None) -> RootLattice:
     if not isinstance(w, Weights):
         w = Weights(tuple(w))
-    return root_lattice(build_octopus(w, lam))
+    return _cached_lattice("octopus", w, lam)

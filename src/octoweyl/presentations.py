@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, MissingGenerator
-from .exact import Mat, identity, mat_inv, mat_mul
+from .exact import Mat, identity
 from .lattice import RootLattice, octopus_lattice, star_lattice
 from .quiver import EXT, HUB, Weights, default_lambda, vertex_str
-from .weyl import simple_reflection, translation_element
+from .weyl import right_product, simple_reflection, translation_element
 
 GroupWord = tuple[tuple[str, int], ...]
 
@@ -320,14 +320,15 @@ def van_der_lek_spec(w: Weights) -> PresentationSpec:
 
 
 def _evaluate(word: GroupWord, assignment: dict, inverses: dict, n: int) -> Mat:
-    m = identity(n)
+    """Ordered product of the assigned elements; inverses are filled in on first use."""
+    steps = []
     for g, e in word:
         if g not in assignment:
             raise MissingGenerator(f"no matrix assigned to generator {g!r}")
-        step = assignment[g].matrix if e >= 0 else inverses[g]
-        for _ in range(abs(e)):
-            m = mat_mul(m, step)
-    return m
+        if e < 0 and g not in inverses:
+            inverses[g] = assignment[g].inverse()
+        steps += [assignment[g] if e >= 0 else inverses[g]] * abs(e)
+    return right_product(identity(n), steps)
 
 
 def verify(spec: PresentationSpec, assignment: dict) -> VerificationReport:
@@ -339,7 +340,7 @@ def verify(spec: PresentationSpec, assignment: dict) -> VerificationReport:
     if len(sizes) > 1:
         raise DimensionMismatch(f"assignment matrices of mixed sizes {sorted(sizes)}")
     n = sizes.pop()
-    inverses = {g: mat_inv(a.matrix) for g, a in assignment.items()}
+    inverses: dict = {}
     outcomes = []
     for rel in spec.relations:
         lhs = _evaluate(rel.lhs, assignment, inverses, n)
@@ -372,13 +373,6 @@ def van_der_lek_assignment(lat: RootLattice) -> dict:
     return out
 
 
-def _power(m: Mat, k: int) -> Mat:
-    out = identity(len(m))
-    for _ in range(k):
-        out = mat_mul(out, m)
-    return out
-
-
 def check_coxeter_power_equivalences(w: Weights) -> VerificationReport:
     """Both shapes of the bound-pair relations, checked on the reflections.
 
@@ -388,7 +382,7 @@ def check_coxeter_power_equivalences(w: Weights) -> VerificationReport:
     """
     lat = _octopus_lattice_for(w)
     assign = reflection_assignment(lat)
-    inverses = {g: mat_inv(a.matrix) for g, a in assign.items()}
+    inverses: dict = {}
     n = lat.rank
     ident = identity(n)
 
@@ -412,7 +406,7 @@ def check_coxeter_power_equivalences(w: Weights) -> VerificationReport:
         record(f"W2/i={i} sigma", ev(g + sigma1 + g + sigma1), ev(sigma1 + g + sigma1 + g))
         record(
             f"W2/i={i} power",
-            _power(ev(_word(s_hub, si, s_ext, si)), 3),
+            ev(_word(s_hub, si, s_ext, si) * 3),
             ident,
         )
     for i in range(1, w.r + 1):
@@ -423,13 +417,13 @@ def check_coxeter_power_equivalences(w: Weights) -> VerificationReport:
             record(f"W3a/i={i},j={j} sigma", ev(gi + sig_j), ev(sig_j + gi))
             record(
                 f"W3a/i={i},j={j} power",
-                _power(ev(_word(si, s_hub, si, s_ext, sj, s_ext)), 2),
+                ev(_word(si, s_hub, si, s_ext, sj, s_ext) * 2),
                 ident,
             )
             record(f"W3b/i={i},j={j} sigma", ev(gj + sig_i), ev(sig_i + gj))
             record(
                 f"W3b/i={i},j={j} power",
-                _power(ev(_word(si, s_ext, si, s_hub, sj, s_hub)), 2),
+                ev(_word(si, s_ext, si, s_hub, sj, s_hub) * 2),
                 ident,
             )
     return VerificationReport("PowerEquivalences", tuple(w.a), tuple(outcomes))

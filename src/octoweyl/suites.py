@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import DualPoint, is_regular, make_dominant
-from .errors import NotInConeWithinBudget
-from .exact import identity, mat_mul, mat_vec, transpose, vec_neg
+from .errors import NotInConeWithinBudget, ValidationError
+# mat_mul is not called here; it stays importable from this module because
+# perfbench/test_perfbench.py checks that the tracer wraps it here too.
+from .exact import identity, mat_mul, mat_vec, transpose, vec_neg  # noqa: F401
 from .ktheory import (
     braid_act,
     braid_word_act,
@@ -51,6 +53,7 @@ from .weyl import (
     evaluate_word,
     lift_i,
     project_p,
+    right_product,
     simple_reflection,
     translation_element,
 )
@@ -91,6 +94,12 @@ class SuiteConfig:
     n_bound: int = 3
     budget: int = 1_000
     samples: int = 100
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValidationError("samples must be >= 1")
+        if self.budget < 1:
+            raise ValidationError("budget must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -259,17 +268,13 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
         test_vectors.append(tuple(rng.randint(-4, 4) for _ in range(star.rank)))
     ident = identity(n)
     for coeffs in test_vectors:
-        prod = ident
+        steps = []
         for v, m_v in zip(star_verts, coeffs):
             if m_v == 0:
                 continue
-            step = (
-                translations[v].matrix
-                if m_v > 0
-                else translations[v].inverse().matrix
-            )
-            for _ in range(abs(m_v)):
-                prod = mat_mul(prod, step)
+            step = translations[v] if m_v > 0 else translations[v].inverse()
+            steps += [step] * abs(m_v)
+        prod = right_product(ident, steps)
         in_radical = all(x == 0 for x in mat_vec(star.cartan, coeffs))
         details.append(
             {

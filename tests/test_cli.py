@@ -158,3 +158,21 @@ def test_catalog_run_single_suite(capsys):
     blob = json.loads(out)
     assert len(blob["suites"]) == 11
     assert blob["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--weights", "2,2,2", "--depth", "-1"),
+        ("verify", "--weights", "2,2,2", "--suite", "cone", "--budget", "0"),
+        ("verify", "--weights", "2,2,2", "--suite", "translations", "--samples", "-5"),
+    ],
+    ids=["roots-negative-depth", "cone-zero-budget", "translations-negative-samples"],
+)
+def test_invalid_bound_is_one_line_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
