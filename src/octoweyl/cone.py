@@ -5,12 +5,22 @@ the simple roots, split into real and imaginary parts.  Dominance chasing
 reflects the point at the lowest negative imaginary coordinate until all of
 them are nonnegative; regularity is a bounded semi-decision against the
 countable family of affine reflection hyperplanes {h(root) = n}.
+
+Both probes work on integers.  A point is scaled once by the least common
+denominator d of all its values, d >= 1, into the integer rows d*re and
+d*im.  The rows stay integral under the dual action h -> h s_v, because
+every simple reflection is an integral transvection, and d > 0 keeps every
+sign; so dominance chasing never leaves the integers, and a wall test is
+integer dot products with the hit condition scaled by d.  Rationals are
+built again only for the point that ``make_dominant`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import BudgetExceeded, NotInConeWithinBudget, ValidationError
 from .exact import Vec, dot, format_rational, parse_rational
@@ -22,7 +32,12 @@ RationalVec = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Values of h on the simple roots: re[v] + i*im[v], all exact rationals."""
+    """Values of h on the simple roots: re[v] + i*im[v], all exact rationals.
+
+    ``scaled`` is the same point as integers over one denominator,
+    ``(d, d*re, d*im)``, with d >= 1 the least common denominator of all
+    the values; it is computed on first use.
+    """
 
     re: RationalVec
     im: RationalVec
@@ -36,6 +51,15 @@ class DualPoint:
     @property
     def rank(self) -> int:
         return len(self.re)
+
+    @cached_property
+    def scaled(self) -> tuple[int, Vec, Vec]:
+        d = lcm(*(x.denominator for x in self.re + self.im))
+        return (
+            d,
+            tuple(x.numerator * (d // x.denominator) for x in self.re),
+            tuple(x.numerator * (d // x.denominator) for x in self.im),
+        )
 
     def value(self, root: Vec) -> tuple[Fraction, Fraction]:
         """h(root) as an exact (real, imaginary) pair."""
@@ -53,15 +77,6 @@ def parse_dual_point(data: dict) -> DualPoint:
         tuple(parse_rational(x) for x in data["re"]),
         tuple(parse_rational(x) for x in data["im"]),
     )
-
-
-def _dual_reflect(
-    lattice: RootLattice, rows: tuple[RationalVec, ...], v: int
-) -> tuple[RationalVec, ...]:
-    """h -> h s_v on each row of values: only vertex v and its neighbours change."""
-    work = [list(r) for r in rows]
-    simple_reflection(lattice, lattice.vertices[v]).act_right(work)
-    return tuple(map(tuple, work))
 
 
 @dataclass(frozen=True)
@@ -84,21 +99,27 @@ def make_dominant(
     """
     if max_steps < 1:
         raise ValidationError("max_steps must be >= 1")
-    re, im = p.re, p.im
+    d, re, im = p.scaled
+    rows = [list(re), list(im)]  # d*re and d*im, updated in place
+    re, im = rows
     word: list = []
     for step in range(max_steps + 1):
         neg = next((i for i, x in enumerate(im) if x < 0), None)
         if neg is None:
             return DominanceResult(
-                DualPoint(re, im),
+                DualPoint(
+                    tuple(Fraction(x, d) for x in re),
+                    tuple(Fraction(x, d) for x in im),
+                ),
                 tuple(word),
                 step,
                 strictly_dominant=all(x > 0 for x in im),
             )
         if step == max_steps:
             break
-        re, im = _dual_reflect(lattice, (re, im), neg)
-        word.append((lattice.vertices[neg], 1))
+        v = lattice.vertices[neg]
+        simple_reflection(lattice, v).factors[0].act_right(rows)
+        word.append((v, 1))
     raise NotInConeWithinBudget(max_steps)
 
 
@@ -135,19 +156,24 @@ def is_regular(
 
     A hit needs the imaginary value to vanish and the real value to be an
     integer within the level bound; "regular" is always relative to the
-    bounds used, and a capped enumeration yields "undetermined".
+    bounds used, and a capped enumeration yields "undetermined".  On the
+    scaled rows of the point that is (d*im) . root == 0, (d*re) . root
+    divisible by d and |(d*re) . root| <= n_bound * d.
     """
     kwargs = {} if cap is None else {"cap": cap}
     try:
         roots = enumerate_real_roots(lattice, root_depth, **kwargs)
     except BudgetExceeded:
         return RegularityResult("undetermined", root_depth, n_bound)
+    d, re, im = p.scaled
     for root in roots:
-        re_val, im_val = p.value(root)
-        if im_val == 0 and re_val.denominator == 1 and abs(re_val) <= n_bound:
+        if dot(im, root):
+            continue
+        re_val = dot(re, root)
+        if re_val % d == 0 and abs(re_val) <= n_bound * d:
             # The same wall is cut out by (root, n) and (-root, -n); report
             # the representative whose leading nonzero entry is positive.
-            level = int(re_val)
+            level = re_val // d
             lead = next(x for x in root if x != 0)
             if lead < 0:
                 root = tuple(-x for x in root)

@@ -61,8 +61,8 @@ class RankMismatch(OctoweylError):
     pass
 
 
-class IndexOutOfRange(OctoweylError):
-    pass
+class IndexOutOfRange(ValidationError):
+    """A braid or shift index outside the collection."""
 
 
 class NotInConeWithinBudget(OctoweylError):

@@ -3,15 +3,22 @@
 Matrices are tuples of tuples of Python ints, vectors are tuples of ints;
 both are immutable and hashable so they can be used as set elements during
 orbit and group enumeration. No floating point is used anywhere.
+
+A sparse vector lists the (index, value) pairs of its nonzero entries; a
+matrix given by its sparse rows multiplies a vector in time proportional to
+its nonzero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
+Sparse = tuple[tuple[int, int], ...]  # (index, value) of each nonzero entry
 
 
 def parse_rational(text: str) -> Fraction:
@@ -31,6 +38,7 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+@lru_cache(maxsize=64)
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -51,7 +59,31 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
 
 
 def dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
+
+
+def sparse(x: Vec) -> Sparse:
+    return tuple((i, a) for i, a in enumerate(x) if a)
+
+
+def sparse_rows(a: Mat) -> tuple[Sparse, ...]:
+    return tuple(sparse(row) for row in a)
+
+
+def sparse_mat_vec(rows: tuple[Sparse, ...], x) -> tuple:
+    """a x for the matrix a given by its sparse rows."""
+    out = []
+    for row in rows:
+        c = 0
+        for j, b in row:
+            c += b * x[j]
+        out.append(c)
+    return tuple(out)
+
+
+def sparse_form(rows: tuple[Sparse, ...], x: Vec, y: Vec) -> int:
+    """x^T a y for the matrix a given by its sparse rows."""
+    return dot(x, sparse_mat_vec(rows, y))
 
 
 def vec_neg(x: Vec) -> Vec:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotNormOne, NotNormTwo, RankMismatch
-from .exact import Mat, Vec, determinant, vec_neg
+from .exact import Mat, Vec, determinant, dot, sparse_mat_vec, vec_neg
 from .lattice import RootLattice
 from .weyl import WeylElement, reflection_transvection
 
@@ -55,10 +55,9 @@ class ExceptionalityCheck:
 
 
 def euler_gram(k: KCollection) -> Mat:
-    ef = k.lattice.euler_form
-    return tuple(
-        tuple(ef(x, y) for y in k.classes) for x in k.classes
-    )
+    """<x, y> for every ordered pair of classes, with E y computed once per class."""
+    e_classes = [sparse_mat_vec(k.lattice.euler_rows, y) for y in k.classes]
+    return tuple(tuple(dot(x, ey) for ey in e_classes) for x in k.classes)
 
 
 def numerically_exceptional(k: KCollection) -> ExceptionalityCheck:

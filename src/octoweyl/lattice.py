@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import NotOctopus
-from .exact import Mat, Vec, dot, integer_kernel, mat_vec, transpose
+from .exact import Mat, Sparse, Vec, integer_kernel, sparse_form, sparse_rows, transpose
 from .quiver import (
     EXT,
     BoundQuiver,
@@ -93,12 +93,23 @@ class RootLattice:
         i = self.index(v)
         return tuple(int(j == i) for j in range(self.rank))
 
+    # Sparse rows of the two Gram matrices, built on first use: a pairing
+    # then costs a term per nonzero entry, not a dense n x n product.
+    @cached_property
+    def cartan_rows(self) -> tuple[Sparse, ...]:
+        return sparse_rows(self.cartan)
+
+    @cached_property
+    def euler_rows(self) -> tuple[Sparse, ...]:
+        return sparse_rows(self.euler)
+
     def form(self, x: Vec, y: Vec) -> int:
         """Cartan form I(x, y) = x^T I y."""
-        return dot(x, mat_vec(self.cartan, y))
+        return sparse_form(self.cartan_rows, x, y)
 
     def euler_form(self, x: Vec, y: Vec) -> int:
-        return dot(x, mat_vec(self.euler, y))
+        """Euler form <x, y> = x^T E y."""
+        return sparse_form(self.euler_rows, x, y)
 
     @property
     def is_octopus(self) -> bool:

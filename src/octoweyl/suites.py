@@ -100,6 +100,12 @@ class SuiteConfig:
             raise ValidationError("samples must be >= 1")
         if self.budget < 1:
             raise ValidationError("budget must be >= 1")
+        if self.cap < 1:
+            raise ValidationError("cap must be >= 1")
+        if self.n_bound < 0:
+            raise ValidationError("n_bound must be >= 0")
+        if self.depth is not None and self.depth < 0:
+            raise ValidationError("depth must be >= 0")
 
     def to_json(self) -> dict:
         return {
@@ -576,11 +582,12 @@ def suite_cone(w, lam=None, cfg=SuiteConfig()) -> dict:
             res = make_dominant(star, p, cfg.budget)
         except NotInConeWithinBudget:
             return None
-        m = evaluate_word(star, res.word).matrix
-        mt = transpose(m)
-        consistent = (
-            mat_vec(mt, p.re) == res.point.re and mat_vec(mt, p.im) == res.point.im
-        )
+        # M^T h on the integer rows of p, against the returned point times d.
+        d, re, im = p.scaled
+        mt = transpose(evaluate_word(star, res.word).matrix)
+        consistent = mat_vec(mt, re) == tuple(
+            x * d for x in res.point.re
+        ) and mat_vec(mt, im) == tuple(x * d for x in res.point.im)
         dominant = all(x >= 0 for x in res.point.im)
         return res.steps, consistent and dominant
 

@@ -31,7 +31,7 @@ A WeylElement constructed directly from a matrix is taken as given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     BudgetExceeded,
@@ -41,19 +41,26 @@ from .errors import (
     UnknownGenerator,
     ValidationError,
 )
-from .exact import Mat, Vec, identity, mat_inv, mat_mul, mat_vec, transpose
+from .exact import (
+    Mat,
+    Sparse,
+    Vec,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    sparse,
+    sparse_mat_vec,
+    sparse_rows,
+    transpose,
+)
 from .lattice import RootLattice
 from .quiver import EXT, vertex_str
 
 Word = tuple[tuple[object, int], ...]
-Sparse = tuple[tuple[int, int], ...]  # (index, value) of each nonzero entry
 
 DEFAULT_ROOT_CAP = 200_000
 GENERATOR_CACHE = 4096  # entries per generator cache, over all lattices
-
-
-def _sparse(x: Vec) -> Sparse:
-    return tuple((i, a) for i, a in enumerate(x) if a)
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,8 @@ class WeylElement:
     ``factors``, when known, writes the matrix as the ordered product of
     transvections: it gives the inverse in closed form and lets products act
     by row updates.  An element built from a bare matrix has no factors; it
-    is taken as given and falls back to dense products and ``mat_inv``.
+    is taken as given, acts on rows through its sparse columns and is
+    inverted with ``mat_inv``.
     """
 
     matrix: Mat
@@ -149,10 +157,17 @@ class WeylElement:
             return self.factors[0].apply(x)
         return mat_vec(self.matrix, x)
 
+    @cached_property
+    def _columns(self) -> tuple[Sparse, ...]:
+        return sparse_rows(transpose(self.matrix))
+
     def act_right(self, rows: list[list]) -> None:
-        """rows <- rows M in place: by row updates when the factors are known."""
+        """rows <- rows M in place: by row updates when the factors are known,
+        else entry j of each row becomes its product with column j of M."""
         if self.factors is None:
-            rows[:] = [list(r) for r in mat_mul(rows, self.matrix)]
+            cols = self._columns
+            for r in rows:
+                r[:] = sparse_mat_vec(cols, r)
         else:
             for f in self.factors:
                 f.act_right(rows)
@@ -207,7 +222,7 @@ def reflection_transvection(lattice: RootLattice, alpha: Vec) -> Transvection:
     norm = lattice.form(alpha, alpha)
     if norm != 2:
         raise NotNormTwo(f"I(a, a) = {norm} != 2 for a = {alpha}")
-    return Transvection(_sparse(alpha), _sparse(mat_vec(lattice.cartan, alpha)))
+    return Transvection(sparse(alpha), sparse(sparse_mat_vec(lattice.cartan_rows, alpha)))
 
 
 def reflection(lattice: RootLattice, alpha: Vec, word: Word | None = None) -> WeylElement:
@@ -268,9 +283,7 @@ def translation_element(lattice: RootLattice, v) -> WeylElement:
     """
     if v == EXT or v not in lattice.vertices:
         raise NotStarVertex(f"{v!r} is not a star vertex of this lattice")
-    step = Transvection(
-        _sparse(lattice.delta), _sparse(mat_vec(lattice.cartan, lattice.basis_vector(v)))
-    )
+    step = Transvection(sparse(lattice.delta), lattice.cartan_rows[lattice.index(v)])
     return _checked(
         lattice, WeylElement.from_factors(lattice.rank, (step,), translation_word(v))
     )
@@ -353,6 +366,8 @@ def enumerate_real_roots(
     """Real roots reachable from the simple roots within word_depth reflections."""
     if word_depth < 0:
         raise ValidationError("word_depth must be >= 0")
+    if cap < 1:
+        raise ValidationError("cap must be >= 1")
     basis = tuple(lattice.basis_vector(v) for v in lattice.vertices)
     roots, _ = root_orbit(lattice, basis, word_depth, cap)
     return roots

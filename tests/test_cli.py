@@ -166,8 +166,24 @@ def test_catalog_run_single_suite(capsys):
         ("roots", "--weights", "2,2,2", "--depth", "-1"),
         ("verify", "--weights", "2,2,2", "--suite", "cone", "--budget", "0"),
         ("verify", "--weights", "2,2,2", "--suite", "translations", "--samples", "-5"),
+        ("verify", "--weights", "2,2,2", "--suite", "roots-decomposition", "--n-bound", "-1"),
+        ("verify", "--weights", "2,2,2", "--suite", "cone", "--n-bound", "-1"),
+        ("verify", "--weights", "2,2,2", "--suite", "cone", "--cap", "0"),
+        ("verify", "--weights", "2,2,2", "--suite", "cone", "--depth", "-1"),
+        ("roots", "--weights", "2,2,2", "--cap", "0"),
+        ("mutate", "--weights", "2,2,2", "--word", "b99"),
     ],
-    ids=["roots-negative-depth", "cone-zero-budget", "translations-negative-samples"],
+    ids=[
+        "roots-negative-depth",
+        "cone-zero-budget",
+        "translations-negative-samples",
+        "roots-decomposition-negative-n-bound",
+        "cone-negative-n-bound",
+        "cone-zero-cap",
+        "cone-negative-depth",
+        "roots-zero-cap",
+        "mutate-braid-index-out-of-range",
+    ],
 )
 def test_invalid_bound_is_one_line_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

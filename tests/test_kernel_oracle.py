@@ -1,8 +1,11 @@
-"""The sparse transvection kernel against a dense oracle built here.
+"""The sparse and integer kernels against dense and rational oracles built here.
 
 Reflections, translations and their products are rebuilt in this file as
 dense integer matrices and multiplied with ``mat_mul``/``mat_vec``; the
-library's row-update kernel must agree with them exactly.
+library's row-update kernel must agree with them exactly.  The Tits cone
+probes, which run on integer rows over a common denominator, are checked
+against scans and chases in ``Fraction`` arithmetic, and the sparse
+bilinear forms against the dense x^T M y.
 """
 
 from fractions import Fraction
@@ -11,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octoweyl.cone import _dual_reflect
-from octoweyl.exact import identity, mat_inv, mat_mul, mat_vec, transpose
+from octoweyl.cone import DualPoint, is_regular, make_dominant
+from octoweyl.errors import NotInConeWithinBudget
+from octoweyl.exact import dot, identity, mat_inv, mat_mul, mat_vec, transpose
+from octoweyl.ktheory import KCollection, euler_gram, twist_matrix
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.weyl import (
     Transvection,
+    WeylElement,
     enumerate_real_roots,
     evaluate_word,
     preserves_form,
@@ -151,14 +157,148 @@ def test_root_orbit_matches_dense_closure(lat, depth):
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
+def rational_vecs(n):
+    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
+
+
+def int_vecs(n):
+    return st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(tuple)
+
+
 @settings(max_examples=40, deadline=None)
 @given(lattices, st.data())
 def test_dual_reflect_matches_dense_transposed_action(lat, data):
-    vals = tuple(
-        data.draw(st.lists(rationals, min_size=lat.rank, max_size=lat.rank), label="h")
-    )
+    # The dual step of make_dominant: the simple reflection's transvection
+    # acting on the integer row d*h, which must stay integral.
+    vals = data.draw(rational_vecs(lat.rank), label="h")
     v = data.draw(st.integers(0, lat.rank - 1), label="v")
     dense = transpose(dense_reflection(lat, lat.basis_vector(lat.vertices[v])))
-    (got,) = _dual_reflect(lat, (vals,), v)
-    assert got == mat_vec(dense, vals)
-    assert all(isinstance(x, Fraction) for x in got)
+    d, scaled, _ = DualPoint(vals, vals).scaled
+    rows = [list(scaled)]
+    simple_reflection(lat, lat.vertices[v]).factors[0].act_right(rows)
+    assert all(isinstance(x, int) for x in rows[0])
+    assert tuple(Fraction(x, d) for x in rows[0]) == mat_vec(dense, vals)
+
+
+def fraction_scan(lat, p, depth, n_bound):
+    """is_regular's verdict, recomputed with DualPoint.value on every root."""
+    for root in enumerate_real_roots(lat, depth):
+        re_val, im_val = p.value(root)
+        if im_val == 0 and re_val.denominator == 1 and abs(re_val) <= n_bound:
+            level = int(re_val)
+            if next(x for x in root if x != 0) < 0:
+                root, level = tuple(-x for x in root), -level
+            return "on_wall", root, level
+    return "regular", None, None
+
+
+def plant_on_wall(p, root, level):
+    """Move one coordinate of p so that h(root) = level exactly."""
+    k = next(i for i, x in enumerate(root) if x != 0)
+
+    def solve(vals, target):
+        rest = sum(v * x for i, (v, x) in enumerate(zip(vals, root)) if i != k)
+        return vals[:k] + (Fraction(target - rest, root[k]),) + vals[k + 1 :]
+
+    return DualPoint(solve(p.re, level), solve(p.im, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices, st.data())
+def test_integer_is_regular_matches_fraction_scan(lat, data):
+    depth = data.draw(st.integers(0, 3), label="depth")
+    n_bound = data.draw(st.integers(0, 4), label="n_bound")
+    p = DualPoint(
+        data.draw(rational_vecs(lat.rank), label="re"),
+        data.draw(rational_vecs(lat.rank), label="im"),
+    )
+    if data.draw(st.booleans(), label="plant"):
+        root = data.draw(st.sampled_from(enumerate_real_roots(lat, depth)), label="root")
+        # Off-integer and out-of-bound levels too: neither is a hit.
+        level = data.draw(
+            st.fractions(-n_bound - 1, n_bound + 1, max_denominator=3), label="level"
+        )
+        p = plant_on_wall(p, root, level)
+        assert p.value(root) == (level, 0)
+    res = is_regular(lat, p, depth, n_bound)
+    expected = fraction_scan(lat, p, depth, n_bound)
+    assert (res.status, res.wall_root, res.wall_level) == expected
+    assert res.roots_checked == len(enumerate_real_roots(lat, depth))
+
+
+def fraction_chase(lat, p, max_steps):
+    """make_dominant in Fraction arithmetic through dense transposed reflections."""
+    re, im = p.re, p.im
+    word = []
+    for step in range(max_steps + 1):
+        neg = next((i for i, x in enumerate(im) if x < 0), None)
+        if neg is None:
+            return (re, im), tuple(word), step, all(x > 0 for x in im)
+        if step == max_steps:
+            return None
+        v = lat.vertices[neg]
+        mt = transpose(dense_reflection(lat, lat.basis_vector(v)))
+        re, im = mat_vec(mt, re), mat_vec(mt, im)
+        word.append((v, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices, st.data())
+def test_make_dominant_matches_fraction_chase(lat, data):
+    re = data.draw(rational_vecs(lat.rank), label="re")
+    if data.draw(st.booleans(), label="pushed"):
+        # A dominant point moved by a word, so that the chase terminates.
+        im = data.draw(
+            st.lists(st.integers(0, 5), min_size=lat.rank, max_size=lat.rank), label="im"
+        )
+        letters = data.draw(st.lists(st.sampled_from(lat.vertices), max_size=6), label="w")
+        mt = transpose(evaluate_word(lat, [(v, 1) for v in letters]).matrix)
+        p = DualPoint(mat_vec(mt, re), mat_vec(mt, im))
+    else:
+        p = DualPoint(re, data.draw(rational_vecs(lat.rank), label="im"))
+    expected = fraction_chase(lat, p, 40)
+    if expected is None:
+        with pytest.raises(NotInConeWithinBudget):
+            make_dominant(lat, p, 40)
+        return
+    res = make_dominant(lat, p, 40)
+    assert ((res.point.re, res.point.im), res.word, res.steps, res.strictly_dominant) == (
+        expected
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices, st.data())
+def test_sparse_forms_match_dense(lat, data):
+    x, y = (data.draw(int_vecs(lat.rank)) for _ in range(2))
+    assert lat.form(x, y) == dot(x, mat_vec(lat.cartan, y))
+    assert lat.euler_form(x, y) == dot(x, mat_vec(lat.euler, y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattices, st.data())
+def test_euler_gram_matches_pairing_table(lat, data):
+    classes = tuple(data.draw(int_vecs(lat.rank)) for _ in range(lat.rank))
+    k = KCollection(classes, lat)
+    assert euler_gram(k) == tuple(
+        tuple(lat.euler_form(x, y) for y in classes) for x in classes
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattices, st.data())
+def test_factorless_action_matches_mat_mul(lat, data):
+    letters = data.draw(st.lists(st.sampled_from(lat.vertices), max_size=6), label="w")
+    word_matrix = evaluate_word(lat, [(v, 1) for v in letters]).matrix
+    v = data.draw(st.sampled_from(lat.vertices), label="v")
+    twist = twist_matrix(lat, lat.basis_vector(v))
+    for m in (word_matrix, twist):
+        rows = [list(data.draw(int_vecs(lat.rank))) for _ in range(3)]
+        expected = mat_mul(rows, m)
+        WeylElement(m).act_right(rows)
+        assert tuple(map(tuple, rows)) == expected
+    assert (WeylElement(word_matrix) * WeylElement(twist)).matrix == mat_mul(
+        word_matrix, twist
+    )
+    assert WeylElement(twist).inverse().matrix == mat_inv(twist)
+    assert (WeylElement(twist) * WeylElement(twist)).matrix == identity(lat.rank)
