@@ -144,6 +144,8 @@ def _pick_lattice(args, w, lam):
 def cmd_roots(args) -> int:
     w, lam = _lattices(args)
     lat = _pick_lattice(args, w, lam)
+    if args.n_bound is not None and args.n_bound < 0:
+        raise ValidationError("--n-bound must be >= 0")
     depth = args.depth if args.depth is not None else 10
     roots = enumerate_real_roots(lat, depth, args.cap)
     payload = {

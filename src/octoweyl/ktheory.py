@@ -12,7 +12,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, NotNormOne, NotNormTwo, RankMismatch
+from .errors import (
+    IndexOutOfRange,
+    NotNormOne,
+    NotNormTwo,
+    RankMismatch,
+    ValidationError,
+)
 from .exact import Mat, Vec, determinant, dot, sparse_mat_vec, vec_neg
 from .lattice import RootLattice
 from .weyl import WeylElement, reflection_transvection
@@ -86,7 +92,7 @@ def parse_move(token: str) -> Move:
     """b3 is the braid move at slot 3, B3 its inverse, e3 the shift at 3."""
     m = _MOVE_RE.match(token.strip())
     if not m:
-        raise ValueError(f"cannot parse mutation token {token!r}")
+        raise ValidationError(f"cannot parse mutation token {token!r}")
     sym, i = m.group(1), int(m.group(2))
     if sym == "b":
         return ("b", i, 1)

@@ -16,7 +16,15 @@ from .cone import DualPoint, is_regular, make_dominant
 from .errors import NotInConeWithinBudget, ValidationError
 # mat_mul is not called here; it stays importable from this module because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too.
-from .exact import identity, mat_mul, mat_vec, transpose, vec_neg  # noqa: F401
+from .exact import (  # noqa: F401
+    dot,
+    identity,
+    mat_mul,
+    mat_vec,
+    sparse_mat_vec,
+    transpose,
+    vec_neg,
+)
 from .ktheory import (
     braid_act,
     braid_word_act,
@@ -196,6 +204,7 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
 
     star_verts = octo.star_vertices()
     translations = {v: translation_element(octo, v) for v in star_verts}
+    inverses = {v: tau.inverse() for v, tau in translations.items()}
     for v in star_verts:
         tau = translations[v]
         word_el = evaluate_word(octo, tau.word)
@@ -206,11 +215,13 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
                 "holds": word_el.matrix == tau.matrix,
             }
         )
-        alpha = octo.basis_vector(v)
+        # I(vec, e_v) is vec . C e_v, and C e_v is row v of the symmetric C.
+        c_v = octo.cartan[octo.index(v)]
         ok = True
         for _ in range(cfg.samples):
-            vec = tuple(rng.randint(-9, 9) for _ in range(n))
-            coeff = octo.form(vec, alpha)
+            # randrange(19) - 9 draws exactly as randint(-9, 9), only faster.
+            vec = tuple(rng.randrange(19) - 9 for _ in range(n))
+            coeff = dot(vec, c_v)
             expected = tuple(x - coeff * d for x, d in zip(vec, delta))
             if word_el.apply(vec) != expected:
                 ok = False
@@ -228,9 +239,9 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
         rv = simple_reflection(octo, v)
         for u in star_verts:
             tu = translations[u]
-            lhs = (rv * tu * rv).matrix
+            lhs = right_product(rv.matrix, (tu, rv))
             if u == v:
-                rhs = tu.inverse().matrix
+                rhs = inverses[u].matrix
                 tag = "adjoint-inverse"
             else:
                 entry = octo.form(octo.basis_vector(v), octo.basis_vector(u))
@@ -238,7 +249,7 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
                     rhs = tu.matrix
                     tag = "adjoint-commute"
                 elif entry == -1:
-                    rhs = (translations[v] * tu).matrix
+                    rhs = right_product(translations[v].matrix, (tu,))
                     tag = "adjoint-product"
                 else:
                     continue
@@ -278,10 +289,10 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
         for v, m_v in zip(star_verts, coeffs):
             if m_v == 0:
                 continue
-            step = translations[v] if m_v > 0 else translations[v].inverse()
+            step = translations[v] if m_v > 0 else inverses[v]
             steps += [step] * abs(m_v)
         prod = right_product(ident, steps)
-        in_radical = all(x == 0 for x in mat_vec(star.cartan, coeffs))
+        in_radical = all(x == 0 for x in sparse_mat_vec(star.cartan_rows, coeffs))
         details.append(
             {
                 "check": "kernel-iff",

@@ -10,7 +10,10 @@ translation tau_v is (delta, C e_v).  One kernel applies them: x - (p . x) u
 on vectors, M - (M u) p^T on matrices from the right and h - (h . u) p on
 dual points, so a letter touches only the coordinates in the support of u
 or p, and its inverse has a closed form.  Words are evaluated as row
-updates, never as products of dense matrices.
+updates, never as products of dense matrices, and a product acts on vectors
+through the cached sparse rows of its matrix.  The projection to the star
+lattice conjugates by the split basis change T of ``lattice.to_split``
+column by column through that same action, so no dense product is formed.
 
 Every WeylElement this module builds preserves the Cartan form.  The checks
 behind that are made once, not on every product:
@@ -48,7 +51,6 @@ from .exact import (
     identity,
     mat_inv,
     mat_mul,
-    mat_vec,
     sparse,
     sparse_mat_vec,
     sparse_rows,
@@ -133,7 +135,10 @@ class WeylElement:
     transvections: it gives the inverse in closed form and lets products act
     by row updates.  An element built from a bare matrix has no factors; it
     is taken as given, acts on rows through its sparse columns and is
-    inverted with ``mat_inv``.
+    inverted with ``mat_inv``.  Any element other than a single generator
+    acts on vectors through the sparse rows of its matrix, built on first
+    use: a translation word's matrix I - delta (C e_v)^T has about n + 6
+    nonzero entries, so it acts in O(n) steps, not O(n^2).
     """
 
     matrix: Mat
@@ -152,10 +157,15 @@ class WeylElement:
         return len(self.matrix)
 
     def apply(self, x: Vec) -> Vec:
-        """A generator acts through its transvection, a product through its matrix."""
+        """M x: a generator acts through its transvection, any other element
+        through the cached sparse rows of its matrix."""
         if self.factors is not None and len(self.factors) == 1:
             return self.factors[0].apply(x)
-        return mat_vec(self.matrix, x)
+        return sparse_mat_vec(self._rows, x)
+
+    @cached_property
+    def _rows(self) -> tuple[Sparse, ...]:
+        return sparse_rows(self.matrix)
 
     @cached_property
     def _columns(self) -> tuple[Sparse, ...]:
@@ -289,18 +299,23 @@ def translation_element(lattice: RootLattice, v) -> WeylElement:
     )
 
 
-def _split_matrix(lattice: RootLattice, m: Mat) -> Mat:
-    n = lattice.rank
-    cols = []
-    for k in range(n):
-        unit = tuple(int(i == k) for i in range(n))
-        cols.append(lattice.to_split(mat_vec(m, lattice.from_split(unit))))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+def _split_matrix(lattice: RootLattice, w: WeylElement) -> Mat:
+    """T M T^-1 for the split basis change T of ``lattice.to_split``.
+
+    Column k is T M T^-1 e_k, with T^-1 and T taken from
+    ``lattice.from_split`` and ``lattice.to_split`` and M applied through
+    ``w.apply``: n sparse applications, not a dense conjugation.
+    """
+    cols = [
+        lattice.to_split(w.apply(lattice.from_split(unit)))
+        for unit in identity(lattice.rank)
+    ]
+    return transpose(cols)
 
 
 def project_p(lattice: RootLattice, w: WeylElement) -> WeylElement:
     """Induced action on the quotient by the delta line, in star coordinates."""
-    split = _split_matrix(lattice, w.matrix)
+    split = _split_matrix(lattice, w)
     n = lattice.rank
     if any(split[i][n - 1] != 0 for i in range(n - 1)) or split[n - 1][n - 1] not in (1, -1):
         raise DeltaNotPreserved("matrix does not preserve the delta line")
@@ -432,6 +447,8 @@ def serre_coxeter_matrix(lattice: RootLattice) -> Mat:
 
 def order_of(w: WeylElement, cap: int) -> Finite | Truncated:
     """Multiplicative order of an element, probed up to cap."""
+    if cap < 1:
+        raise ValidationError("cap must be >= 1")
     power = w.matrix
     ident = identity(w.rank)
     for k in range(1, cap + 1):

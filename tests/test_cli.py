@@ -172,6 +172,9 @@ def test_catalog_run_single_suite(capsys):
         ("verify", "--weights", "2,2,2", "--suite", "cone", "--depth", "-1"),
         ("roots", "--weights", "2,2,2", "--cap", "0"),
         ("mutate", "--weights", "2,2,2", "--word", "b99"),
+        ("mutate", "--weights", "2,2,2", "--word", "xyz"),
+        ("coxeter", "--weights", "2,2,2", "--cap", "0"),
+        ("roots", "--weights", "2,2,2", "--kind", "octopus", "--n-bound", "-1"),
     ],
     ids=[
         "roots-negative-depth",
@@ -183,6 +186,9 @@ def test_catalog_run_single_suite(capsys):
         "cone-negative-depth",
         "roots-zero-cap",
         "mutate-braid-index-out-of-range",
+        "mutate-unparsable-token",
+        "coxeter-zero-cap",
+        "roots-negative-n-bound",
     ],
 )
 def test_invalid_bound_is_one_line_exit_2(capsys, argv):

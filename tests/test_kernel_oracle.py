@@ -5,27 +5,36 @@ dense integer matrices and multiplied with ``mat_mul``/``mat_vec``; the
 library's row-update kernel must agree with them exactly.  The Tits cone
 probes, which run on integer rows over a common denominator, are checked
 against scans and chases in ``Fraction`` arithmetic, and the sparse
-bilinear forms against the dense x^T M y.
+bilinear forms against the dense x^T M y.  The translation path, which
+applies products through their sparse rows and conjugates by the split
+basis without a dense product, is checked against ``mat_vec`` and a dense
+conjugation, and once with the dense kernels disabled altogether.
 """
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octoweyl import exact
 from octoweyl.cone import DualPoint, is_regular, make_dominant
 from octoweyl.errors import NotInConeWithinBudget
 from octoweyl.exact import dot, identity, mat_inv, mat_mul, mat_vec, transpose
 from octoweyl.ktheory import KCollection, euler_gram, twist_matrix
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
+from octoweyl.suites import suite_translations
 from octoweyl.weyl import (
     Transvection,
     WeylElement,
     enumerate_real_roots,
     evaluate_word,
+    identity_element,
     preserves_form,
+    project_p,
     reflection,
     root_orbit,
     simple_reflection,
@@ -302,3 +311,73 @@ def test_factorless_action_matches_mat_mul(lat, data):
     )
     assert WeylElement(twist).inverse().matrix == mat_inv(twist)
     assert (WeylElement(twist) * WeylElement(twist)).matrix == identity(lat.rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices, st.data())
+def test_apply_matches_mat_vec(lat, data):
+    letters = data.draw(
+        st.lists(st.sampled_from(lat.vertices), min_size=2, max_size=10), label="w"
+    )
+    word_el = evaluate_word(lat, [(v, 1) for v in letters])
+    v = data.draw(st.sampled_from(lat.vertices), label="v")
+    twist = WeylElement(twist_matrix(lat, lat.basis_vector(v)))
+    for element in (word_el, WeylElement(word_el.matrix), twist, identity_element(lat)):
+        for _ in range(3):
+            x = data.draw(int_vecs(lat.rank), label="x")
+            assert element.apply(x) == mat_vec(element.matrix, x)
+
+
+def dense_split_matrix(lat, m):
+    """T M T^-1 with one dense mat_vec per column, T from to_split/from_split."""
+    n = lat.rank
+    cols = []
+    for k in range(n):
+        unit = tuple(int(i == k) for i in range(n))
+        cols.append(lat.to_split(mat_vec(m, lat.from_split(unit))))
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(octopus_lattices, st.data())
+def test_project_p_matches_dense_conjugation(lat, data):
+    # Reflections and translations of an octopus lattice all fix delta.
+    gens = [simple_reflection(lat, v) for v in lat.vertices]
+    gens += [translation_element(lat, v) for v in lat.star_vertices()]
+    gens += [translation_element(lat, v).inverse() for v in lat.star_vertices()]
+    picks = data.draw(st.lists(st.sampled_from(gens), max_size=6), label="word")
+    w = identity_element(lat)
+    for g in picks:
+        w = w * g
+    n = lat.rank
+    split = dense_split_matrix(lat, w.matrix)
+    assert all(split[i][n - 1] == 0 for i in range(n - 1))
+    assert project_p(lat, w).matrix == tuple(row[: n - 1] for row in split[: n - 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1729, 4242, 2**40 + 3])
+def test_randrange_draws_as_randint(seed):
+    # The translations suite's samples, and so the golden digests, rely on this.
+    a, b = random.Random(seed), random.Random(seed)
+    assert [a.randrange(19) - 9 for _ in range(500)] == [
+        b.randint(-9, 9) for _ in range(500)
+    ]
+    assert a.getstate() == b.getstate()
+
+
+def test_translations_suite_runs_without_dense_kernels(monkeypatch):
+    # The warm run builds and form-checks the cached generators, the one
+    # place on this path that still multiplies dense matrices.
+    warm = suite_translations((2, 3, 7))
+    assert warm["pass"]
+
+    def refuse(*_args):
+        raise AssertionError("dense kernel called on the translation path")
+
+    dense = (exact.mat_vec, exact.mat_mul)
+    for name, module in list(sys.modules.items()):
+        if name == "octoweyl" or name.startswith("octoweyl."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in dense):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert suite_translations((2, 3, 7)) == warm
