@@ -1,5 +1,7 @@
 """Relation lists as data, and exact verification under matrix assignments."""
 
+import hashlib
+
 import pytest
 
 from octoweyl.errors import DimensionMismatch, MissingGenerator
@@ -18,6 +20,7 @@ from octoweyl.presentations import (
     verify,
 )
 from octoweyl.quiver import Weights, default_lambda
+from octoweyl.suites import DEFAULT_CATALOG
 from octoweyl.weyl import evaluate_word, identity_element, translation_element
 
 SAMPLE = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 2, 2), (2, 3, 7)]
@@ -192,3 +195,28 @@ def test_report_json_schema():
     assert blob["weights"] == [2, 2, 2]
     assert all(set(e) == {"tag", "holds"} for e in blob["relations"])
     assert blob["pass"] is True
+
+
+# SHA-256 over the relation lists of the five specs and the power-equivalence
+# report.  The golden report digests only see each relation's tag and
+# verdict, so a rewritten word that still holds would pass them unnoticed.
+RELATIONS_DIGEST = "7ad092abb90b2fbb0f3e61b29b6e3d761d99cefbe5b96bd228cfda53d56b6c90"
+
+
+def test_relation_lists_are_pinned():
+    specs = (
+        star_coxeter_spec,
+        generalized_coxeter_spec_W,
+        semidirect_spec,
+        artin_spec,
+        van_der_lek_spec,
+    )
+    h = hashlib.sha256()
+    for a in DEFAULT_CATALOG + ((2, 2, 5), (2, 5, 9), (4, 4, 4, 4)):
+        w = Weights(a)
+        for build in specs:
+            spec = build(w)
+            blob = (spec.name, spec.weights, spec.generators, spec.relations)
+            h.update(repr(blob).encode())
+        h.update(repr(check_coxeter_power_equivalences(w)).encode())
+    assert h.hexdigest() == RELATIONS_DIGEST
