@@ -1,23 +1,33 @@
 """Presentations as data: relation lists generated from Cartan matrices.
 
 Every presentation is a list of (lhs, rhs) word pairs over a formal
-generator alphabet, instantiated from the Cartan matrix of a star or
-octopus lattice so new weight tuples need no new code.  Derived letters
-(the sigma and rho products) are expanded eagerly into primitive letters.
-Verification evaluates both sides of every relation under an assignment of
-matrices to generators and compares exactly; it checks that a generator
-assignment defines a homomorphism, nothing more.
+generator alphabet.  One generator, ``_relations``, reads the Cartan matrix
+of a star or octopus lattice and emits the relation families in one fixed
+order: involutions, commute/braid pairs, hub and arm bound pairs over the
+sigma words, translation commutation, the inverse rule 4.3e and the
+ordered-pair adjoint rules.  A presentation names the families it uses (a
+tag map) and its reflection and translation letters (letter maps), so new
+weight tuples need no new code.  Verification evaluates both sides of every
+relation under an assignment of matrices to generators and compares
+exactly; it checks that a generator assignment defines a homomorphism,
+nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 from .errors import DimensionMismatch, MissingGenerator
 from .exact import Mat, identity
 from .lattice import RootLattice, octopus_lattice, star_lattice
 from .quiver import EXT, HUB, Weights, default_lambda, vertex_str
-from .weyl import right_product, simple_reflection, translation_element
+from .weyl import (
+    right_product,
+    simple_reflection,
+    translation_element,
+    translation_word,
+)
 
 GroupWord = tuple[tuple[str, int], ...]
 
@@ -35,6 +45,12 @@ class PresentationSpec:
     weights: tuple[int, ...]
     generators: tuple[str, ...]
     relations: tuple[Relation, ...]
+
+    def __post_init__(self):
+        used = {g for rel in self.relations for g, _ in rel.lhs + rel.rhs}
+        stray = sorted(used.difference(self.generators))
+        if stray:
+            raise MissingGenerator(f"relations use non-generator letters: {stray}")
 
 
 @dataclass(frozen=True)
@@ -78,253 +94,139 @@ def _word(*letters) -> GroupWord:
     return tuple((g, 1) for g in letters)
 
 
-def _inv(word: GroupWord) -> GroupWord:
-    return tuple((g, -e) for g, e in reversed(word))
-
-
 def sigma_word(v) -> GroupWord:
-    """Expansion of the derived hub/arm products into primitive letters.
+    """The derived sigma (Weyl side) and rho (Artin side) letter of a star
+    vertex, expanded: ``weyl.translation_word`` on the vertex letters."""
+    return tuple((vertex_str(x), e) for x, e in translation_word(v))
 
-    sigma_1 is the product of the two hub-side generators; each arm letter
-    conjugates its predecessor and divides by it.  The same inductive shape
-    serves the Weyl-side sigma and the Artin-side rho letters.
+
+def _letters(name: str):
+    """Letter map sending a vertex v to the letter ``name[v]``."""
+    return lambda v: f"{name}[{vertex_str(v)}]"
+
+
+# Reflection and translation letter maps of the two paired presentations.
+_SEMIDIRECT_LETTERS = (_letters("w"), _letters("tau"))
+_VAN_DER_LEK_LETTERS = (_letters("g"), _letters("rho"))
+
+# Tag maps send a relation family to its tag prefix; the Cartan-conditioned
+# pair and adjoint families take a (commute, braid) pair of prefixes.
+_STAR_TAGS = {"involution": "W0", "pair": ("W1.0", "W1.1")}
+_BOUND_TAGS = {"hub-bound": "W2", "arm-bound": "W3"}
+
+
+def _relations(lat: RootLattice, tags: dict, g, t=None):
+    """Yield the relation families named in ``tags``, in this fixed order.
+
+    With I = ``lat.cartan``, g/t the reflection/translation letter maps,
+    s the ``sigma_word``s on vertex letters, h_i = g((i, 1)) and arms i < j:
+    involution g_v g_v = 1; pair g_v g_u = g_u g_v if I(v,u) = 0, the braid
+    rule if I(v,u) = -1; hub-bound h_i s_1 h_i s_1 = s_1 h_i s_1 h_i;
+    arm-bound h_i s_(j,1) = s_(j,1) h_i (a) and h_j s_(i,1) = s_(i,1) h_j (b);
+    translations t_v t_u = t_u t_v; inverse g_v t_v g_v = t_v^-1; adjoint,
+    over ordered pairs, g_v t_u = t_u g_v if I(v,u) = 0 and
+    g_v t_u g_v = t_u t_v if I(v,u) = -1.
     """
-    if v == HUB:
-        return _word(vertex_str(HUB), vertex_str(EXT))
-    if isinstance(v, tuple):
-        i, j = v
-        prev = sigma_word(HUB) if j == 1 else sigma_word((i, j - 1))
-        me = _word(vertex_str(v))
-        return me + prev + me + _inv(prev)
-    raise ValueError(f"no derived letter for {v!r}")
+    verts = lat.vertices
+    c = lat.cartan
+    s = [vertex_str(v) for v in verts]
+    pairs = list(combinations(range(len(verts)), 2))
+    if "involution" in tags:
+        for a, v in enumerate(verts):
+            yield Relation(f"{tags['involution']}/{s[a]}", _word(g(v), g(v)), ())
+    if "pair" in tags:
+        commute, braid = tags["pair"]
+        for a, b in pairs:
+            x, y = g(verts[a]), g(verts[b])
+            if c[a][b] == 0:
+                yield Relation(f"{commute}/{s[a]},{s[b]}", _word(x, y), _word(y, x))
+            elif c[a][b] == -1:
+                lhs, rhs = _word(x, y, x), _word(y, x, y)
+                yield Relation(f"{braid}/{s[a]},{s[b]}", lhs, rhs)
+    arms = range(1, lat.weights.r + 1)
+    if "hub-bound" in tags:
+        s1 = sigma_word(HUB)
+        for i in arms:
+            x = _word(g((i, 1)))
+            lhs, rhs = x + s1 + x + s1, s1 + x + s1 + x
+            yield Relation(f"{tags['hub-bound']}/i={i}", lhs, rhs)
+    if "arm-bound" in tags:
+        prefix = tags["arm-bound"]
+        for i, j in combinations(arms, 2):
+            xi, xj = _word(g((i, 1))), _word(g((j, 1)))
+            si, sj = sigma_word((i, 1)), sigma_word((j, 1))
+            yield Relation(f"{prefix}a/i={i},j={j}", xi + sj, sj + xi)
+            yield Relation(f"{prefix}b/i={i},j={j}", xj + si, si + xj)
+    if "translations" in tags:
+        for a, b in pairs:
+            x, y = t(verts[a]), t(verts[b])
+            tag = f"{tags['translations']}/{s[a]},{s[b]}"
+            yield Relation(tag, _word(x, y), _word(y, x))
+    if "inverse" in tags:
+        for a, v in enumerate(verts):
+            lhs = _word(g(v), t(v), g(v))
+            yield Relation(f"{tags['inverse']}/{s[a]}", lhs, ((t(v), -1),))
+    if "adjoint" in tags:
+        commute, braid = tags["adjoint"]
+        for a, b in permutations(range(len(verts)), 2):
+            x, y = g(verts[a]), t(verts[b])
+            if c[a][b] == 0:
+                yield Relation(f"{commute}/{s[a]},{s[b]}", _word(x, y), _word(y, x))
+            elif c[a][b] == -1:
+                lhs, rhs = _word(x, y, x), _word(y, t(verts[a]))
+                yield Relation(f"{braid}/{s[a]},{s[b]}", lhs, rhs)
 
 
-def _pairs(vertices):
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            yield vertices[a], vertices[b]
-
-
-def _ordered_pairs(vertices):
-    for a in vertices:
-        for b in vertices:
-            if a != b:
-                yield a, b
+def _spec(name: str, lat: RootLattice, tags: dict, g, t=None) -> PresentationSpec:
+    """The presentation of ``tags`` on the letters of g (then t) per vertex."""
+    gens = tuple(map(g, lat.vertices))
+    if t is not None:
+        gens += tuple(map(t, lat.vertices))
+    rels = tuple(_relations(lat, tags, g, t))
+    return PresentationSpec(name, tuple(lat.weights.a), gens, rels)
 
 
 def star_coxeter_spec(w: Weights) -> PresentationSpec:
     """Coxeter relations of the star diagram on one generator per vertex."""
-    lat = star_lattice(w)
-    rels = []
-    for v in lat.vertices:
-        s = vertex_str(v)
-        rels.append(Relation(f"W0/{s}", _word(s, s), ()))
-    for v, u in _pairs(lat.vertices):
-        entry = lat.form(lat.basis_vector(v), lat.basis_vector(u))
-        sv, su = vertex_str(v), vertex_str(u)
-        if entry == 0:
-            rels.append(Relation(f"W1.0/{sv},{su}", _word(sv, su), _word(su, sv)))
-        elif entry == -1:
-            rels.append(
-                Relation(f"W1.1/{sv},{su}", _word(sv, su, sv), _word(su, sv, su))
-            )
-    return PresentationSpec(
-        "StarCoxeter", tuple(w.a), tuple(vertex_str(v) for v in lat.vertices), tuple(rels)
-    )
+    return _spec("StarCoxeter", star_lattice(w), _STAR_TAGS, vertex_str)
 
 
 def semidirect_spec(w: Weights) -> PresentationSpec:
     """Reflections plus a commuting translation family, with adjoint rules."""
-    lat = star_lattice(w)
-    verts = lat.vertices
-
-    def wl(v):
-        return f"w[{vertex_str(v)}]"
-
-    def tl(v):
-        return f"tau[{vertex_str(v)}]"
-
-    rels = []
-    for v in verts:
-        rels.append(Relation(f"4.3a/{vertex_str(v)}", _word(wl(v), wl(v)), ()))
-    for v, u in _pairs(verts):
-        entry = lat.form(lat.basis_vector(v), lat.basis_vector(u))
-        sv, su = vertex_str(v), vertex_str(u)
-        if entry == 0:
-            rels.append(
-                Relation(f"4.3b/{sv},{su}", _word(wl(v), wl(u)), _word(wl(u), wl(v)))
-            )
-        elif entry == -1:
-            rels.append(
-                Relation(
-                    f"4.3c/{sv},{su}",
-                    _word(wl(v), wl(u), wl(v)),
-                    _word(wl(u), wl(v), wl(u)),
-                )
-            )
-    for v, u in _pairs(verts):
-        rels.append(
-            Relation(
-                f"4.3d/{vertex_str(v)},{vertex_str(u)}",
-                _word(tl(v), tl(u)),
-                _word(tl(u), tl(v)),
-            )
-        )
-    for v in verts:
-        rels.append(
-            Relation(
-                f"4.3e/{vertex_str(v)}",
-                _word(wl(v), tl(v), wl(v)),
-                ((tl(v), -1),),
-            )
-        )
-    for v, u in _ordered_pairs(verts):
-        entry = lat.form(lat.basis_vector(v), lat.basis_vector(u))
-        sv, su = vertex_str(v), vertex_str(u)
-        if entry == 0:
-            rels.append(
-                Relation(f"4.3f/{sv},{su}", _word(wl(v), tl(u)), _word(tl(u), wl(v)))
-            )
-        elif entry == -1:
-            rels.append(
-                Relation(
-                    f"4.3g/{sv},{su}",
-                    _word(wl(v), tl(u), wl(v)),
-                    _word(tl(u), tl(v)),
-                )
-            )
-    gens = tuple(wl(v) for v in verts) + tuple(tl(v) for v in verts)
-    return PresentationSpec("Semidirect", tuple(w.a), gens, tuple(rels))
-
-
-def _octopus_lattice_for(w: Weights) -> RootLattice:
-    return octopus_lattice(w, default_lambda(w.r))
+    tags = {
+        "involution": "4.3a",
+        "pair": ("4.3b", "4.3c"),
+        "translations": "4.3d",
+        "inverse": "4.3e",
+        "adjoint": ("4.3f", "4.3g"),
+    }
+    return _spec("Semidirect", star_lattice(w), tags, *_SEMIDIRECT_LETTERS)
 
 
 def generalized_coxeter_spec_W(w: Weights) -> PresentationSpec:
     """Coxeter relations of the octopus diagram plus the bound-pair rules."""
-    lat = _octopus_lattice_for(w)
-    rels = []
-    for v in lat.vertices:
-        s = vertex_str(v)
-        rels.append(Relation(f"W0/{s}", _word(s, s), ()))
-    for v, u in _pairs(lat.vertices):
-        entry = lat.form(lat.basis_vector(v), lat.basis_vector(u))
-        sv, su = vertex_str(v), vertex_str(u)
-        if entry == 0:
-            rels.append(Relation(f"W1.0/{sv},{su}", _word(sv, su), _word(su, sv)))
-        elif entry == -1:
-            rels.append(
-                Relation(f"W1.1/{sv},{su}", _word(sv, su, sv), _word(su, sv, su))
-            )
-    sigma1 = sigma_word(HUB)
-    for i in range(1, w.r + 1):
-        g = _word(vertex_str((i, 1)))
-        rels.append(
-            Relation(f"W2/i={i}", g + sigma1 + g + sigma1, sigma1 + g + sigma1 + g)
-        )
-    for i in range(1, w.r + 1):
-        for j in range(i + 1, w.r + 1):
-            gi, gj = _word(vertex_str((i, 1))), _word(vertex_str((j, 1)))
-            si, sj = sigma_word((i, 1)), sigma_word((j, 1))
-            rels.append(Relation(f"W3a/i={i},j={j}", gi + sj, sj + gi))
-            rels.append(Relation(f"W3b/i={i},j={j}", gj + si, si + gj))
-    return PresentationSpec(
-        "GeneralizedCoxeterW", tuple(w.a), tuple(vertex_str(v) for v in lat.vertices),
-        tuple(rels)
-    )
+    lat = octopus_lattice(w, default_lambda(w.r))
+    tags = {**_STAR_TAGS, **_BOUND_TAGS}
+    return _spec("GeneralizedCoxeterW", lat, tags, vertex_str)
 
 
 def artin_spec(w: Weights) -> PresentationSpec:
     """The octopus relations without involutions: the Artin-side presentation."""
-    lat = _octopus_lattice_for(w)
-    rels = []
-    for v, u in _pairs(lat.vertices):
-        entry = lat.form(lat.basis_vector(v), lat.basis_vector(u))
-        sv, su = vertex_str(v), vertex_str(u)
-        if entry == 0:
-            rels.append(Relation(f"A1.0/{sv},{su}", _word(sv, su), _word(su, sv)))
-        elif entry == -1:
-            rels.append(
-                Relation(f"A1.1/{sv},{su}", _word(sv, su, sv), _word(su, sv, su))
-            )
-    rho1 = sigma_word(HUB)
-    for i in range(1, w.r + 1):
-        g = _word(vertex_str((i, 1)))
-        rels.append(
-            Relation(f"A2/i={i}", g + rho1 + g + rho1, rho1 + g + rho1 + g)
-        )
-    for i in range(1, w.r + 1):
-        for j in range(i + 1, w.r + 1):
-            gi, gj = _word(vertex_str((i, 1))), _word(vertex_str((j, 1)))
-            ri, rj = sigma_word((i, 1)), sigma_word((j, 1))
-            rels.append(Relation(f"A3a/i={i},j={j}", gi + rj, rj + gi))
-            rels.append(Relation(f"A3b/i={i},j={j}", gj + ri, ri + gj))
-    return PresentationSpec(
-        "ArtinA", tuple(w.a), tuple(vertex_str(v) for v in lat.vertices), tuple(rels)
-    )
+    lat = octopus_lattice(w, default_lambda(w.r))
+    tags = {"pair": ("A1.0", "A1.1"), "hub-bound": "A2", "arm-bound": "A3"}
+    return _spec("ArtinA", lat, tags, vertex_str)
 
 
 def van_der_lek_spec(w: Weights) -> PresentationSpec:
     """Star generators paired with formal translations, no torsion relations."""
-    lat = star_lattice(w)
-    verts = lat.vertices
-
-    def gl(v):
-        return f"g[{vertex_str(v)}]"
-
-    def rl(v):
-        return f"rho[{vertex_str(v)}]"
-
-    rels = []
-    for v, u in _pairs(verts):
-        entry = lat.form(lat.basis_vector(v), lat.basis_vector(u))
-        sv, su = vertex_str(v), vertex_str(u)
-        if entry == 0:
-            rels.append(
-                Relation(f"E1/{sv},{su}", _word(gl(v), gl(u)), _word(gl(u), gl(v)))
-            )
-        elif entry == -1:
-            rels.append(
-                Relation(
-                    f"E1-2/{sv},{su}",
-                    _word(gl(v), gl(u), gl(v)),
-                    _word(gl(u), gl(v), gl(u)),
-                )
-            )
-    for v, u in _pairs(verts):
-        rels.append(
-            Relation(
-                f"Ec/{vertex_str(v)},{vertex_str(u)}",
-                _word(rl(v), rl(u)),
-                _word(rl(u), rl(v)),
-            )
-        )
-    for v, u in _ordered_pairs(verts):
-        entry = lat.form(lat.basis_vector(v), lat.basis_vector(u))
-        sv, su = vertex_str(v), vertex_str(u)
-        if entry == 0:
-            rels.append(
-                Relation(f"E3/{sv},{su}", _word(gl(v), rl(u)), _word(rl(u), gl(v)))
-            )
-        elif entry == -1:
-            rels.append(
-                Relation(
-                    f"Ea/{sv},{su}",
-                    _word(gl(v), rl(u), gl(v)),
-                    _word(rl(u), rl(v)),
-                )
-            )
-    gens = tuple(gl(v) for v in verts) + tuple(rl(v) for v in verts)
-    return PresentationSpec("VanDerLekE", tuple(w.a), gens, tuple(rels))
+    tags = {"pair": ("E1", "E1-2"), "translations": "Ec", "adjoint": ("E3", "Ea")}
+    return _spec("VanDerLekE", star_lattice(w), tags, *_VAN_DER_LEK_LETTERS)
 
 
 def _evaluate(word: GroupWord, assignment: dict, inverses: dict, n: int) -> Mat:
     """Ordered product of the assigned elements; inverses are filled in on first use."""
     steps = []
     for g, e in word:
-        if g not in assignment:
-            raise MissingGenerator(f"no matrix assigned to generator {g!r}")
         if e < 0 and g not in inverses:
             inverses[g] = assignment[g].inverse()
         steps += [assignment[g] if e >= 0 else inverses[g]] * abs(e)
@@ -356,21 +258,21 @@ def reflection_assignment(lat: RootLattice) -> dict:
     return {vertex_str(v): simple_reflection(lat, v) for v in lat.vertices}
 
 
-def semidirect_assignment(lat: RootLattice) -> dict:
-    """Octopus reflections for w-letters and translations for tau-letters."""
+def _paired_assignment(lat: RootLattice, g, t) -> dict:
+    """Octopus reflections for the g-letters and translations for the t-letters."""
     out = {}
     for v in lat.star_vertices():
-        out[f"w[{vertex_str(v)}]"] = simple_reflection(lat, v)
-        out[f"tau[{vertex_str(v)}]"] = translation_element(lat, v)
+        out[g(v)] = simple_reflection(lat, v)
+        out[t(v)] = translation_element(lat, v)
     return out
+
+
+def semidirect_assignment(lat: RootLattice) -> dict:
+    return _paired_assignment(lat, *_SEMIDIRECT_LETTERS)
 
 
 def van_der_lek_assignment(lat: RootLattice) -> dict:
-    out = {}
-    for v in lat.star_vertices():
-        out[f"g[{vertex_str(v)}]"] = simple_reflection(lat, v)
-        out[f"rho[{vertex_str(v)}]"] = translation_element(lat, v)
-    return out
+    return _paired_assignment(lat, *_VAN_DER_LEK_LETTERS)
 
 
 def check_coxeter_power_equivalences(w: Weights) -> VerificationReport:
@@ -380,50 +282,19 @@ def check_coxeter_power_equivalences(w: Weights) -> VerificationReport:
     sigma-form commutation holds; for each arm pair the two six-letter words
     square to the identity alongside their sigma-forms.
     """
-    lat = _octopus_lattice_for(w)
-    assign = reflection_assignment(lat)
-    inverses: dict = {}
-    n = lat.rank
-    ident = identity(n)
-
-    def ev(word):
-        return _evaluate(word, assign, inverses, n)
-
-    outcomes = []
-
-    def record(tag, lhs, rhs):
-        holds = lhs == rhs
-        outcomes.append(
-            RelationOutcome(tag, holds, None if holds else lhs, None if holds else rhs)
-        )
-
-    s_hub = vertex_str(HUB)
-    s_ext = vertex_str(EXT)
-    sigma1 = sigma_word(HUB)
-    for i in range(1, w.r + 1):
-        si = vertex_str((i, 1))
-        g = _word(si)
-        record(f"W2/i={i} sigma", ev(g + sigma1 + g + sigma1), ev(sigma1 + g + sigma1 + g))
-        record(
-            f"W2/i={i} power",
-            ev(_word(s_hub, si, s_ext, si) * 3),
-            ident,
-        )
-    for i in range(1, w.r + 1):
-        for j in range(i + 1, w.r + 1):
-            si, sj = vertex_str((i, 1)), vertex_str((j, 1))
-            gi, gj = _word(si), _word(sj)
-            sig_i, sig_j = sigma_word((i, 1)), sigma_word((j, 1))
-            record(f"W3a/i={i},j={j} sigma", ev(gi + sig_j), ev(sig_j + gi))
-            record(
-                f"W3a/i={i},j={j} power",
-                ev(_word(si, s_hub, si, s_ext, sj, s_ext) * 2),
-                ident,
-            )
-            record(f"W3b/i={i},j={j} sigma", ev(gj + sig_i), ev(sig_i + gj))
-            record(
-                f"W3b/i={i},j={j} power",
-                ev(_word(si, s_ext, si, s_hub, sj, s_hub) * 2),
-                ident,
-            )
-    return VerificationReport("PowerEquivalences", tuple(w.a), tuple(outcomes))
+    lat = octopus_lattice(w, default_lambda(w.r))
+    hub, ext = vertex_str(HUB), vertex_str(EXT)
+    heads = [vertex_str((i, 1)) for i in range(1, w.r + 1)]
+    # In the order of the sigma forms: W2 per arm, then W3a, W3b per arm pair.
+    powers = [_word(hub, x, ext, x) * 3 for x in heads]
+    for x, y in combinations(heads, 2):
+        powers.append(_word(x, hub, x, ext, y, ext) * 2)
+        powers.append(_word(x, ext, x, hub, y, hub) * 2)
+    rels = []
+    sigma_forms = _relations(lat, _BOUND_TAGS, vertex_str)
+    for rel, power in zip(sigma_forms, powers, strict=True):
+        rels.append(Relation(f"{rel.tag} sigma", rel.lhs, rel.rhs))
+        rels.append(Relation(f"{rel.tag} power", power, ()))
+    gens = tuple(map(vertex_str, lat.vertices))
+    spec = PresentationSpec("PowerEquivalences", tuple(w.a), gens, tuple(rels))
+    return verify(spec, reflection_assignment(lat))

@@ -244,7 +244,7 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
                 rhs = inverses[u].matrix
                 tag = "adjoint-inverse"
             else:
-                entry = octo.form(octo.basis_vector(v), octo.basis_vector(u))
+                entry = octo.cartan[octo.index(v)][octo.index(u)]
                 if entry == 0:
                     rhs = tu.matrix
                     tag = "adjoint-commute"

@@ -4,9 +4,11 @@ import hashlib
 
 import pytest
 
-from octoweyl.errors import DimensionMismatch, MissingGenerator
+from octoweyl.errors import DimensionMismatch, MissingGenerator, NotStarVertex
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.presentations import (
+    PresentationSpec,
+    Relation,
     artin_spec,
     check_coxeter_power_equivalences,
     generalized_coxeter_spec_W,
@@ -137,6 +139,12 @@ def test_missing_generator_and_dimension_mismatch():
         verify(star_coxeter_spec(w), mixed)
 
 
+def test_spec_rejects_relation_letter_outside_generators():
+    stray = Relation("W0/x", (("x", 1), ("x", 1)), ())
+    with pytest.raises(MissingGenerator, match="'x'"):
+        PresentationSpec("Stray", (2, 2, 2), ("1", "1*"), (stray,))
+
+
 def test_adjoining_involutions_recovers_coxeter_spec():
     # The Artin-side relation list plus one involution per generator is,
     # relation for relation, the generalized Coxeter relation list.
@@ -185,6 +193,9 @@ def test_sigma_word_base_case():
         ("1*", -1),
         ("1", -1),
     )
+    for v in ("1*", "x"):
+        with pytest.raises(NotStarVertex):
+            sigma_word(v)
 
 
 def test_report_json_schema():
