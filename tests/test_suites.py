@@ -1,15 +1,41 @@
 """The named suites: registry, determinism, and spot checks of their content."""
 
+import hashlib
+import json
+
 import pytest
 
 from octoweyl.lattice import octopus_lattice
-from octoweyl.quiver import Weights, default_lambda
+from octoweyl.quiver import Weights, default_lambda, parse_lambda
 from octoweyl.suites import (
     DEFAULT_CATALOG,
     SUITE_NAMES,
     SuiteConfig,
     run_suite,
+    suite_artin,
+    suite_cone,
+    suite_mutations,
+    suite_presentations,
+    suite_prop44,
+    suite_roots,
+    suite_semidirect,
+    suite_translations,
+    suite_twists,
+    suite_vanderlek,
     witness_root,
+)
+
+DIRECT_SUITES = (
+    suite_presentations,
+    suite_semidirect,
+    suite_artin,
+    suite_vanderlek,
+    suite_prop44,
+    suite_translations,
+    suite_roots,
+    suite_mutations,
+    suite_twists,
+    suite_cone,
 )
 
 REQUIRED_SUITES = {
@@ -96,3 +122,42 @@ def test_lambda_is_threaded_through_reports():
     lam = default_lambda(4)
     rep = run_suite("presentations", w, lam)
     assert rep["lambda"] == "inf,0,1,2"
+
+
+# One SHA-256 over the reports that perfbench/golden.json does not cover.
+REPORTS_DIGEST = "f9d3bc69e680448dc3390d9569f261242ee86e29aeffaab8b2926e3f2609ad47"
+
+
+def _pinned_reports():
+    # Direct calls on raw tuples with lam=None: the reports say "lambda": null.
+    for a in [(2, 2, 3), (2, 3, 7)]:
+        for suite in DIRECT_SUITES:
+            yield suite(a)
+    # A custom lambda on a 4-arm weight, directly and through run_suite.
+    lam = parse_lambda("inf,0,1,1/2")
+    for suite in DIRECT_SUITES:
+        yield suite((2, 2, 2, 3), lam)
+    for name in SUITE_NAMES:
+        yield run_suite(name, Weights((2, 3, 2, 2)), lam)
+    # Non-default bounds on weights outside the catalog.
+    configs = [
+        SuiteConfig(seed=7, samples=5, n_bound=1, depth=3, budget=50),
+        SuiteConfig(seed=11, samples=3, n_bound=0, budget=5),
+    ]
+    for cfg in configs:
+        for a in [(2, 2, 5), (2, 3, 8), (4, 4, 4)]:
+            for name in SUITE_NAMES:
+                yield run_suite(name, a, cfg=cfg)
+    # Failing reports, which leave their sample loops early.
+    yield suite_cone((2, 2, 2), cfg=SuiteConfig(budget=1))
+    yield run_suite("cone", (2, 3, 3), cfg=SuiteConfig(budget=1, samples=10))
+
+
+def test_reports_are_pinned():
+    h = hashlib.sha256()
+    failing = 0
+    for report in _pinned_reports():
+        h.update(json.dumps(report, sort_keys=True).encode())
+        failing += not report["pass"]
+    assert failing >= 2
+    assert h.hexdigest() == REPORTS_DIGEST
