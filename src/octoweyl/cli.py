@@ -2,14 +2,18 @@
 
 Every invocation is a pure computation from flags to a report; exit code 0
 means all requested checks passed, 1 means some check failed, 2 means the
-request itself was invalid.
+request itself was invalid.  If standard output is closed before the report
+is written (``octoweyl verify ... | head``), the command stops quietly with
+exit code 141, which a shell also reports for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .errors import OctoweylError, ValidationError
@@ -45,6 +49,7 @@ from .weyl import (
 )
 
 TOOL = {"name": "octoweyl", "version": __version__}
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 def _add_common(p: argparse.ArgumentParser, lam=True):
@@ -146,6 +151,8 @@ def cmd_roots(args) -> int:
     lat = _pick_lattice(args, w, lam)
     if args.n_bound is not None and args.n_bound < 0:
         raise ValidationError("--n-bound must be >= 0")
+    if args.limit < 0:
+        raise ValidationError("--limit must be >= 0")
     depth = args.depth if args.depth is not None else 10
     roots = enumerate_real_roots(lat, depth, args.cap)
     payload = {
@@ -237,7 +244,7 @@ def cmd_verify(args) -> int:
         if len(targets) > 1
         else str(targets[0][1]),
         "seed": args.seed,
-        "bounds": cfg.to_json(),
+        "bounds": asdict(cfg),
         "scope": (
             "exact finite checks only: relation verification shows homomorphism "
             "well-definedness, root and wall scans are bounded windows; "
@@ -344,7 +351,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again, and stop without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,16 +4,23 @@ Every suite takes a weight tuple (plus optional marked points and bounds),
 runs a family of exact checks, and returns a JSON-ready report with one
 entry per check.  All randomness comes from an explicitly seeded generator
 so reports are reproducible bit for bit.
+
+A suite is a body registered with ``@_suite(name)``.  It gets a prepared
+``SuiteRun``, records each check with ``run.add`` and returns its bounds;
+the registration builds the report.  Checks that differ only in their data
+are table rows, and rows look up this module's names (``verify``,
+``braid_word_act``, ...) when they run, so a rebinding of them is seen.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cone import DualPoint, is_regular, make_dominant
-from .errors import NotInConeWithinBudget, ValidationError
+from .errors import NotInConeWithinBudget, NotStarVertex, ValidationError
 # mat_mul is not called here; it stays importable from this module because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too.
 from .exact import (  # noqa: F401
@@ -104,117 +111,142 @@ class SuiteConfig:
     samples: int = 100
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValidationError("samples must be >= 1")
-        if self.budget < 1:
-            raise ValidationError("budget must be >= 1")
-        if self.cap < 1:
-            raise ValidationError("cap must be >= 1")
-        if self.n_bound < 0:
-            raise ValidationError("n_bound must be >= 0")
-        if self.depth is not None and self.depth < 0:
-            raise ValidationError("depth must be >= 0")
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "depth": self.depth,
-            "cap": self.cap,
-            "n_bound": self.n_bound,
-            "budget": self.budget,
-            "samples": self.samples,
-        }
+        lows = {"samples": 1, "budget": 1, "cap": 1, "n_bound": 0, "depth": 0}
+        for name, least in lows.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValidationError(f"{name} must be >= {least}")
 
 
 def _normalize_weights(w) -> Weights:
     return w if isinstance(w, Weights) else Weights(tuple(w))
 
 
-def _octopus(w: Weights, lam: LambdaTuple | None) -> RootLattice:
-    return octopus_lattice(w, lam if lam is not None else default_lambda(w.r))
+@dataclass
+class SuiteRun:
+    """One suite run: its inputs, what it resolves on first use, its checks."""
+
+    w: Weights
+    lam: LambdaTuple | None
+    cfg: SuiteConfig
+    details: list[dict] = field(default_factory=list)
+
+    @cached_property
+    def star(self) -> RootLattice:
+        return star_lattice(self.w)
+
+    @cached_property
+    def octo(self) -> RootLattice:
+        lam = self.lam if self.lam is not None else default_lambda(self.w.r)
+        return octopus_lattice(self.w, lam)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return random.Random(self.cfg.seed)
+
+    def add(self, check: str, holds: bool, **data) -> None:
+        self.details.append({"check": check, **data, "holds": holds})
+
+    def add_spec(self, report) -> None:
+        """One entry per relation of a presentations.VerificationReport."""
+        self.details += [{"spec": report.spec_name, **o.to_json()} for o in report.outcomes]
 
 
-def _report(name, w, lam, details, bounds=None) -> dict:
-    return {
-        "name": name,
-        "weights": list(w.a),
-        "lambda": str(lam) if lam is not None else None,
-        "details": details,
-        "bounds": bounds or {},
-        "pass": all(d["holds"] for d in details),
-    }
+SUITES = {}
 
 
-def _spec_details(report) -> list[dict]:
-    return [{"spec": report.spec_name, **o.to_json()} for o in report.outcomes]
+def _suite(name: str):
+    """Register a suite body, which takes a SuiteRun and returns its bounds.
+
+    The registered function takes ``(w, lam=None, cfg)``.  With ``lam=None``
+    the octopus has the default marked points and the report says null.
+    """
+
+    def register(body):
+        def suite(w, lam=None, cfg=SuiteConfig()) -> dict:
+            run = SuiteRun(_normalize_weights(w), lam, cfg)
+            bounds = body(run)
+            return {
+                "name": name,
+                "weights": list(run.w.a),
+                "lambda": str(lam) if lam is not None else None,
+                "details": run.details,
+                "bounds": bounds or {},
+                "pass": all(d["holds"] for d in run.details),
+            }
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__ = body.__doc__
+        SUITES[name] = suite
+        return suite
+
+    return register
 
 
-def suite_presentations(w, lam=None, cfg=SuiteConfig()) -> dict:
-    """Coxeter relations of the star and of the octopus under the reflections."""
-    w = _normalize_weights(w)
-    star = star_lattice(w)
-    octo = _octopus(w, lam)
-    details = _spec_details(verify(star_coxeter_spec(w), reflection_assignment(star)))
-    details += _spec_details(
-        verify(generalized_coxeter_spec_W(w), reflection_assignment(octo))
-    )
-    return _report("presentations", w, lam, details)
+# The presentation suites: each verifies its (spec, assignment) rows in order.
+PRESENTATION_SUITES = {
+    # Coxeter relations of the star and of the octopus under the reflections.
+    "presentations": (
+        lambda run: (star_coxeter_spec(run.w), reflection_assignment(run.star)),
+        lambda run: (generalized_coxeter_spec_W(run.w), reflection_assignment(run.octo)),
+    ),
+    # Reflection/translation relations under the octopus assignment.
+    "semidirect": (
+        lambda run: (semidirect_spec(run.w), semidirect_assignment(run.octo)),
+    ),
+    # Artin-side relations under the reflection assignment.
+    "artin": (lambda run: (artin_spec(run.w), reflection_assignment(run.octo)),),
+    # Fundamental-group style relations under reflections and translations.
+    "vanderlek": (
+        lambda run: (van_der_lek_spec(run.w), van_der_lek_assignment(run.octo)),
+    ),
+}
 
 
-def suite_semidirect(w, lam=None, cfg=SuiteConfig()) -> dict:
-    """Reflection/translation relations under the octopus assignment."""
-    w = _normalize_weights(w)
-    octo = _octopus(w, lam)
-    report = verify(semidirect_spec(w), semidirect_assignment(octo))
-    return _report("semidirect", w, lam, _spec_details(report))
+def _presentation_suite(name: str):
+    def body(run: SuiteRun) -> None:
+        for row in PRESENTATION_SUITES[name]:
+            run.add_spec(verify(*row(run)))
+
+    body.__name__ = f"suite_{name}"
+    return _suite(name)(body)
 
 
-def suite_artin(w, lam=None, cfg=SuiteConfig()) -> dict:
-    """Artin-side relations under the reflection assignment."""
-    w = _normalize_weights(w)
-    octo = _octopus(w, lam)
-    report = verify(artin_spec(w), reflection_assignment(octo))
-    return _report("artin", w, lam, _spec_details(report))
+suite_presentations, suite_semidirect, suite_artin, suite_vanderlek = map(
+    _presentation_suite, PRESENTATION_SUITES
+)
 
 
-def suite_vanderlek(w, lam=None, cfg=SuiteConfig()) -> dict:
-    """Fundamental-group style relations under reflections and translations."""
-    w = _normalize_weights(w)
-    octo = _octopus(w, lam)
-    report = verify(van_der_lek_spec(w), van_der_lek_assignment(octo))
-    return _report("vanderlek", w, lam, _spec_details(report))
-
-
-def suite_prop44(w, lam=None, cfg=SuiteConfig()) -> dict:
+@_suite("prop44")
+def suite_prop44(run: SuiteRun) -> None:
     """Sigma-form versus power-form equivalences on the reflections."""
-    w = _normalize_weights(w)
-    report = check_coxeter_power_equivalences(w)
-    return _report("prop44", w, lam, _spec_details(report))
+    run.add_spec(check_coxeter_power_equivalences(run.w))
 
 
-def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
+# r_v tau_u r_v by the Cartan entry of (v, u): the diagonal entry is 2, and
+# two distinct star vertices have entry 0 or -1.  Right-hand sides take the
+# translations, their inverses and the pair.
+ADJOINT_RULES = {
+    2: ("adjoint-inverse", lambda tau, inv, v, u: inv[u].matrix),
+    0: ("adjoint-commute", lambda tau, inv, v, u: tau[u].matrix),
+    -1: ("adjoint-product", lambda tau, inv, v, u: right_product(tau[v].matrix, (tau[u],))),
+}
+
+
+@_suite("translations")
+def suite_translations(run: SuiteRun) -> dict:
     """Translation elements: closed form, adjoint rules, projection, kernel."""
-    w = _normalize_weights(w)
-    octo = _octopus(w, lam)
-    star = star_lattice(w)
-    rng = random.Random(cfg.seed)
+    octo, star, cfg, rng = run.octo, run.star, run.cfg, run.rng
     n = octo.rank
     delta = octo.delta
-    details = []
 
     star_verts = octo.star_vertices()
     translations = {v: translation_element(octo, v) for v in star_verts}
     inverses = {v: tau.inverse() for v, tau in translations.items()}
     for v in star_verts:
-        tau = translations[v]
+        tau, vx = translations[v], vertex_str(v)
         word_el = evaluate_word(octo, tau.word)
-        details.append(
-            {
-                "check": "translation-word-matrix",
-                "vertex": vertex_str(v),
-                "holds": word_el.matrix == tau.matrix,
-            }
-        )
+        run.add("translation-word-matrix", word_el.matrix == tau.matrix, vertex=vx)
         # I(vec, e_v) is vec . C e_v, and C e_v is row v of the symmetric C.
         c_v = octo.cartan[octo.index(v)]
         ok = True
@@ -222,61 +254,28 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
             # randrange(19) - 9 draws exactly as randint(-9, 9), only faster.
             vec = tuple(rng.randrange(19) - 9 for _ in range(n))
             coeff = dot(vec, c_v)
-            expected = tuple(x - coeff * d for x, d in zip(vec, delta))
-            if word_el.apply(vec) != expected:
+            if word_el.apply(vec) != tuple(x - coeff * d for x, d in zip(vec, delta)):
                 ok = False
                 break
-        details.append(
-            {
-                "check": "translation-closed-form-samples",
-                "vertex": vertex_str(v),
-                "samples": cfg.samples,
-                "holds": ok,
-            }
-        )
+        run.add("translation-closed-form-samples", ok, vertex=vx, samples=cfg.samples)
 
     for v in star_verts:
         rv = simple_reflection(octo, v)
         for u in star_verts:
-            tu = translations[u]
-            lhs = right_product(rv.matrix, (tu, rv))
-            if u == v:
-                rhs = inverses[u].matrix
-                tag = "adjoint-inverse"
-            else:
-                entry = octo.cartan[octo.index(v)][octo.index(u)]
-                if entry == 0:
-                    rhs = tu.matrix
-                    tag = "adjoint-commute"
-                elif entry == -1:
-                    rhs = right_product(translations[v].matrix, (tu,))
-                    tag = "adjoint-product"
-                else:
-                    continue
-            details.append(
-                {
-                    "check": tag,
-                    "pair": [vertex_str(v), vertex_str(u)],
-                    "holds": lhs == rhs,
-                }
-            )
+            rule = ADJOINT_RULES.get(octo.cartan[octo.index(v)][octo.index(u)])
+            if rule is None:
+                continue
+            tag, rhs = rule
+            lhs = right_product(rv.matrix, (translations[u], rv))
+            holds = lhs == rhs(translations, inverses, v, u)
+            run.add(tag, holds, pair=[vertex_str(v), vertex_str(u)])
 
     for v in star_verts:
-        details.append(
-            {
-                "check": "project-after-lift",
-                "vertex": vertex_str(v),
-                "holds": project_p(octo, lift_i(octo, v)).matrix
-                == simple_reflection(star, v).matrix,
-            }
-        )
-        details.append(
-            {
-                "check": "project-kills-translation",
-                "vertex": vertex_str(v),
-                "holds": project_p(octo, translations[v]).is_identity(),
-            }
-        )
+        vx = vertex_str(v)
+        p_i = project_p(octo, lift_i(octo, v)).matrix
+        run.add("project-after-lift", p_i == simple_reflection(star, v).matrix, vertex=vx)
+        killed = project_p(octo, translations[v]).is_identity()
+        run.add("project-kills-translation", killed, vertex=vx)
 
     # Product of translation powers is the identity exactly on the radical.
     test_vectors = [tuple(b) for b in star.radical]
@@ -287,23 +286,11 @@ def suite_translations(w, lam=None, cfg=SuiteConfig()) -> dict:
     for coeffs in test_vectors:
         steps = []
         for v, m_v in zip(star_verts, coeffs):
-            if m_v == 0:
-                continue
-            step = translations[v] if m_v > 0 else inverses[v]
-            steps += [step] * abs(m_v)
-        prod = right_product(ident, steps)
+            steps += [translations[v] if m_v > 0 else inverses[v]] * abs(m_v)
         in_radical = all(x == 0 for x in sparse_mat_vec(star.cartan_rows, coeffs))
-        details.append(
-            {
-                "check": "kernel-iff",
-                "coeffs": list(coeffs),
-                "in_radical": in_radical,
-                "holds": (prod == ident) == in_radical,
-            }
-        )
-    return _report(
-        "translations", w, lam, details, {"seed": cfg.seed, "samples": cfg.samples}
-    )
+        holds = (right_product(ident, steps) == ident) == in_radical
+        run.add("kernel-iff", holds, coeffs=list(coeffs), in_radical=in_radical)
+    return {"seed": cfg.seed, "samples": cfg.samples}
 
 
 def _auto_depth(w: Weights, cfg: SuiteConfig) -> int:
@@ -324,6 +311,7 @@ def witness_root(octo: RootLattice, v, n: int):
     translation, deeper slots the translation at their predecessor, and the
     hub vertex starts from its own simple root (even shifts) or from the
     extension root (odd shifts), where one hub translation moves two levels.
+    Any other vertex raises NotStarVertex.
     """
     if isinstance(v, tuple):
         i, j = v
@@ -339,7 +327,7 @@ def witness_root(octo: RootLattice, v, n: int):
             power = -(n - 1) // 2
         carrier = "1"
     else:
-        raise ValueError(f"no witness recipe for vertex {v!r}")
+        raise NotStarVertex(f"no witness recipe for vertex {v!r}")
     tau = translation_element(octo, carrier)
     step = tau if power >= 0 else tau.inverse()
     out = base
@@ -348,247 +336,162 @@ def witness_root(octo: RootLattice, v, n: int):
     return out
 
 
-def suite_roots(w, lam=None, cfg=SuiteConfig()) -> dict:
+@_suite("roots-decomposition")
+def suite_roots(run: SuiteRun) -> dict:
     """Bounded root enumeration and its split-basis decomposition."""
-    w = _normalize_weights(w)
-    octo = _octopus(w, lam)
-    star = star_lattice(w)
-    chi = euler_characteristic(w)
-    depth = _auto_depth(w, cfg)
-    details = []
+    octo, star, cfg = run.octo, run.star, run.cfg
+    chi = euler_characteristic(run.w)
+    depth = _auto_depth(run.w, cfg)
+    shifts = range(-cfg.n_bound, cfg.n_bound + 1)
 
-    star_key = tuple(sorted(w.a))
     if chi > 0:
         star_roots = set(enumerate_until_stable(star, cap=cfg.cap))
-        expected = FINITE_STAR_ROOT_COUNTS.get(star_key)
-        details.append(
-            {
-                "check": "star-count",
-                "count": len(star_roots),
-                "expected": expected,
-                "holds": expected is None or len(star_roots) == expected,
-            }
+        expected = FINITE_STAR_ROOT_COUNTS.get(tuple(sorted(run.w.a)))
+        run.add(
+            "star-count",
+            expected is None or len(star_roots) == expected,
+            count=len(star_roots),
+            expected=expected,
         )
     else:
         star_roots = set(enumerate_real_roots(star, depth, cfg.cap))
-        details.append(
-            {
-                "check": "star-count-bounded",
-                "count": len(star_roots),
-                "depth": depth,
-                "holds": True,
-            }
-        )
+        run.add("star-count-bounded", True, count=len(star_roots), depth=depth)
 
     octo_roots = enumerate_real_roots(octo, depth, cfg.cap)
     window = [x for x in octo_roots if abs(octo.delta_coordinate(x)) <= cfg.n_bound]
-    details.append(
-        {
-            "check": "star-part-membership",
-            "window": len(window),
-            "holds": all(octo.star_part(x) in star_roots for x in window),
-        }
-    )
+    in_star = all(octo.star_part(x) in star_roots for x in window)
+    run.add("star-part-membership", in_star, window=len(window))
     if chi > 0:
+        count, expected = len(window), len(star_roots) * len(shifts)
+        run.add("window-count", count == expected, count=count, expected=expected)
         expected_window = {
-            octo.from_split(beta + (m,))
-            for beta in star_roots
-            for m in range(-cfg.n_bound, cfg.n_bound + 1)
+            octo.from_split(beta + (m,)) for beta in star_roots for m in shifts
         }
-        details.append(
-            {
-                "check": "window-count",
-                "count": len(window),
-                "expected": len(star_roots) * (2 * cfg.n_bound + 1),
-                "holds": len(window) == len(star_roots) * (2 * cfg.n_bound + 1),
-            }
-        )
-        details.append(
-            {
-                "check": "window-set-equality",
-                "holds": set(window) == expected_window,
-            }
-        )
+        run.add("window-set-equality", set(window) == expected_window)
 
     window_set = set(window)
     for v in octo.star_vertices():
         ok = True
-        for n in range(-cfg.n_bound, cfg.n_bound + 1):
+        for n in shifts:
             built = witness_root(octo, v, n)
-            target = tuple(
-                b + n * d for b, d in zip(octo.basis_vector(v), octo.delta)
-            )
-            if built != target:
+            target = tuple(b + n * d for b, d in zip(octo.basis_vector(v), octo.delta))
+            if built != target or (chi > 0 and built not in window_set):
                 ok = False
                 break
-            if chi > 0 and built not in window_set:
-                ok = False
-                break
-        details.append(
-            {"check": "witness", "vertex": vertex_str(v), "holds": ok}
-        )
-    bounds = {"depth": depth, "cap": cfg.cap, "n_bound": cfg.n_bound}
-    return _report("roots-decomposition", w, lam, details, bounds)
+        run.add("witness", ok, vertex=vertex_str(v))
+    return {"depth": depth, "cap": cfg.cap, "n_bound": cfg.n_bound}
 
 
-def suite_mutations(w, lam=None, cfg=SuiteConfig()) -> dict:
+def _braid_relations(mu: int) -> dict:
+    """Pairs of braid words that act equally on a collection of mu classes."""
+
+    def b(i, sign=1):
+        return ("b", i, sign)
+
+    return {
+        "braid-commuting": [
+            ([b(i), b(j)], [b(j), b(i)]) for i in range(1, mu) for j in range(i + 2, mu)
+        ],
+        "braid-adjacent": [
+            ([b(i), b(i + 1), b(i)], [b(i + 1), b(i), b(i + 1)]) for i in range(1, mu - 1)
+        ],
+        "braid-inverse": [
+            pair
+            for i in range(1, mu)
+            for pair in (([b(i), b(i, -1)], []), ([b(i, -1), b(i)], []))
+        ],
+        "shift-involution": [([("e", i), ("e", i)], []) for i in range(1, mu + 1)],
+        "braid-shift-compatibility": [
+            ([b(i), ("e", i)], [("e", i + 1), b(i)]) for i in range(1, mu)
+        ],
+    }
+
+
+@_suite("mutations")
+def suite_mutations(run: SuiteRun) -> dict:
     """Braid moves on the simples: group relations and preserved invariants."""
-    w = _normalize_weights(w)
-    octo = _octopus(w, lam)
-    rng = random.Random(cfg.seed)
+    octo = run.octo
     simples = simples_collection(octo)
     mu = len(simples)
-    details = [
-        {
-            "check": "simples-exceptional",
-            "holds": numerically_exceptional(simples).ok,
-        },
-        {"check": "simples-full", "holds": is_full(simples)},
-    ]
+    moves = [("b", i, s) for i in range(1, mu) for s in (1, -1)]
+    moves += [("e", i) for i in range(1, mu + 1)]
+    images = {m: braid_act(simples, m) for m in moves}
+    run.add("simples-exceptional", numerically_exceptional(simples).ok)
+    run.add("simples-full", is_full(simples))
 
     # Sign convention: the mutated class is the Euler pairing times the pivot
     # minus the moved class, whenever the reverse pairing vanishes.
     ok = True
     for i in range(1, mu):
         x, y = simples.classes[i - 1], simples.classes[i]
-        if octo.euler_form(y, x) != 0:
-            continue
-        mutated = braid_act(simples, ("b", i, 1)).classes[i]
-        coeff = octo.euler_form(x, y)
-        if mutated != tuple(coeff * b - a for a, b in zip(x, y)):
-            ok = False
-    details.append({"check": "mutation-class-formula", "holds": ok})
+        if octo.euler_form(y, x) == 0:
+            coeff = octo.euler_form(x, y)
+            mutated = images[("b", i, 1)].classes[i]
+            ok &= mutated == tuple(coeff * b - a for a, b in zip(x, y))
+    run.add("mutation-class-formula", ok)
 
-    def same(a, b):
-        return a.classes == b.classes
+    def act(word):
+        return braid_word_act(simples, word).classes
 
-    ok_far = all(
-        same(
-            braid_word_act(simples, [("b", i, 1), ("b", j, 1)]),
-            braid_word_act(simples, [("b", j, 1), ("b", i, 1)]),
-        )
-        for i in range(1, mu)
-        for j in range(i + 2, mu)
-    )
-    details.append({"check": "braid-commuting", "holds": ok_far})
-    ok_adj = all(
-        same(
-            braid_word_act(simples, [("b", i, 1), ("b", i + 1, 1), ("b", i, 1)]),
-            braid_word_act(simples, [("b", i + 1, 1), ("b", i, 1), ("b", i + 1, 1)]),
-        )
-        for i in range(1, mu - 1)
-    )
-    details.append({"check": "braid-adjacent", "holds": ok_adj})
-    details.append(
-        {
-            "check": "braid-inverse",
-            "holds": all(
-                same(braid_word_act(simples, [("b", i, 1), ("b", i, -1)]), simples)
-                and same(braid_word_act(simples, [("b", i, -1), ("b", i, 1)]), simples)
-                for i in range(1, mu)
-            ),
-        }
-    )
-    details.append(
-        {
-            "check": "shift-involution",
-            "holds": all(
-                same(braid_word_act(simples, [("e", i), ("e", i)]), simples)
-                for i in range(1, mu + 1)
-            ),
-        }
-    )
-    details.append(
-        {
-            "check": "braid-shift-compatibility",
-            "holds": all(
-                same(
-                    braid_word_act(simples, [("b", i, 1), ("e", i)]),
-                    braid_word_act(simples, [("e", i + 1), ("b", i, 1)]),
-                )
-                for i in range(1, mu)
-            ),
-        }
-    )
+    for check, pairs in _braid_relations(mu).items():
+        run.add(check, all(act(lhs) == act(rhs) for lhs, rhs in pairs))
 
-    moves = [("b", i, s) for i in range(1, mu) for s in (1, -1)]
-    moves += [("e", i) for i in range(1, mu + 1)]
-    ok_single = all(
-        numerically_exceptional(braid_act(simples, m)).ok
-        and is_full(braid_act(simples, m))
-        for m in moves
-    )
-    details.append({"check": "single-move-preservation", "holds": ok_single})
+    preserved = all(numerically_exceptional(k).ok and is_full(k) for k in images.values())
+    run.add("single-move-preservation", preserved)
 
-    ok_words = True
+    ok = True
     for _ in range(5):
-        word = [moves[rng.randrange(len(moves))] for _ in range(6)]
+        word = [moves[run.rng.randrange(len(moves))] for _ in range(6)]
         image = braid_word_act(simples, word)
-        if not numerically_exceptional(image).ok or not is_full(image):
-            ok_words = False
-    details.append(
-        {"check": "random-word-preservation", "words": 5, "holds": ok_words}
-    )
+        ok &= numerically_exceptional(image).ok and is_full(image)
+    run.add("random-word-preservation", ok, words=5)
 
     c0 = coxeter_from_collection(simples).matrix
-    details.append(
-        {
-            "check": "coxeter-mutation-invariance",
-            "holds": all(
-                coxeter_from_collection(braid_act(simples, m)).matrix == c0
-                for m in moves
-            ),
-        }
-    )
-    return _report("mutations", w, lam, details, {"seed": cfg.seed})
+    invariant = all(coxeter_from_collection(k).matrix == c0 for k in images.values())
+    run.add("coxeter-mutation-invariance", invariant)
+    return {"seed": run.cfg.seed}
 
 
-def suite_twists(w, lam=None, cfg=SuiteConfig()) -> dict:
+@_suite("twists")
+def suite_twists(run: SuiteRun) -> None:
     """Twist matrices against reflections, and the Artin relations for twists."""
-    w = _normalize_weights(w)
-    octo = _octopus(w, lam)
-    details = []
+    octo = run.octo
+    twist_assignment = {}
     for v in octo.vertices:
-        s = octo.basis_vector(v)
-        details.append(
-            {
-                "check": "twist-equals-reflection",
-                "vertex": vertex_str(v),
-                "holds": twist_matrix(octo, s) == simple_reflection(octo, v).matrix,
-            }
-        )
-        details.append(
-            {
-                "check": "twist-negates-own-class",
-                "vertex": vertex_str(v),
-                "holds": spherical_twist_K(octo, s, s) == vec_neg(s),
-            }
-        )
-    twist_assignment = {
-        vertex_str(v): WeylElement(twist_matrix(octo, octo.basis_vector(v)))
-        for v in octo.vertices
-    }
-    report = verify(artin_spec(w), twist_assignment)
-    details += _spec_details(report)
-    return _report("twists", w, lam, details)
+        s, vx = octo.basis_vector(v), vertex_str(v)
+        twist = twist_matrix(octo, s)
+        twist_assignment[vx] = WeylElement(twist)
+        reflects = twist == simple_reflection(octo, v).matrix
+        run.add("twist-equals-reflection", reflects, vertex=vx)
+        negates = spherical_twist_K(octo, s, s) == vec_neg(s)
+        run.add("twist-negates-own-class", negates, vertex=vx)
+    run.add_spec(verify(artin_spec(run.w), twist_assignment))
 
 
 def _random_rational_vec(rng, n):
-    return tuple(
-        Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n)
-    )
+    return tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n))
 
 
-def suite_cone(w, lam=None, cfg=SuiteConfig()) -> dict:
+@_suite("cone")
+def suite_cone(run: SuiteRun) -> dict:
     """Dominance chasing with word consistency, wall detection, monotonicity."""
-    w = _normalize_weights(w)
-    star = star_lattice(w)
-    chi = euler_characteristic(w)
-    rng = random.Random(cfg.seed)
+    star, cfg, rng = run.star, run.cfg, run.rng
+    chi = euler_characteristic(run.w)
     n = star.rank
-    details = []
 
-    def check_point(p: DualPoint):
+    def random_point():
+        return DualPoint(_random_rational_vec(rng, n), _random_rational_vec(rng, n))
+
+    def pushed_point():
+        """A dominant seed pushed by a random word: a point inside the cone."""
+        seed_im = tuple(Fraction(rng.randint(1, 9)) for _ in range(n))
+        seed_re = _random_rational_vec(rng, n)
+        word = [(star.vertices[rng.randrange(n)], 1) for _ in range(8)]
+        mt = transpose(evaluate_word(star, word).matrix)
+        return DualPoint(mat_vec(mt, seed_re), mat_vec(mt, seed_im))
+
+    def steps_to_dominance(p: DualPoint) -> int | None:
+        """Steps to a consistent dominant point, or None if none was reached."""
         try:
             res = make_dominant(star, p, cfg.budget)
         except NotInConeWithinBudget:
@@ -596,58 +499,25 @@ def suite_cone(w, lam=None, cfg=SuiteConfig()) -> dict:
         # M^T h on the integer rows of p, against the returned point times d.
         d, re, im = p.scaled
         mt = transpose(evaluate_word(star, res.word).matrix)
-        consistent = mat_vec(mt, re) == tuple(
-            x * d for x in res.point.re
-        ) and mat_vec(mt, im) == tuple(x * d for x in res.point.im)
-        dominant = all(x >= 0 for x in res.point.im)
-        return res.steps, consistent and dominant
+        consistent = mat_vec(mt, re) == tuple(x * d for x in res.point.re)
+        consistent = consistent and mat_vec(mt, im) == tuple(x * d for x in res.point.im)
+        return res.steps if consistent and all(x >= 0 for x in res.point.im) else None
+
+    def chase(check: str, count: int, draw) -> None:
+        """Chase up to count drawn points; stop at the first that fails."""
+        worst, ok = 0, True
+        for _ in range(count):
+            steps = steps_to_dominance(draw())
+            if steps is None:
+                ok = False
+                break
+            worst = max(worst, steps)
+        run.add(check, ok, points=count, max_steps=worst, budget=cfg.budget)
 
     if chi > 0:
         # Finite group: the cone is everything, any point must terminate.
-        worst = 0
-        ok = True
-        for _ in range(cfg.samples):
-            p = DualPoint(_random_rational_vec(rng, n), _random_rational_vec(rng, n))
-            out = check_point(p)
-            if out is None or not out[1]:
-                ok = False
-                break
-            worst = max(worst, out[0])
-        details.append(
-            {
-                "check": "dominance-termination-random",
-                "points": cfg.samples,
-                "max_steps": worst,
-                "budget": cfg.budget,
-                "holds": ok,
-            }
-        )
-
-    # Points manufactured inside the cone: dominant seeds pushed by words.
-    ok = True
-    worst = 0
-    pushes = 25 if chi > 0 else 10
-    for _ in range(pushes):
-        seed_im = tuple(Fraction(rng.randint(1, 9)) for _ in range(n))
-        seed_re = _random_rational_vec(rng, n)
-        word = [(star.vertices[rng.randrange(n)], 1) for _ in range(8)]
-        m = evaluate_word(star, word).matrix
-        mt = transpose(m)
-        p = DualPoint(mat_vec(mt, seed_re), mat_vec(mt, seed_im))
-        out = check_point(p)
-        if out is None or not out[1]:
-            ok = False
-            break
-        worst = max(worst, out[0])
-    details.append(
-        {
-            "check": "dominance-termination-pushed",
-            "points": pushes,
-            "max_steps": worst,
-            "budget": cfg.budget,
-            "holds": ok,
-        }
-    )
+        chase("dominance-termination-random", cfg.samples, random_point)
+    chase("dominance-termination-pushed", 25 if chi > 0 else 10, pushed_point)
 
     # Planted wall: h vanishes imaginarily on the hub root and hits level 1.
     plant = DualPoint(
@@ -656,57 +526,33 @@ def suite_cone(w, lam=None, cfg=SuiteConfig()) -> dict:
     )
     root_depth = 6 if chi <= 0 else 12
     reg = is_regular(star, plant, root_depth, cfg.n_bound + 2, cfg.cap)
-    details.append(
-        {
-            "check": "planted-wall-detected",
-            "result": reg.to_json(),
-            "holds": reg.status == "on_wall",
-        }
-    )
+    run.add("planted-wall-detected", reg.status == "on_wall", result=reg.to_json())
 
     # A regular point stays regular only while bounds grow monotonically;
     # a wall hit may not disappear when bounds are enlarged.
-    probe_points = [plant]
-    for _ in range(5):
-        probe_points.append(
-            DualPoint(_random_rational_vec(rng, n), _random_rational_vec(rng, n))
-        )
     ok = True
-    for p in probe_points:
+    for p in [plant] + [random_point() for _ in range(5)]:
         small = is_regular(star, p, root_depth, cfg.n_bound, cfg.cap)
         large = is_regular(star, p, root_depth + 2, cfg.n_bound + 2, cfg.cap)
         if small.status == "on_wall" and large.status == "regular":
             ok = False
-    details.append({"check": "regularity-monotone", "holds": ok})
-    bounds = {
+    run.add("regularity-monotone", ok)
+    return {
         "seed": cfg.seed,
         "budget": cfg.budget,
         "root_depth": root_depth,
         "n_bound": cfg.n_bound,
     }
-    return _report("cone", w, lam, details, bounds)
 
-
-SUITES = {
-    "presentations": suite_presentations,
-    "semidirect": suite_semidirect,
-    "artin": suite_artin,
-    "vanderlek": suite_vanderlek,
-    "prop44": suite_prop44,
-    "translations": suite_translations,
-    "roots-decomposition": suite_roots,
-    "mutations": suite_mutations,
-    "twists": suite_twists,
-    "cone": suite_cone,
-}
 
 SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, w, lam=None, cfg: SuiteConfig = SuiteConfig()) -> dict:
+    """The report of suite ``name``; it always names the marked points used."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    w = _normalize_weights(w)
+        raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    report = SUITES[name](w, lam, cfg)
     if lam is None:
-        lam = default_lambda(w.r)  # reports always name the points used
-    return SUITES[name](w, lam, cfg)
+        report["lambda"] = str(default_lambda(len(report["weights"])))
+    return report

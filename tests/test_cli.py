@@ -1,10 +1,16 @@
 """Command line behaviour: exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from octoweyl.cli import main
+from octoweyl.cli import EXIT_CLOSED_PIPE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -175,6 +181,7 @@ def test_catalog_run_single_suite(capsys):
         ("mutate", "--weights", "2,2,2", "--word", "xyz"),
         ("coxeter", "--weights", "2,2,2", "--cap", "0"),
         ("roots", "--weights", "2,2,2", "--kind", "octopus", "--n-bound", "-1"),
+        ("roots", "--weights", "2,2,2", "--limit", "-3"),
     ],
     ids=[
         "roots-negative-depth",
@@ -189,6 +196,7 @@ def test_catalog_run_single_suite(capsys):
         "mutate-unparsable-token",
         "coxeter-zero-cap",
         "roots-negative-n-bound",
+        "roots-negative-limit",
     ],
 )
 def test_invalid_bound_is_one_line_exit_2(capsys, argv):
@@ -198,3 +206,23 @@ def test_invalid_bound_is_one_line_exit_2(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_closed_stdout_ends_quietly():
+    # The reader of the pipe is gone before the report is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = ["verify", "--weights", "2,2,2", "--suite", "presentations", "--format", "json"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "octoweyl.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_CLOSED_PIPE

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from octoweyl.errors import NotStarVertex, ValidationError
 from octoweyl.lattice import octopus_lattice
 from octoweyl.quiver import Weights, default_lambda, parse_lambda
 from octoweyl.suites import (
@@ -76,7 +77,7 @@ def test_suite_reports_are_deterministic():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         run_suite("nope", (2, 2, 2))
 
 
@@ -91,6 +92,13 @@ def test_witness_root_all_five_cases():
                 b + n * d for b, d in zip(octo.basis_vector(v), delta)
             )
             assert built == expected, (v, n)
+
+
+def test_witness_root_rejects_a_vertex_without_recipe():
+    octo = octopus_lattice(Weights((2, 2, 3)))
+    for v in ("1*", "x"):
+        with pytest.raises(NotStarVertex):
+            witness_root(octo, v, 1)
 
 
 def test_roots_window_complete_for_affine_example():
