@@ -13,6 +13,13 @@ every simple reflection is an integral transvection, and d > 0 keeps every
 sign; so dominance chasing never leaves the integers, and a wall test is
 integer dot products with the hit condition scaled by d.  Rationals are
 built again only for the point that ``make_dominant`` returns.
+
+A dominance result is checked against its word, not against the chase: the
+word is evaluated to its matrix M, and M, acting on the right through its
+sparse columns, must take the integer rows of the input point to d times
+the returned values.  The wall scan reads its roots from the layered root
+window of ``weyl.root_orbit``, so probes of one lattice at depths d and
+d + 2 share one closure.
 """
 
 from __future__ import annotations
@@ -81,6 +88,16 @@ def parse_dual_point(data: dict) -> DualPoint:
 
 @dataclass(frozen=True)
 class DominanceResult:
+    """A dominant point and the word that reaches it.
+
+    The word, evaluated as a matrix M, reproduces the chase exactly: the
+    input's values h, as a row, times M are the returned values.  A check of
+    the word therefore applies M itself, for example through
+    ``WeylElement(M).act_right`` on the input's integer rows ``p.scaled``,
+    and compares with d times the returned point; it does not replay the
+    chase.
+    """
+
     point: DualPoint
     word: Word
     steps: int
@@ -93,9 +110,9 @@ def make_dominant(
     """Chase the imaginary part into the dominant chamber, lowest index first.
 
     The returned word, evaluated as a matrix M, reproduces the transformation
-    exactly: transposing M and applying it to the input values gives the
-    output values.  Raises NotInConeWithinBudget when the budget runs out,
-    which cannot distinguish a point outside the cone from a short budget.
+    exactly: the input values h times M are the output values.  Raises
+    NotInConeWithinBudget when the budget runs out, which cannot distinguish
+    a point outside the cone from a short budget.
     """
     if max_steps < 1:
         raise ValidationError("max_steps must be >= 1")

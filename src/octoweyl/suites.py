@@ -27,9 +27,7 @@ from .exact import (  # noqa: F401
     dot,
     identity,
     mat_mul,
-    mat_vec,
     sparse_mat_vec,
-    transpose,
     vec_neg,
 )
 from .ktheory import (
@@ -487,8 +485,12 @@ def suite_cone(run: SuiteRun) -> dict:
         seed_im = tuple(Fraction(rng.randint(1, 9)) for _ in range(n))
         seed_re = _random_rational_vec(rng, n)
         word = [(star.vertices[rng.randrange(n)], 1) for _ in range(8)]
-        mt = transpose(evaluate_word(star, word).matrix)
-        return DualPoint(mat_vec(mt, seed_re), mat_vec(mt, seed_im))
+        # The seed's integer rows over one denominator d, chased through the
+        # word's transvections: d times the dual values h M of the pushed point.
+        d, re, im = DualPoint(seed_re, seed_im).scaled
+        rows = [list(re), list(im)]
+        evaluate_word(star, word).act_right(rows)
+        return DualPoint(*(tuple(Fraction(x, d) for x in r) for r in rows))
 
     def steps_to_dominance(p: DualPoint) -> int | None:
         """Steps to a consistent dominant point, or None if none was reached."""
@@ -496,11 +498,13 @@ def suite_cone(run: SuiteRun) -> dict:
             res = make_dominant(star, p, cfg.budget)
         except NotInConeWithinBudget:
             return None
-        # M^T h on the integer rows of p, against the returned point times d.
+        # h M on the integer rows of p, for the matrix M of the returned
+        # word, against the returned point times d.
         d, re, im = p.scaled
-        mt = transpose(evaluate_word(star, res.word).matrix)
-        consistent = mat_vec(mt, re) == tuple(x * d for x in res.point.re)
-        consistent = consistent and mat_vec(mt, im) == tuple(x * d for x in res.point.im)
+        rows = [list(re), list(im)]
+        WeylElement(evaluate_word(star, res.word).matrix).act_right(rows)
+        expected = [[x * d for x in h] for h in (res.point.re, res.point.im)]
+        consistent = rows == expected
         return res.steps if consistent and all(x >= 0 for x in res.point.im) else None
 
     def chase(check: str, count: int, draw) -> None:

@@ -33,6 +33,7 @@ A WeylElement constructed directly from a matrix is taken as given.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -63,6 +64,7 @@ Word = tuple[tuple[object, int], ...]
 
 DEFAULT_ROOT_CAP = 200_000
 GENERATOR_CACHE = 4096  # entries per generator cache, over all lattices
+ROOT_WINDOW_CACHE = 2  # (lattice, basis) pairs whose root layers are kept
 
 
 @dataclass(frozen=True)
@@ -338,6 +340,69 @@ def lift_i(lattice: RootLattice, v) -> WeylElement:
     return simple_reflection(lattice, v)
 
 
+def _over_cap(cap: int, reached: int) -> BudgetExceeded:
+    """The closure outgrew cap in the round after depth ``reached``."""
+    return BudgetExceeded(f"root closure exceeded cap {cap} at depth {reached}")
+
+
+class _RootLayers:
+    """The breadth-first layers of one closure, grown a round at a time.
+
+    ``roots`` lists the closure layer by layer, each layer sorted, and
+    ``sizes[k]`` is its size after k rounds, so the window of depth k is the
+    prefix ``roots[:sizes[k]]``, whose sorted runs make sorting it cheap, and
+    the last layer is the frontier of the next round.  Every stored round
+    added a root; ``closed`` records that the round after the last one
+    added none.
+    """
+
+    def __init__(self, lattice: RootLattice, basis: tuple[Vec, ...]):
+        self.gens = [reflection_transvection(lattice, b) for b in basis]
+        self.seen: set[Vec] = set(basis)
+        self.roots = sorted(self.seen)
+        self.sizes = [len(self.roots)]
+        self.closed = False
+
+    @property
+    def depth(self) -> int:
+        return len(self.sizes) - 1
+
+    def frontier(self) -> list[Vec]:
+        return self.roots[self.sizes[-2] if self.depth else 0 :]
+
+    def grow(self, cap: int) -> None:
+        """Add one round; past cap, raise and leave the layers as they were."""
+        seen, roots = self.seen, self.roots
+        start = len(roots)
+        frontier = self.frontier()
+        for g in self.gens:
+            for x in frontier:
+                y = g.apply(x)
+                if y not in seen:
+                    seen.add(y)
+                    roots.append(y)
+                    if len(seen) > cap:
+                        seen.difference_update(roots[start:])
+                        del roots[start:]
+                        raise _over_cap(cap, self.depth)
+        if len(roots) == start:
+            self.closed = True
+        else:
+            roots[start:] = sorted(roots[start:])
+            self.sizes.append(len(roots))
+
+    def probe(self) -> bool:
+        """Whether the next round would add nothing; nothing is stored."""
+        seen = self.seen
+        frontier = self.frontier()
+        return all(g.apply(x) in seen for g in self.gens for x in frontier)
+
+
+@lru_cache(maxsize=ROOT_WINDOW_CACHE)
+def _root_layers(lattice: RootLattice, basis: tuple[Vec, ...]) -> _RootLayers:
+    return _RootLayers(lattice, basis)
+
+
 def root_orbit(
     lattice: RootLattice,
     basis: tuple[Vec, ...],
@@ -347,32 +412,32 @@ def root_orbit(
     """Breadth-first closure of a set of norm-two vectors under their reflections.
 
     Returns the sorted closure after word_depth rounds and whether it had
-    already stabilized.  Raises BudgetExceeded when the closure outgrows cap.
+    already stabilized.  Raises BudgetExceeded when the closure outgrows cap;
+    the message names the depth of the last round that fitted.
+
+    The layers of the last ``ROOT_WINDOW_CACHE`` (lattice, basis) pairs are
+    kept, so a request for depth d + 2 after depth d grows the closure by
+    two rounds, and a request at or below a depth already built reads the
+    cumulative layer sizes.  A round that outgrows cap is not stored.  The
+    stabilization probe at word_depth applies the reflections to the last
+    layer once more; it is not stored and never raises.  Every answer, and
+    whether it raises, is that of a fresh closure with the same arguments.
     """
-    gens = [reflection_transvection(lattice, b) for b in basis]
-    seen: set[Vec] = set(basis)
-    frontier = list(basis)
-    stabilized = False
-    for _ in range(word_depth):
-        new = []
-        for g in gens:
-            for x in frontier:
-                y = g.apply(x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > cap:
-                        raise BudgetExceeded(f"root closure exceeded cap {cap}")
-        if not new:
-            stabilized = True
-            break
-        frontier = new
+    layers = _root_layers(lattice, tuple(basis))
+    rounds = max(word_depth, 0)
+    # A fresh closure raises in the first round whose size is past cap.
+    built = min(rounds, layers.depth)
+    first_over = bisect_right(layers.sizes, cap, 1, built + 1)
+    if first_over <= built:
+        raise _over_cap(cap, first_over - 1)
+    while layers.depth < rounds and not layers.closed:
+        layers.grow(cap)
+    if rounds < layers.depth:
+        stabilized = False
     else:
-        # One probe round to detect stabilization exactly at word_depth.
-        stabilized = all(
-            g.apply(x) in seen for g in gens for x in frontier
-        )
-    return tuple(sorted(seen)), stabilized
+        stabilized = layers.closed or layers.probe()
+    depth = min(rounds, layers.depth)
+    return tuple(sorted(layers.roots[: layers.sizes[depth]])), stabilized
 
 
 def enumerate_real_roots(

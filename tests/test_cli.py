@@ -99,6 +99,18 @@ def test_roots_window(capsys):
     assert blob["window_count"] == 168
 
 
+def test_capped_root_closure_names_its_depth(capsys):
+    # Sizes after 3 and 4 rounds are 98 and 153: the cap breaks round 4.
+    code, out, err = run(
+        capsys, "roots", "--weights", "4,4,4,4", "--depth", "8", "--cap", "100"
+    )
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0] == "error: root closure exceeded cap 100 at depth 3"
+
+
 def test_coxeter_subcommand(capsys):
     code, out, _ = run(capsys, "coxeter", "--weights", "2,2,2", "--format", "json")
     assert code == 0

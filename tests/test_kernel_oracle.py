@@ -8,7 +8,10 @@ against scans and chases in ``Fraction`` arithmetic, and the sparse
 bilinear forms against the dense x^T M y.  The translation path, which
 applies products through their sparse rows and conjugates by the split
 basis without a dense product, is checked against ``mat_vec`` and a dense
-conjugation, and once with the dense kernels disabled altogether.
+conjugation, and once with the dense kernels disabled altogether.  The
+layered root window that ``root_orbit`` keeps per lattice and basis answers
+every sequence of requests as a fresh dense closure would, and the cone
+suite, too, runs with the dense kernels disabled.
 """
 
 import random
@@ -19,18 +22,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octoweyl import exact
+from octoweyl import exact, weyl
 from octoweyl.cone import DualPoint, is_regular, make_dominant
-from octoweyl.errors import NotInConeWithinBudget
+from octoweyl.errors import BudgetExceeded, NotInConeWithinBudget
 from octoweyl.exact import dot, identity, mat_inv, mat_mul, mat_vec, transpose
-from octoweyl.ktheory import KCollection, euler_gram, twist_matrix
+from octoweyl.ktheory import (
+    KCollection,
+    braid_act,
+    euler_gram,
+    simples_collection,
+    twist_matrix,
+)
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
-from octoweyl.suites import suite_translations
+from octoweyl.suites import suite_cone, suite_translations
 from octoweyl.weyl import (
+    DEFAULT_ROOT_CAP,
     Transvection,
     WeylElement,
     enumerate_real_roots,
+    enumerate_until_stable,
     evaluate_word,
     identity_element,
     preserves_form,
@@ -161,6 +172,81 @@ def test_transvection_without_integral_inverse_is_rejected():
 def test_root_orbit_matches_dense_closure(lat, depth):
     basis = tuple(lat.basis_vector(v) for v in lat.vertices)
     assert root_orbit(lat, basis, depth) == dense_closure(lat, basis, depth)
+
+
+def check_requests(lat, requests):
+    """Each (basis, depth, cap) answer of root_orbit against a fresh dense closure.
+
+    Every cap is at least the basis size, so a closure past cap has grown
+    in some round, and a fresh closure raises exactly then.
+    """
+    oracle = {}
+    for basis, depth, cap in requests:
+        if (basis, depth) not in oracle:
+            oracle[basis, depth] = dense_closure(lat, basis, depth)
+        roots, stabilized = oracle[basis, depth]
+        if len(roots) > cap:
+            with pytest.raises(BudgetExceeded):
+                root_orbit(lat, basis, depth, cap)
+        else:
+            assert root_orbit(lat, basis, depth, cap) == (roots, stabilized)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattices, st.data())
+def test_layered_root_window_matches_fresh_closures(lat, data):
+    # Two bases of one lattice share the cache: the simple roots, and the
+    # simples after one braid move (real roots, but not the simple basis).
+    i = data.draw(st.integers(1, lat.rank - 1), label="braid index")
+    bases = (
+        tuple(lat.basis_vector(v) for v in lat.vertices),
+        braid_act(simples_collection(lat), ("b", i, 1)).classes,
+    )
+    weyl._root_layers.cache_clear()
+    caps = st.integers(lat.rank, 300) | st.just(DEFAULT_ROOT_CAP)
+    requests = data.draw(
+        st.lists(st.tuples(st.sampled_from(bases), st.integers(0, 4), caps), max_size=10),
+        label="requests",
+    )
+    check_requests(lat, requests)
+
+
+def test_layered_root_window_request_sequence():
+    # Closure sizes after 0..6 rounds: 13, 38, 64, 98, 153, 245, 406.
+    lat = star_lattice((4, 4, 4, 4))
+    basis = tuple(lat.basis_vector(v) for v in lat.vertices)
+    weyl._root_layers.cache_clear()
+    check_requests(
+        lat, [(basis, d, cap) for d, cap in ((3, 13), (3, 98), (5, 153), (2, 64), (5, 245))]
+    )
+    layers = weyl._root_layers(lat, basis)
+    assert layers.sizes == [13, 38, 64, 98, 153, 245]
+    # Round 6 outgrows the cap: it raises and is not stored.
+    with pytest.raises(BudgetExceeded, match="exceeded cap 300 at depth 5$"):
+        root_orbit(lat, basis, 6, 300)
+    assert layers.sizes == [13, 38, 64, 98, 153, 245]
+    assert len(layers.roots) == len(layers.seen) == 245
+    # Below the built depth the cap is checked against the stored sizes.
+    with pytest.raises(BudgetExceeded, match="exceeded cap 100 at depth 3$"):
+        root_orbit(lat, basis, 4, 100)
+    requests = ((6, 300), (6, 406), (4, 100), (3, 100), (0, 13), (7, DEFAULT_ROOT_CAP))
+    check_requests(lat, [(basis, d, cap) for d, cap in requests])
+
+
+def test_until_stable_after_a_shallow_window():
+    lat = star_lattice((2, 3, 4))
+    basis = tuple(lat.basis_vector(v) for v in lat.vertices)
+    weyl._root_layers.cache_clear()
+    assert enumerate_real_roots(lat, 3) == dense_closure(lat, basis, 3)[0]
+    roots, stabilized = dense_closure(lat, basis, 64)
+    assert stabilized and len(roots) == 126
+    assert enumerate_until_stable(lat) == roots
+    # The closed window answers every shallower request, probe included.
+    full = next(d for d in range(65) if dense_closure(lat, basis, d)[1])
+    check_requests(lat, [(basis, d, DEFAULT_ROOT_CAP) for d in range(full + 1, -1, -1)])
+    with pytest.raises(BudgetExceeded, match="did not stabilize"):
+        enumerate_until_stable(lat, max_depth=full - 1)
+    assert enumerate_until_stable(lat, max_depth=full) == roots
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -365,14 +451,11 @@ def test_randrange_draws_as_randint(seed):
     assert a.getstate() == b.getstate()
 
 
-def test_translations_suite_runs_without_dense_kernels(monkeypatch):
-    # The warm run builds and form-checks the cached generators, the one
-    # place on this path that still multiplies dense matrices.
-    warm = suite_translations((2, 3, 7))
-    assert warm["pass"]
+def refuse_dense_kernels(monkeypatch):
+    """Make every binding of mat_vec and mat_mul in the package raise."""
 
     def refuse(*_args):
-        raise AssertionError("dense kernel called on the translation path")
+        raise AssertionError("dense kernel called")
 
     dense = (exact.mat_vec, exact.mat_mul)
     for name, module in list(sys.modules.items()):
@@ -380,4 +463,23 @@ def test_translations_suite_runs_without_dense_kernels(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if any(value is f for f in dense):
                     monkeypatch.setattr(module, attr, refuse)
+
+
+def test_translations_suite_runs_without_dense_kernels(monkeypatch):
+    # The warm run builds and form-checks the cached generators, the one
+    # place on this path that still multiplies dense matrices.
+    warm = suite_translations((2, 3, 7))
+    assert warm["pass"]
+    refuse_dense_kernels(monkeypatch)
     assert suite_translations((2, 3, 7)) == warm
+
+
+def test_cone_suite_runs_without_dense_kernels(monkeypatch):
+    # Pushed points and the word consistency check act through the word's
+    # transvections and sparse columns; the wall scan reads the root window.
+    weights = ((2, 3, 4), (4, 4, 4, 4))
+    warm = {w: suite_cone(w) for w in weights}
+    assert all(report["pass"] for report in warm.values())
+    refuse_dense_kernels(monkeypatch)
+    for w in weights:
+        assert suite_cone(w) == warm[w]
