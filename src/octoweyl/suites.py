@@ -15,19 +15,24 @@ are table rows, and rows look up this module's names (``verify``,
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice, repeat
+from operator import add, mul, sub
 
 from .cone import DualPoint, is_regular, make_dominant
 from .errors import NotInConeWithinBudget, NotStarVertex, ValidationError
 # mat_mul is not called here; it stays importable from this module because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too.
 from .exact import (  # noqa: F401
-    dot,
+    Sparse,
+    Vec,
     identity,
     mat_mul,
     sparse_mat_vec,
+    sparse_rows,
     vec_neg,
 )
 from .ktheory import (
@@ -63,6 +68,7 @@ from .weyl import (
     WeylElement,
     enumerate_real_roots,
     enumerate_until_stable,
+    evaluate_program,
     evaluate_word,
     lift_i,
     project_p,
@@ -231,30 +237,72 @@ ADJOINT_RULES = {
 }
 
 
+def _combine(terms, rows: list[list[int]]) -> list[int]:
+    """The sum of a * rows[j] over the (j, a) terms, entry by entry."""
+    out = [0] * len(rows[0])
+    for j, a in terms:
+        out = list(map(add, out, map(mul, repeat(a), rows[j])))
+    return out
+
+
+def draws_below_19(rng: random.Random, count: int):
+    """The next count values of ``rng.randrange(19)``, drawn as CPython's
+    randrange draws them: 5 random bits at a time until they are below 19."""
+    return islice(filter((19).__gt__, map(rng.getrandbits, repeat(5))), count)
+
+
+def closed_form_samples(
+    rng: random.Random, element: WeylElement, c_v: Sparse, delta: Vec, samples: int
+) -> bool:
+    """Whether element maps x to x - (c_v . x) delta on ``samples`` random x.
+
+    The coordinates of the samples are drawn one sample after another as
+    ``rng.randrange(19) - 9``.  Row j of the pass holds coordinate j of
+    every sample, so the element's sparse rows and the closed form act on
+    all samples at once.  If a sample fails, the generator is left in its
+    state just after that sample, as a loop that stops at the first failing
+    sample leaves it.
+    """
+    n = len(delta)
+    state = rng.getstate()
+    flat = list(map(sub, draws_below_19(rng, samples * n), repeat(9)))
+    x = [flat[j::n] for j in range(n)]
+    coeff = _combine(c_v, x)
+    first_bad = samples
+    for i, row in enumerate(sparse_rows(element.matrix)):
+        if row == ((i, 1),) and not delta[i]:
+            continue  # both sides are coordinate i of each sample
+        got = _combine(row, x)
+        expected = list(map(sub, x[i], map(mul, repeat(delta[i]), coeff)))
+        if got != expected:
+            bad = next(k for k, (a, b) in enumerate(zip(got, expected)) if a != b)
+            first_bad = min(first_bad, bad)
+    if first_bad == samples:
+        return True
+    rng.setstate(state)
+    # Draw again, up to the end of the failing sample.
+    deque(draws_below_19(rng, (first_bad + 1) * n), maxlen=0)
+    return False
+
+
 @_suite("translations")
 def suite_translations(run: SuiteRun) -> dict:
     """Translation elements: closed form, adjoint rules, projection, kernel."""
     octo, star, cfg, rng = run.octo, run.star, run.cfg, run.rng
     n = octo.rank
-    delta = octo.delta
 
     star_verts = octo.star_vertices()
     translations = {v: translation_element(octo, v) for v in star_verts}
     inverses = {v: tau.inverse() for v, tau in translations.items()}
+    # Subword products of this run's witnesses, shared along each arm.
+    memo = {}
     for v in star_verts:
         tau, vx = translations[v], vertex_str(v)
-        word_el = evaluate_word(octo, tau.word)
+        word_el = evaluate_program(octo, tau.word, memo)
         run.add("translation-word-matrix", word_el.matrix == tau.matrix, vertex=vx)
-        # I(vec, e_v) is vec . C e_v, and C e_v is row v of the symmetric C.
-        c_v = octo.cartan[octo.index(v)]
-        ok = True
-        for _ in range(cfg.samples):
-            # randrange(19) - 9 draws exactly as randint(-9, 9), only faster.
-            vec = tuple(rng.randrange(19) - 9 for _ in range(n))
-            coeff = dot(vec, c_v)
-            if word_el.apply(vec) != tuple(x - coeff * d for x, d in zip(vec, delta)):
-                ok = False
-                break
+        # I(x, e_v) is x . C e_v, and C e_v is row v of the symmetric C.
+        c_v = octo.cartan_rows[octo.index(v)]
+        ok = closed_form_samples(rng, word_el, c_v, octo.delta, cfg.samples)
         run.add("translation-closed-form-samples", ok, vertex=vx, samples=cfg.samples)
 
     for v in star_verts:

@@ -15,6 +15,16 @@ through the cached sparse rows of its matrix.  The projection to the star
 lattice conjugates by the split basis change T of ``lattice.to_split``
 column by column through that same action, so no dense product is formed.
 
+A translation witness follows the induction tau_v = s_v tau_prev s_v
+tau_prev^-1 and has 2^(j+2) - 2 letters at arm depth j, so it is kept as a
+straight-line program, a ``WordProgram``: a DAG of named subwords whose
+inverse is a flag and whose length is counted, not expanded.  Inverting,
+multiplying and relabelling a witness builds O(1) or O(nodes) new nodes,
+and ``evaluate_program`` multiplies it out by memoised products of its
+subwords, O(arm length) products where the flat word had 2^(j+2) letters
+(M. Lohrey and S. Schleimer, "Efficient computation in groups via
+compression", CSR 2007).  Iterating a program yields its letters in order.
+
 Every WeylElement this module builds preserves the Cartan form.  The checks
 behind that are made once, not on every product:
 
@@ -123,9 +133,123 @@ def right_product(m: Mat, steps) -> Mat:
     return tuple(map(tuple, rows))
 
 
+class WordProgram:
+    """A straight-line word: its parts in order, each a letter (g, e) or a
+    WordProgram, or with ``inverted`` set the inverse of that word.
+
+    Subprograms are shared, not copied, so nodes are immutable and the
+    expanded length ``length`` can be exponential in the number of nodes;
+    it is counted when a node is built, and ``len`` returns it while it
+    fits in an index (below 2^63).  Iteration expands the letters, an
+    inverted node yielding its parts in reverse order with negated
+    exponents.  Equality is structural: equal programs expand to the same
+    letters, not conversely.  ``==``, ``hash`` and ``repr`` never expand a
+    program, and ``==`` compares each pair of shared subprograms once.
+    """
+
+    # A plain slotted class: building a dataclass costs milliseconds at import.
+    __slots__ = ("parts", "inverted", "length", "_hash")
+
+    def __init__(self, parts, inverted: bool = False):
+        parts = tuple(parts)
+        length = sum(p.length if isinstance(p, WordProgram) else 1 for p in parts)
+        # Subprograms hash in O(1) from their own stored hash.
+        values = (parts, inverted, length, hash((parts, inverted)))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WordProgram is immutable; cannot set {name!r}")
+
+    def inverse(self) -> "WordProgram":
+        return WordProgram(self.parts, not self.inverted)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self):
+        stack = [(self, False)]
+        while stack:
+            item, flip = stack.pop()
+            if isinstance(item, WordProgram):
+                flip ^= item.inverted
+                # The stack pops last first, so push the parts reversed
+                # unless they are to come out reversed.
+                stack.extend((p, flip) for p in (item.parts if flip else reversed(item.parts)))
+            else:
+                g, e = item
+                yield (g, -e) if flip else item
+
+    def __add__(self, other) -> "WordProgram":
+        """Concatenation with a program or a tuple of letters."""
+        return WordProgram(_parts(self) + _parts(other))
+
+    def __radd__(self, other) -> "WordProgram":
+        return WordProgram(_parts(other) + _parts(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WordProgram):
+            return NotImplemented
+        return _same_program(self, other, set())
+
+    def __repr__(self) -> str:
+        flag = ", inverted" if self.inverted else ""
+        return f"WordProgram({len(self.parts)} parts, {self.length} letters{flag})"
+
+    def relabel(self, rename: dict) -> "WordProgram":
+        """The program with each letter's generator g replaced by
+        ``rename.get(g, g)``; shared subprograms are relabelled once."""
+        done: dict[int, tuple] = {}
+
+        def walk(node: WordProgram) -> WordProgram:
+            parts = done.get(id(node.parts))
+            if parts is None:
+                parts = tuple(
+                    walk(p) if isinstance(p, WordProgram) else (rename.get(p[0], p[0]), p[1])
+                    for p in node.parts
+                )
+                done[id(node.parts)] = parts
+            return WordProgram(parts, node.inverted)
+
+        return walk(self)
+
+
+Witness = Word | WordProgram
+
+
+def _parts(word: Witness) -> tuple:
+    return (word,) if isinstance(word, WordProgram) else tuple(word)
+
+
+def _same_program(a: WordProgram, b: WordProgram, proven: set) -> bool:
+    """Structural equality; ``proven`` holds the pairs of part tuples already
+    found equal, so a subprogram shared k times is compared once, not 2^k."""
+    if a.inverted != b.inverted or a._hash != b._hash or a.length != b.length:
+        return False
+    key = (id(a.parts), id(b.parts))
+    if a.parts is b.parts or key in proven:
+        return True
+    if len(a.parts) != len(b.parts):
+        return False
+    for x, y in zip(a.parts, b.parts):
+        if isinstance(x, WordProgram) and isinstance(y, WordProgram):
+            if not _same_program(x, y, proven):
+                return False
+        elif isinstance(x, WordProgram) or isinstance(y, WordProgram) or x != y:
+            return False
+    proven.add(key)
+    return True
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """An integer matrix with an optional word witness and factorisation.
+
+    The witness is a tuple of letters (g, e) or, for a translation and the
+    elements built from one, a ``WordProgram``.
 
     Every element this module builds preserves the Cartan form.  The checks
     that stay are ``preserves_form`` once per cached generator,
@@ -144,13 +268,13 @@ class WeylElement:
     """
 
     matrix: Mat
-    word: Word | None = None
+    word: Witness | None = None
     factors: tuple[Transvection, ...] | None = field(
         default=None, compare=False, repr=False
     )
 
     @classmethod
-    def from_factors(cls, n: int, factors, word: Word | None = None) -> "WeylElement":
+    def from_factors(cls, n: int, factors, word: Witness | None = None) -> "WeylElement":
         factors = tuple(factors)
         return cls(right_product(identity(n), factors), word, factors)
 
@@ -267,22 +391,64 @@ def evaluate_word(lattice: RootLattice, word) -> WeylElement:
     return WeylElement.from_factors(lattice.rank, (steps[v] for v, _e in word), word)
 
 
-def inverse_word(word: Word) -> Word:
+def evaluate_program(lattice: RootLattice, word: WordProgram, memo: dict) -> WeylElement:
+    """The product of the simple reflections that a program's letters name,
+    by memoised products of its subwords.
+
+    ``memo`` maps each part tuple met so far to the elements of its word and
+    of the inverse word, each the product of simple reflections and of the
+    memoised elements of its subprograms.  Pass one dict per run of a check,
+    so that each run multiplies its reflections itself.  The result acts
+    through the sparse rows of its matrix, and its word is ``word``.
+    """
+    forward, backward = _evaluate_parts(lattice, word, memo)
+    return WeylElement((backward if word.inverted else forward).matrix, word)
+
+
+def _evaluate_parts(
+    lattice: RootLattice, node: WordProgram, memo: dict
+) -> tuple[WeylElement, WeylElement]:
+    found = memo.get(node.parts)
+    if found is None:
+        forward, backward = [], []
+        for p in node.parts:
+            if isinstance(p, WordProgram):
+                m, m_inv = _evaluate_parts(lattice, p, memo)
+                forward.append(m_inv if p.inverted else m)
+                backward.append(m if p.inverted else m_inv)
+            else:
+                # A reflection is its own inverse, whatever the exponent.
+                step = simple_reflection(lattice, p[0]).factors[0]
+                forward.append(step)
+                backward.append(step)
+        ident = identity(lattice.rank)
+        found = memo[node.parts] = (
+            WeylElement(right_product(ident, forward)),
+            WeylElement(right_product(ident, reversed(backward))),
+        )
+    return found
+
+
+def inverse_word(word: Witness) -> Witness:
+    if isinstance(word, WordProgram):
+        return word.inverse()
     return tuple((g, -e) for g, e in reversed(word))
 
 
-def translation_word(v) -> Word:
-    """Inductive word for the translation at a star vertex.
+@lru_cache(maxsize=GENERATOR_CACHE)
+def translation_word(v) -> WordProgram:
+    """Inductive word for the translation at a star vertex, as a program.
 
     The hub translation is the product of the two hub-side reflections; each
-    arm vertex conjugates and divides by its predecessor's translation.
+    arm vertex conjugates and divides by its predecessor's translation, whose
+    program it shares: 2^(j+2) - 2 letters at arm depth j in 2j + 1 nodes.
     """
     if v == "1":
-        return (("1", 1), (EXT, 1))
+        return WordProgram((("1", 1), (EXT, 1)))
     if isinstance(v, tuple):
         i, j = v
         prev = translation_word("1") if j == 1 else translation_word((i, j - 1))
-        return ((v, 1),) + prev + ((v, 1),) + inverse_word(prev)
+        return WordProgram(((v, 1), prev, (v, 1), prev.inverse()))
     raise NotStarVertex(f"{v!r} has no translation")
 
 
@@ -325,9 +491,11 @@ def project_p(lattice: RootLattice, w: WeylElement) -> WeylElement:
     if star.cartan != tuple(row[: n - 1] for row in lattice.cartan[: n - 1]):
         raise ValueError("the star form is not the form induced on the quotient by delta")
     block = tuple(row[: n - 1] for row in split[: n - 1])
-    word = None
-    if w.word is not None:
-        word = tuple(("1" if g == EXT else g, e) for g, e in w.word)
+    word = w.word
+    if isinstance(word, WordProgram):
+        word = word.relabel({EXT: "1"})
+    elif word is not None:
+        word = tuple(("1" if g == EXT else g, e) for g, e in word)
     return WeylElement(block, word)
 
 

@@ -9,9 +9,12 @@ bilinear forms against the dense x^T M y.  The translation path, which
 applies products through their sparse rows and conjugates by the split
 basis without a dense product, is checked against ``mat_vec`` and a dense
 conjugation, and once with the dense kernels disabled altogether.  The
-layered root window that ``root_orbit`` keeps per lattice and basis answers
-every sequence of requests as a fresh dense closure would, and the cone
-suite, too, runs with the dense kernels disabled.
+memoised evaluation of translation witnesses is checked against the flat
+letters and the dense product, and the column-wise closed-form sample
+check against the sample-by-sample loop it replaces.  The layered root
+window that ``root_orbit`` keeps per lattice and basis answers every
+sequence of requests as a fresh dense closure would, and the cone suite,
+too, runs with the dense kernels disabled.
 """
 
 import random
@@ -35,13 +38,19 @@ from octoweyl.ktheory import (
 )
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
-from octoweyl.suites import suite_cone, suite_translations
+from octoweyl.suites import (
+    closed_form_samples,
+    draws_below_19,
+    suite_cone,
+    suite_translations,
+)
 from octoweyl.weyl import (
     DEFAULT_ROOT_CAP,
     Transvection,
     WeylElement,
     enumerate_real_roots,
     enumerate_until_stable,
+    evaluate_program,
     evaluate_word,
     identity_element,
     preserves_form,
@@ -50,6 +59,7 @@ from octoweyl.weyl import (
     root_orbit,
     simple_reflection,
     translation_element,
+    translation_word,
 )
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
@@ -62,6 +72,10 @@ def _lattice(a, kind):
 
 lattices = st.builds(_lattice, weight_tuples, st.sampled_from(("star", "octopus")))
 octopus_lattices = st.builds(_lattice, weight_tuples, st.just("octopus"))
+# Witnesses of at most 30 letters, so the dense oracle multiplies each one.
+short_arm_octopus_lattices = st.builds(
+    _lattice, st.lists(st.integers(2, 4), min_size=3, max_size=4).map(tuple), st.just("octopus")
+)
 
 
 def dense_transvection(n, u, p):
@@ -443,12 +457,89 @@ def test_project_p_matches_dense_conjugation(lat, data):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 1729, 4242, 2**40 + 3])
 def test_randrange_draws_as_randint(seed):
-    # The translations suite's samples, and so the golden digests, rely on this.
-    a, b = random.Random(seed), random.Random(seed)
-    assert [a.randrange(19) - 9 for _ in range(500)] == [
-        b.randint(-9, 9) for _ in range(500)
-    ]
-    assert a.getstate() == b.getstate()
+    # The translations suite's samples, and so the golden digests, rely on
+    # randint(-9, 9), randrange(19) - 9 and the getrandbits(5) stream of
+    # draws_below_19 drawing alike and leaving the same state.
+    a, b, c = random.Random(seed), random.Random(seed), random.Random(seed)
+    expected = [a.randint(-9, 9) for _ in range(500)]
+    assert [b.randrange(19) - 9 for _ in range(500)] == expected
+    assert [x - 9 for x in draws_below_19(c, 500)] == expected
+    assert a.getstate() == b.getstate() == c.getstate()
+
+
+@settings(max_examples=30, deadline=None)
+@given(short_arm_octopus_lattices, st.data())
+def test_evaluate_program_matches_expansion_and_dense_product(lat, data):
+    verts = lat.star_vertices()
+    piece = st.one_of(
+        st.sampled_from(verts).map(translation_word),
+        st.sampled_from(verts).map(lambda v: translation_word(v).inverse()),
+        st.sampled_from(lat.vertices).map(lambda v: ((v, 1),)),
+    )
+    pieces = data.draw(st.lists(piece, min_size=1, max_size=3), label="pieces")
+    program = pieces[0]
+    for p in pieces[1:]:
+        program = program + p
+    if isinstance(program, tuple):
+        program = translation_word("1") + program
+    memo = {}
+    for word in (program, program.inverse()):
+        letters = tuple(word)
+        dense = identity(lat.rank)
+        for v, _e in letters:
+            dense = mat_mul(dense, dense_reflection(lat, lat.basis_vector(v)))
+        element = evaluate_program(lat, word, memo)
+        assert element.matrix == evaluate_word(lat, letters).matrix == dense
+        assert element.word is word
+        # A fresh memo gives the same product as one shared with other words.
+        assert evaluate_program(lat, word, {}).matrix == dense
+
+
+def reference_samples(rng, element, c_v, delta, samples):
+    """The sample-by-sample loop that closed_form_samples replaces: whether
+    every sample holds, and the index of the first that fails."""
+    n = len(delta)
+    for k in range(samples):
+        vec = tuple(rng.randrange(19) - 9 for _ in range(n))
+        coeff = sum(c * vec[j] for j, c in c_v)
+        if mat_vec(element.matrix, vec) != tuple(x - coeff * d for x, d in zip(vec, delta)):
+            return False, k
+    return True, None
+
+
+def wrong_entries(m, *entries):
+    rows = [list(r) for r in m]
+    for i, j in entries:
+        rows[i][j] += 1
+    return tuple(map(tuple, rows))
+
+
+def test_closed_form_samples_match_the_sample_loop():
+    octo = octopus_lattice(Weights((2, 3, 4)), default_lambda(3))
+    n = octo.rank
+    failing_at = set()
+    for seed in range(12):
+        # A wrong entry in column j fails the first sample whose coordinate
+        # j is nonzero: after sample 0 when its coordinate j is zero.
+        first = [x - 9 for x in draws_below_19(random.Random(seed), n)]
+        j = first.index(0) if 0 in first else seed % n
+        for v in octo.star_vertices():
+            tau = translation_element(octo, v)
+            c_v = octo.cartan_rows[octo.index(v)]
+            wrong = WeylElement(wrong_entries(tau.matrix, (seed % n, j)))
+            # Two rows that fail at different samples: the earlier counts.
+            two_wrong = WeylElement(wrong_entries(tau.matrix, (0, (j + 1) % n), (n - 1, j)))
+            cases = ((tau, 30), (wrong, 30), (wrong, 1), (two_wrong, 30))
+            for element, samples in cases:
+                a, b = random.Random(seed), random.Random(seed)
+                holds, k = reference_samples(a, element, c_v, octo.delta, samples)
+                assert closed_form_samples(b, element, c_v, octo.delta, samples) == holds
+                assert a.getstate() == b.getstate()
+                # One sample whose coordinate j is zero misses the wrong entry.
+                assert holds == (element is tau or (samples == 1 and first[j] == 0))
+                if k is not None:
+                    failing_at.add(k)
+    assert failing_at - {0}
 
 
 def refuse_dense_kernels(monkeypatch):
@@ -468,10 +559,12 @@ def refuse_dense_kernels(monkeypatch):
 def test_translations_suite_runs_without_dense_kernels(monkeypatch):
     # The warm run builds and form-checks the cached generators, the one
     # place on this path that still multiplies dense matrices.
-    warm = suite_translations((2, 3, 7))
-    assert warm["pass"]
+    weights = ((2, 3, 7), (2, 3, 12))
+    warm = {w: suite_translations(w) for w in weights}
+    assert all(report["pass"] for report in warm.values())
     refuse_dense_kernels(monkeypatch)
-    assert suite_translations((2, 3, 7)) == warm
+    for w in weights:
+        assert suite_translations(w) == warm[w]
 
 
 def test_cone_suite_runs_without_dense_kernels(monkeypatch):

@@ -120,6 +120,12 @@ def test_catalog_spans_all_signs():
     assert signs == {-1, 0, 1}
 
 
+def test_long_arm_translation_suites_pass():
+    # Witnesses of 2^21 - 2 letters at (3, 19): the suites must never expand them.
+    assert suite_translations((2, 3, 20))["pass"]
+    assert suite_semidirect((2, 3, 20))["pass"]
+
+
 def test_cone_suite_detects_short_budget():
     rep = run_suite("cone", (2, 2, 2), cfg=SuiteConfig(budget=1, samples=10))
     assert not rep["pass"]

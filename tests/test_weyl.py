@@ -26,6 +26,7 @@ from octoweyl.weyl import (
     evaluate_word,
     group_enumerate,
     identity_element,
+    inverse_word,
     lift_i,
     order_of,
     preserves_form,
@@ -94,8 +95,58 @@ def test_translation_word_matches_closed_form_deep_arm():
     word = translation_word((3, 2))
     assert evaluate_word(lat, word).matrix == tau.matrix
     # the inductive word conjugates by the predecessor translation
-    inner = translation_word((3, 1))
-    assert word[: 1 + len(inner) + 1] == (((3, 2), 1),) + inner + (((3, 2), 1),)
+    inner = tuple(translation_word((3, 1)))
+    assert tuple(word)[: 1 + len(inner) + 1] == (((3, 2), 1),) + inner + (((3, 2), 1),)
+
+
+def flat_translation_word(v):
+    """The witness as a flat tuple, built by the paper's induction letter by
+    letter: the oracle that the straight-line programs expand to."""
+    if v == "1":
+        return (("1", 1), ("1*", 1))
+    i, j = v
+    prev = flat_translation_word("1") if j == 1 else flat_translation_word((i, j - 1))
+    return ((v, 1),) + prev + ((v, 1),) + tuple((g, -e) for g, e in reversed(prev))
+
+
+def arm_depth(v):
+    return 0 if v == "1" else v[1]
+
+
+@pytest.mark.parametrize("a", DEFAULT_CATALOG + ((2, 3, 10), (2, 5, 9)))
+def test_witness_programs_expand_to_the_flat_words(a):
+    octo = octopus_lattice(Weights(a), default_lambda(len(a)))
+    for v in octo.star_vertices():
+        flat = flat_translation_word(v)
+        tau = translation_element(octo, v)
+        assert tuple(translation_word(v)) == tuple(tau.word) == flat
+        assert len(tau.word) == len(flat) == 2 ** (arm_depth(v) + 2) - 2
+        assert tuple(tau.inverse().word) == inverse_word(flat)
+        relabelled = tuple(("1" if g == "1*" else g, e) for g, e in flat)
+        assert tuple(project_p(octo, tau).word) == relabelled
+        assert tuple((tau * tau.inverse()).word) == flat + inverse_word(flat)
+    # A letter with a negative exponent keeps it through the relabelling.
+    word = (("1*", -1),) + translation_word("1").inverse()
+    assert tuple(word.relabel({"1*": "1"})) == (("1", -1), ("1", -1), ("1", -1))
+
+
+def test_witness_length_is_counted_not_expanded():
+    assert len(translation_word((3, 59))) == 2**61 - 2
+    octo = octopus_lattice(Weights((2, 3, 20)), default_lambda(3))
+    assert len(translation_element(octo, (3, 19)).word) == 2**21 - 2
+
+
+def test_witness_hash_eq_repr_do_not_expand():
+    # 2^202 - 2 letters: any expansion would never return.
+    word = translation_word((3, 200))
+    # An equal program that shares no node with word.
+    copy = word.relabel({})
+    assert copy.parts is not word.parts
+    assert copy == word and hash(copy) == hash(word)
+    assert word.inverse() != word and word.inverse().inverse() == word
+    assert word != translation_word((3, 199))
+    assert word.length == 2**202 - 2
+    assert str(2**202 - 2) in repr(word)
 
 
 def test_translation_rejects_extension_vertex():
