@@ -15,11 +15,11 @@ integer dot products with the hit condition scaled by d.  Rationals are
 built again only for the point that ``make_dominant`` returns.
 
 A dominance result is checked against its word, not against the chase: the
-word is evaluated to its matrix M, and M, acting on the right through its
-sparse columns, must take the integer rows of the input point to d times
-the returned values.  The wall scan reads its roots from the layered root
-window of ``weyl.root_orbit``, so probes of one lattice at depths d and
-d + 2 share one closure.
+word is evaluated to its matrix M, and M = I + D, acting on the right over
+the rows where D is nonzero, must take the integer rows of the input point
+to d times the returned values.  The wall scan reads its roots from the
+layered root window of ``weyl.root_orbit``, so probes of one lattice at
+depths d and d + 2 share one closure.
 """
 
 from __future__ import annotations

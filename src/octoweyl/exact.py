@@ -90,13 +90,6 @@ def vec_neg(x: Vec) -> Vec:
     return tuple(-a for a in x)
 
 
-def is_unit_upper_triangular(a: Mat) -> bool:
-    n = len(a)
-    return all(
-        a[i][j] == (1 if i == j else 0) for i in range(n) for j in range(i + 1)
-    )
-
-
 def mat_inv(a: Mat) -> Mat:
     """Exact inverse of an integer matrix whose inverse is again integral.
 

@@ -10,7 +10,9 @@ tag map) and its reflection and translation letters (letter maps), so new
 weight tuples need no new code.  Verification evaluates both sides of every
 relation under an assignment of matrices to generators and compares
 exactly; it checks that a generator assignment defines a homomorphism,
-nothing more.
+nothing more.  Each side is multiplied out by ``weyl.product_rows`` over
+the rows its letters move, and the dense matrices of the two sides are
+built only for a relation that fails.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .errors import DimensionMismatch, MissingGenerator
-from .exact import Mat, identity
+from .exact import Mat
 from .lattice import RootLattice, octopus_lattice, star_lattice
 from .quiver import EXT, HUB, Weights, default_lambda, vertex_str
 from .weyl import (
-    right_product,
+    expand_rows,
+    product_rows,
     simple_reflection,
     translation_element,
     translation_word,
@@ -223,14 +226,15 @@ def van_der_lek_spec(w: Weights) -> PresentationSpec:
     return _spec("VanDerLekE", star_lattice(w), tags, *_VAN_DER_LEK_LETTERS)
 
 
-def _evaluate(word: GroupWord, assignment: dict, inverses: dict, n: int) -> Mat:
-    """Ordered product of the assigned elements; inverses are filled in on first use."""
+def _evaluate(word: GroupWord, assignment: dict, inverses: dict, n: int) -> dict:
+    """Ordered product of the assigned elements, as ``weyl.product_rows``
+    gives it; inverses are filled in on first use."""
     steps = []
     for g, e in word:
         if e < 0 and g not in inverses:
             inverses[g] = assignment[g].inverse()
         steps += [assignment[g] if e >= 0 else inverses[g]] * abs(e)
-    return right_product(identity(n), steps)
+    return product_rows(n, steps)
 
 
 def verify(spec: PresentationSpec, assignment: dict) -> VerificationReport:
@@ -250,7 +254,8 @@ def verify(spec: PresentationSpec, assignment: dict) -> VerificationReport:
         if lhs == rhs:
             outcomes.append(RelationOutcome(rel.tag, True))
         else:
-            outcomes.append(RelationOutcome(rel.tag, False, lhs, rhs))
+            dense = expand_rows(n, lhs), expand_rows(n, rhs)
+            outcomes.append(RelationOutcome(rel.tag, False, *dense))
     return VerificationReport(spec.name, spec.weights, tuple(outcomes))
 
 

@@ -29,7 +29,6 @@ from .errors import NotInConeWithinBudget, NotStarVertex, ValidationError
 from .exact import (  # noqa: F401
     Sparse,
     Vec,
-    identity,
     mat_mul,
     sparse_mat_vec,
     sparse_rows,
@@ -71,8 +70,8 @@ from .weyl import (
     evaluate_program,
     evaluate_word,
     lift_i,
+    product_rows,
     project_p,
-    right_product,
     simple_reflection,
     translation_element,
 )
@@ -228,12 +227,12 @@ def suite_prop44(run: SuiteRun) -> None:
 
 
 # r_v tau_u r_v by the Cartan entry of (v, u): the diagonal entry is 2, and
-# two distinct star vertices have entry 0 or -1.  Right-hand sides take the
-# translations, their inverses and the pair.
+# two distinct star vertices have entry 0 or -1.  Right-hand sides are words
+# in the translations and their inverses: tau_u^-1, tau_u and tau_v tau_u.
 ADJOINT_RULES = {
-    2: ("adjoint-inverse", lambda tau, inv, v, u: inv[u].matrix),
-    0: ("adjoint-commute", lambda tau, inv, v, u: tau[u].matrix),
-    -1: ("adjoint-product", lambda tau, inv, v, u: right_product(tau[v].matrix, (tau[u],))),
+    2: ("adjoint-inverse", lambda tau, inv, v, u: (inv[u],)),
+    0: ("adjoint-commute", lambda tau, inv, v, u: (tau[u],)),
+    -1: ("adjoint-product", lambda tau, inv, v, u: (tau[v], tau[u])),
 }
 
 
@@ -312,8 +311,8 @@ def suite_translations(run: SuiteRun) -> dict:
             if rule is None:
                 continue
             tag, rhs = rule
-            lhs = right_product(rv.matrix, (translations[u], rv))
-            holds = lhs == rhs(translations, inverses, v, u)
+            lhs = product_rows(n, (rv, translations[u], rv))
+            holds = lhs == product_rows(n, rhs(translations, inverses, v, u))
             run.add(tag, holds, pair=[vertex_str(v), vertex_str(u)])
 
     for v in star_verts:
@@ -328,13 +327,13 @@ def suite_translations(run: SuiteRun) -> dict:
     test_vectors.append(tuple(int(i == 0) for i in range(star.rank)))
     for _ in range(20):
         test_vectors.append(tuple(rng.randint(-4, 4) for _ in range(star.rank)))
-    ident = identity(n)
     for coeffs in test_vectors:
         steps = []
         for v, m_v in zip(star_verts, coeffs):
             steps += [translations[v] if m_v > 0 else inverses[v]] * abs(m_v)
         in_radical = all(x == 0 for x in sparse_mat_vec(star.cartan_rows, coeffs))
-        holds = (right_product(ident, steps) == ident) == in_radical
+        # The product is the identity when no row differs from a unit row.
+        holds = (not product_rows(n, steps)) == in_radical
         run.add("kernel-iff", holds, coeffs=list(coeffs), in_radical=in_radical)
     return {"seed": cfg.seed, "samples": cfg.samples}
 
@@ -546,8 +545,9 @@ def suite_cone(run: SuiteRun) -> dict:
             res = make_dominant(star, p, cfg.budget)
         except NotInConeWithinBudget:
             return None
-        # h M on the integer rows of p, for the matrix M of the returned
-        # word, against the returned point times d.
+        # h M on the integer rows of p, for the matrix M = I + D of the
+        # returned word acting over its moved rows, against the returned
+        # point times d.
         d, re, im = p.scaled
         rows = [list(re), list(im)]
         WeylElement(evaluate_word(star, res.word).matrix).act_right(rows)

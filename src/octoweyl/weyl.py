@@ -9,11 +9,17 @@ reflection at a norm-two vector alpha is (alpha, C alpha), and the
 translation tau_v is (delta, C e_v).  One kernel applies them: x - (p . x) u
 on vectors, M - (M u) p^T on matrices from the right and h - (h . u) p on
 dual points, so a letter touches only the coordinates in the support of u
-or p, and its inverse has a closed form.  Words are evaluated as row
-updates, never as products of dense matrices, and a product acts on vectors
-through the cached sparse rows of its matrix.  The projection to the star
-lattice conjugates by the split basis change T of ``lattice.to_split``
-column by column through that same action, so no dense product is formed.
+or p, and its inverse has a closed form.  A product of such steps differs
+from the identity only in the rows of the supports of their u, so
+``product_rows`` multiplies a word over those rows alone, starting from
+none, and returns the rows that differ from the identity; relation checks
+compare these row dicts, and an element's matrix fills in the unit rows.
+An element given by a bare matrix M = I + D acts on rows over the rows
+where D is nonzero, r -> r + sum_k r[k] D_k, and any product acts on
+vectors through the cached sparse rows of its matrix.  The projection to
+the star lattice conjugates by the split basis change T of
+``lattice.to_split`` column by column through that same action, so no
+dense product is formed.
 
 A translation witness follows the induction tau_v = s_v tau_prev s_v
 tau_prev^-1 and has 2^(j+2) - 2 letters at arm depth j, so it is kept as a
@@ -28,8 +34,11 @@ compression", CSR 2007).  Iterating a program yields its letters in order.
 Every WeylElement this module builds preserves the Cartan form.  The checks
 behind that are made once, not on every product:
 
-- a cached generator (simple reflection or translation) is checked with
-  ``preserves_form`` when it is first built for its lattice;
+- a cached generator (simple reflection or translation) I - u p^T is
+  checked when it is first built for its lattice, with q = I u, by
+  q p^T + p q^T = I(u, u) p p^T over the supports of p and q
+  (``transvection_preserves_form``); the dense M^T I M = I of
+  ``preserves_form`` is the tests' oracle for it;
 - a reflection at any other vector is checked for I(alpha, alpha) = 2,
   which holds exactly when s_alpha is an isometry;
 - products and inverses of isometries are isometries, so words, products
@@ -68,7 +77,7 @@ from .exact import (
     transpose,
 )
 from .lattice import RootLattice
-from .quiver import EXT, vertex_str
+from .quiver import EXT
 
 Word = tuple[tuple[object, int], ...]
 
@@ -79,10 +88,18 @@ ROOT_WINDOW_CACHE = 2  # (lattice, basis) pairs whose root layers are kept
 
 @dataclass(frozen=True)
 class Transvection:
-    """The map x -> x - (p . x) u, whose matrix is I - u p^T."""
+    """The map x -> x - (p . x) u, whose matrix is I - u p^T.
+
+    ``moved`` is the support of u: the rows in which I - u p^T differs from
+    the identity, stored once.
+    """
 
     u: Sparse
     p: Sparse
+    moved: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "moved", tuple(i for i, _a in self.u))
 
     def apply(self, x: Vec) -> Vec:
         """x - (p . x) u on a column vector: only the support of u changes."""
@@ -96,8 +113,8 @@ class Transvection:
             y[i] -= c * a
         return tuple(y)
 
-    def act_right(self, rows: list[list]) -> None:
-        """Replace each row r by r - (r . u) p, in place.
+    def act_right(self, rows) -> None:
+        """Replace each row r (a list) by r - (r . u) p, in place.
 
         On the rows of a matrix M this is the product M (I - u p^T); on one
         row of dual values h it is the dual action h -> h (I - u p^T).  Only
@@ -131,6 +148,38 @@ def right_product(m: Mat, steps) -> Mat:
     for step in steps:
         step.act_right(rows)
     return tuple(map(tuple, rows))
+
+
+def product_rows(n: int, steps) -> dict[int, Vec]:
+    """The ordered product of the steps, as the rows that differ from I_n.
+
+    A step (a transvection or an element) names in ``moved`` the rows in
+    which it can differ from the identity; every other unit row e_i passes
+    through it unchanged.  So the product starts from no rows, takes unit
+    row i in when a step first moves row i, and multiplies only the rows it
+    holds.  A row that has gone back to its unit row is left out, so two
+    products are equal exactly when their dicts are equal, and the identity
+    is the empty dict.
+    """
+    rows: dict[int, list[int]] = {}
+    for step in steps:
+        for i in step.moved:
+            if i not in rows:
+                row = rows[i] = [0] * n
+                row[i] = 1
+        step.act_right(rows.values())
+    ident = identity(n)
+    out = {}
+    for i, row in rows.items():
+        row = tuple(row)
+        if row != ident[i]:
+            out[i] = row
+    return out
+
+
+def expand_rows(n: int, rows: dict[int, Vec]) -> Mat:
+    """The n x n matrix with the given rows and unit rows elsewhere."""
+    return tuple(map(rows.get, range(n), identity(n)))
 
 
 class WordProgram:
@@ -252,19 +301,22 @@ class WeylElement:
     elements built from one, a ``WordProgram``.
 
     Every element this module builds preserves the Cartan form.  The checks
-    that stay are ``preserves_form`` once per cached generator,
+    that stay are ``transvection_preserves_form`` once per cached generator,
     I(alpha, alpha) = 2 for any other reflection, and the induced-form check
     in ``project_p``; they imply the dropped per-element check M^T I M = I,
     because products and inverses of isometries are isometries.
 
     ``factors``, when known, writes the matrix as the ordered product of
     transvections: it gives the inverse in closed form and lets products act
-    by row updates.  An element built from a bare matrix has no factors; it
-    is taken as given, acts on rows through its sparse columns and is
-    inverted with ``mat_inv``.  Any element other than a single generator
-    acts on vectors through the sparse rows of its matrix, built on first
-    use: a translation word's matrix I - delta (C e_v)^T has about n + 6
-    nonzero entries, so it acts in O(n) steps, not O(n^2).
+    by row updates.  ``moved`` names the rows in which the matrix can differ
+    from the identity: the union of the factors' supports of u, or for an
+    element built from a bare matrix the rows that do differ.  Such an
+    element has no factors; it is taken as given, written I + D with D
+    nonzero only in its moved rows, acts on rows as r -> r + sum_k r[k] D_k
+    and is inverted with ``mat_inv``.  Any element other than a single
+    generator acts on vectors through the sparse rows of its matrix, built
+    on first use: a translation word's matrix I - delta (C e_v)^T has about
+    n + 6 nonzero entries, so it acts in O(n) steps, not O(n^2).
     """
 
     matrix: Mat
@@ -276,7 +328,7 @@ class WeylElement:
     @classmethod
     def from_factors(cls, n: int, factors, word: Witness | None = None) -> "WeylElement":
         factors = tuple(factors)
-        return cls(right_product(identity(n), factors), word, factors)
+        return cls(expand_rows(n, product_rows(n, factors)), word, factors)
 
     @property
     def rank(self) -> int:
@@ -294,16 +346,34 @@ class WeylElement:
         return sparse_rows(self.matrix)
 
     @cached_property
-    def _columns(self) -> tuple[Sparse, ...]:
-        return sparse_rows(transpose(self.matrix))
-
-    def act_right(self, rows: list[list]) -> None:
-        """rows <- rows M in place: by row updates when the factors are known,
-        else entry j of each row becomes its product with column j of M."""
+    def moved(self) -> tuple[int, ...]:
+        """The rows in which the matrix can differ from the identity's."""
         if self.factors is None:
-            cols = self._columns
+            return tuple(k for k, _d in self._delta)
+        return tuple(dict.fromkeys(i for f in self.factors for i in f.moved))
+
+    @cached_property
+    def _delta(self) -> tuple[tuple[int, Sparse], ...]:
+        """(k, D_k) for each row k of M that differs from e_k, D_k = M_k - e_k."""
+        ident = identity(self.rank)
+        delta = []
+        for k, row in enumerate(self.matrix):
+            if row != ident[k]:
+                d = list(row)
+                d[k] -= 1
+                delta.append((k, sparse(d)))
+        return tuple(delta)
+
+    def act_right(self, rows) -> None:
+        """rows <- rows M in place: by row updates when the factors are known,
+        else as r <- r + sum_k r[k] D_k over the moved rows k of M = I + D."""
+        if self.factors is None:
+            delta = self._delta
             for r in rows:
-                r[:] = sparse_mat_vec(cols, r)
+                # Every coefficient r[k] is read before r changes.
+                for c, d in [(r[k], d) for k, d in delta if r[k]]:
+                    for j, b in d:
+                        r[j] += c * b
         else:
             for f in self.factors:
                 f.act_right(rows)
@@ -327,20 +397,40 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.matrix == identity(self.rank)
 
-    def to_json(self) -> dict:
-        word = None
-        if self.word is not None:
-            word = [[vertex_str(g), e] for g, e in self.word]
-        return {"matrix": [list(row) for row in self.matrix], "word": word}
-
 
 def preserves_form(lattice: RootLattice, m: Mat) -> bool:
-    """M^T I M == I, entrywise."""
+    """M^T I M == I, entrywise, by two dense products.
+
+    Nothing in the library calls it: it is the oracle that the tests hold
+    ``transvection_preserves_form`` to.
+    """
     return mat_mul(mat_mul(transpose(m), lattice.cartan), m) == lattice.cartan
 
 
+def transvection_preserves_form(lattice: RootLattice, t: Transvection) -> bool:
+    """Whether I - u p^T preserves the Cartan form, in the supports of p and q.
+
+    With q = I u (the form is symmetric), M^T I M - I is
+    I(u, u) p p^T - q p^T - p q^T, so M is an isometry exactly when
+    q p^T + p q^T = I(u, u) p p^T, an identity that both sides satisfy
+    trivially outside the supports of p and q.  For a reflection p = q and
+    I(u, u) = 2; for a translation u = delta spans the radical and q = 0.
+    """
+    rows = lattice.cartan_rows
+    q: dict[int, int] = {}
+    for i, a in t.u:
+        for j, c in rows[i]:
+            q[j] = q.get(j, 0) + a * c
+    norm = sum(a * q.get(i, 0) for i, a in t.u)
+    p = dict(t.p)
+    support = set(p).union(j for j, c in q.items() if c)
+    pq = [(p.get(i, 0), q.get(i, 0)) for i in support]
+    return all(qi * pj + pi * qj == norm * pi * pj for pi, qi in pq for pj, qj in pq)
+
+
 def _checked(lattice: RootLattice, g: WeylElement) -> WeylElement:
-    if not preserves_form(lattice, g.matrix):
+    """g, a single generator, once its transvection is found to be an isometry."""
+    if not transvection_preserves_form(lattice, g.factors[0]):
         raise ValueError("matrix does not preserve the Cartan form")
     return g
 
@@ -397,7 +487,9 @@ def evaluate_program(lattice: RootLattice, word: WordProgram, memo: dict) -> Wey
 
     ``memo`` maps each part tuple met so far to the elements of its word and
     of the inverse word, each the product of simple reflections and of the
-    memoised elements of its subprograms.  Pass one dict per run of a check,
+    memoised elements of its subprograms, multiplied by ``product_rows``
+    over the rows they move; a memoised element is kept as a bare matrix and
+    acts as I + D over its moved rows.  Pass one dict per run of a check,
     so that each run multiplies its reflections itself.  The result acts
     through the sparse rows of its matrix, and its word is ``word``.
     """
@@ -421,10 +513,10 @@ def _evaluate_parts(
                 step = simple_reflection(lattice, p[0]).factors[0]
                 forward.append(step)
                 backward.append(step)
-        ident = identity(lattice.rank)
+        n = lattice.rank
         found = memo[node.parts] = (
-            WeylElement(right_product(ident, forward)),
-            WeylElement(right_product(ident, reversed(backward))),
+            WeylElement(expand_rows(n, product_rows(n, forward))),
+            WeylElement(expand_rows(n, product_rows(n, reversed(backward)))),
         )
     return found
 

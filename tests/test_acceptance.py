@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from octoweyl.exact import is_unit_upper_triangular, mat_vec, transpose
+from octoweyl.exact import mat_vec, transpose
 from octoweyl.ktheory import simples_collection
 from octoweyl.lattice import (
     euler_characteristic,
@@ -41,6 +41,8 @@ from octoweyl.weyl import (
     order_of,
     serre_coxeter_matrix,
 )
+
+from oracles import is_unit_upper_triangular
 
 
 def _catalog_lattices():

@@ -12,7 +12,6 @@ from octoweyl.exact import (
     format_rational,
     identity,
     integer_kernel,
-    is_unit_upper_triangular,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -20,6 +19,8 @@ from octoweyl.exact import (
     primitive,
     transpose,
 )
+
+from oracles import is_unit_upper_triangular
 
 small_matrices = st.integers(2, 4).flatmap(
     lambda n: st.lists(

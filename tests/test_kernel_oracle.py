@@ -14,12 +14,19 @@ letters and the dense product, and the column-wise closed-form sample
 check against the sample-by-sample loop it replaces.  The layered root
 window that ``root_orbit`` keeps per lattice and basis answers every
 sequence of requests as a fresh dense closure would, and the cone suite,
-too, runs with the dense kernels disabled.
+too, runs with the dense kernels disabled.  ``product_rows``, which
+multiplies a word over the rows it moves, is checked against the dense
+product, the I + D action of an element built from a bare matrix against
+``mat_mul``, and the sparse form criterion of a transvection against
+``preserves_form``.  The presentation suites and the twists run with the
+dense kernels disabled, and the translation and semidirect suites also with
+cold generator caches, so that the generators' form checks run too.
 """
 
 import random
 import sys
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -37,12 +44,19 @@ from octoweyl.ktheory import (
     twist_matrix,
 )
 from octoweyl.lattice import octopus_lattice, star_lattice
+from octoweyl.presentations import semidirect_assignment, semidirect_spec, verify
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import (
     closed_form_samples,
     draws_below_19,
+    suite_artin,
     suite_cone,
+    suite_presentations,
+    suite_prop44,
+    suite_semidirect,
     suite_translations,
+    suite_twists,
+    suite_vanderlek,
 )
 from octoweyl.weyl import (
     DEFAULT_ROOT_CAP,
@@ -52,12 +66,16 @@ from octoweyl.weyl import (
     enumerate_until_stable,
     evaluate_program,
     evaluate_word,
+    expand_rows,
     identity_element,
     preserves_form,
+    product_rows,
     project_p,
     reflection,
+    right_product,
     root_orbit,
     simple_reflection,
+    transvection_preserves_form,
     translation_element,
     translation_word,
 )
@@ -91,6 +109,12 @@ def dense_translation(lat, v):
     return dense_transvection(
         lat.rank, lat.delta, mat_vec(lat.cartan, lat.basis_vector(v))
     )
+
+
+def unit_rows_dropped(m):
+    """The rows of m that differ from the identity's, by index."""
+    ident = identity(len(m))
+    return {i: row for i, row in enumerate(m) if row != ident[i]}
 
 
 def dense_closure(lat, basis, depth):
@@ -394,17 +418,29 @@ def test_euler_gram_matches_pairing_table(lat, data):
     )
 
 
+def near_identity_matrices(n):
+    """Integer matrices equal to the identity outside a few drawn rows."""
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    changes = st.dictionaries(st.integers(0, n - 1), row, max_size=3)
+    return changes.map(lambda rows: expand_rows(n, rows))
+
+
 @settings(max_examples=30, deadline=None)
 @given(lattices, st.data())
 def test_factorless_action_matches_mat_mul(lat, data):
+    # A bare matrix M = I + D acts as r -> r + sum_k r[k] D_k over its moved rows.
     letters = data.draw(st.lists(st.sampled_from(lat.vertices), max_size=6), label="w")
     word_matrix = evaluate_word(lat, [(v, 1) for v in letters]).matrix
     v = data.draw(st.sampled_from(lat.vertices), label="v")
     twist = twist_matrix(lat, lat.basis_vector(v))
-    for m in (word_matrix, twist):
+    near = data.draw(near_identity_matrices(lat.rank), label="near identity")
+    for m in (word_matrix, twist, near):
+        element = WeylElement(m)
+        assert set(element.moved) == set(unit_rows_dropped(m))
+        assert product_rows(lat.rank, (element,)) == unit_rows_dropped(m)
         rows = [list(data.draw(int_vecs(lat.rank))) for _ in range(3)]
         expected = mat_mul(rows, m)
-        WeylElement(m).act_right(rows)
+        element.act_right(rows)
         assert tuple(map(tuple, rows)) == expected
     assert (WeylElement(word_matrix) * WeylElement(twist)).matrix == mat_mul(
         word_matrix, twist
@@ -557,8 +593,6 @@ def refuse_dense_kernels(monkeypatch):
 
 
 def test_translations_suite_runs_without_dense_kernels(monkeypatch):
-    # The warm run builds and form-checks the cached generators, the one
-    # place on this path that still multiplies dense matrices.
     weights = ((2, 3, 7), (2, 3, 12))
     warm = {w: suite_translations(w) for w in weights}
     assert all(report["pass"] for report in warm.values())
@@ -576,3 +610,198 @@ def test_cone_suite_runs_without_dense_kernels(monkeypatch):
     refuse_dense_kernels(monkeypatch)
     for w in weights:
         assert suite_cone(w) == warm[w]
+
+
+def test_presentation_and_twist_suites_run_without_dense_kernels(monkeypatch):
+    # Both sides of every relation are multiplied over the rows they move;
+    # the twists act as I + D through the rows in which they differ from I.
+    suites = (
+        suite_presentations,
+        suite_semidirect,
+        suite_artin,
+        suite_vanderlek,
+        suite_prop44,
+        suite_twists,
+    )
+    w = (4, 4, 4, 4)
+    warm = {suite: suite(w) for suite in suites}
+    assert all(report["pass"] for report in warm.values())
+    refuse_dense_kernels(monkeypatch)
+    for suite in suites:
+        assert suite(w) == warm[suite]
+
+
+def test_cold_generators_are_form_checked_without_dense_kernels(monkeypatch):
+    # A cold generator cache builds and form-checks every generator again,
+    # through the sparse criterion and never through preserves_form.
+    w = (2, 3, 8)
+    warm = {suite: suite(w) for suite in (suite_translations, suite_semidirect)}
+    assert all(report["pass"] for report in warm.values())
+    refuse_dense_kernels(monkeypatch)
+
+    def refuse(*_args):
+        raise AssertionError("dense form check called")
+
+    monkeypatch.setattr(weyl, "preserves_form", refuse)
+    for suite, report in warm.items():
+        simple_reflection.cache_clear()
+        translation_element.cache_clear()
+        assert suite(w) == report
+
+
+def step_matrix(lat, step):
+    """The dense matrix of a transvection or an element."""
+    if isinstance(step, Transvection):
+        n = lat.rank
+        u, p = ([0] * n for _ in range(2))
+        for i, a in step.u:
+            u[i] = a
+        for j, b in step.p:
+            p[j] = b
+        return dense_transvection(n, u, p)
+    return step.matrix
+
+
+def word_steps(lat, data):
+    """A drawn word of reflections (elements and bare transvections),
+    translations, their inverses and bare-matrix elements, with a drawn
+    step and its inverse inserted, or the word followed by its inverse."""
+    n = lat.rank
+    star_verts = lat.star_vertices()
+    gens = [simple_reflection(lat, v) for v in lat.vertices]
+    gens += [g.factors[0] for g in gens]
+    gens += [translation_element(lat, v) for v in star_verts]
+    gens += [translation_element(lat, v).inverse() for v in star_verts]
+    v = data.draw(st.sampled_from(lat.vertices), label="twist vertex")
+    letters = data.draw(st.lists(st.sampled_from(lat.vertices), max_size=4), label="bare")
+    gens.append(WeylElement(twist_matrix(lat, lat.basis_vector(v))))
+    gens.append(WeylElement(evaluate_word(lat, [(x, 1) for x in letters]).matrix))
+    gens.append(WeylElement(identity(n)))
+    word = data.draw(st.lists(st.sampled_from(gens), max_size=8), label="word")
+    shape = data.draw(st.sampled_from(("plain", "pair", "cancel")), label="shape")
+    if shape == "pair" and word:
+        # g g^-1 in the middle: the rows g moves go back to unit rows there.
+        k = data.draw(st.integers(0, len(word)), label="at")
+        g = data.draw(st.sampled_from(gens), label="g")
+        word[k:k] = [g, g.inverse()]
+    elif shape == "cancel":
+        word += [g.inverse() for g in reversed(word)]
+    return word, shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_arm_octopus_lattices, st.data())
+def test_product_rows_matches_dense_products(lat, data):
+    n = lat.rank
+    steps, shape = word_steps(lat, data)
+    dense = identity(n)
+    for step in steps:
+        dense = mat_mul(dense, step_matrix(lat, step))
+    rows = product_rows(n, steps)
+    assert rows == unit_rows_dropped(dense)
+    assert expand_rows(n, rows) == dense == right_product(identity(n), steps)
+    if shape == "cancel":
+        assert rows == {}
+
+
+def test_product_rows_drops_rows_that_go_back_to_unit_rows():
+    lat = octopus_lattice((2, 3, 4))
+    n = lat.rank
+    s = {v: simple_reflection(lat, v) for v in lat.vertices}
+    hub, arm = "1", (2, 2)
+    # s_hub s_hub s_arm: the hub's row is moved, then back to e_hub.
+    rows = product_rows(n, (s[hub], s[hub], s[arm]))
+    assert rows == product_rows(n, (s[arm],)) == unit_rows_dropped(s[arm].matrix)
+    assert list(rows) == [lat.index(arm)]
+    # I(e_arm, e_hub) = 0, so s_arm commutes with the hub translation.
+    tau = translation_element(lat, hub)
+    assert product_rows(n, (tau, s[arm], tau.inverse(), s[arm])) == {}
+    assert product_rows(n, ()) == {}
+
+
+def transvection(u, p):
+    return Transvection(exact.sparse(tuple(u)), exact.sparse(tuple(p)))
+
+
+def form_cases(lat, data):
+    """Transvections at random and near-isometries: reflections, and
+    radical u with any p, unchanged or with one entry moved."""
+    n = lat.rank
+    vec = int_vecs(n)
+    u, p = data.draw(vec, label="u"), data.draw(vec, label="p")
+    alpha = data.draw(st.sampled_from(enumerate_real_roots(lat, 2)), label="root")
+    c_alpha = mat_vec(lat.cartan, alpha)
+    cases = [(u, p), (alpha, c_alpha), (alpha, tuple(2 * x for x in c_alpha))]
+    for radical in lat.radical:
+        cases.append((radical, p))
+    k = data.draw(st.integers(0, n - 1), label="k")
+    bump = tuple(int(i == k) for i in range(n))
+    cases.append((alpha, tuple(map(add, c_alpha, bump))))
+    cases.append((tuple(map(add, alpha, bump)), c_alpha))
+    return [transvection(u, p) for u, p in cases]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices, st.data())
+def test_sparse_form_criterion_matches_preserves_form(lat, data):
+    for t in form_cases(lat, data):
+        assert transvection_preserves_form(lat, t) == preserves_form(lat, step_matrix(lat, t))
+
+
+def test_sparse_form_criterion_holds_and_fails():
+    lat = octopus_lattice((2, 3, 4))
+    n = lat.rank
+    gens = [simple_reflection(lat, v).factors[0] for v in lat.vertices]
+    gens += [translation_element(lat, v).factors[0] for v in lat.star_vertices()]
+    for t in gens:
+        assert transvection_preserves_form(lat, t)
+        assert preserves_form(lat, step_matrix(lat, t))
+    alpha = lat.basis_vector("1")
+    c_alpha = mat_vec(lat.cartan, alpha)
+    # A radical vector added to u changes neither q nor I(u, u).
+    assert transvection_preserves_form(lat, transvection(map(add, alpha, lat.delta), c_alpha))
+    bad = (
+        (alpha, tuple(2 * x for x in c_alpha)),  # I - 2 alpha (C alpha)^T
+        (alpha, tuple(x + (i == n - 1) for i, x in enumerate(c_alpha))),
+        (alpha, mat_vec(lat.cartan, lat.basis_vector((1, 1)))),
+    )
+    for u, p in bad:
+        t = transvection(u, p)
+        assert not transvection_preserves_form(lat, t)
+        assert not preserves_form(lat, step_matrix(lat, t))
+    with pytest.raises(ValueError, match="does not preserve"):
+        weyl._checked(lat, WeylElement.from_factors(n, (transvection(*bad[0]),)))
+
+
+def dense_side(word, matrices):
+    """The dense product of a relation side, inverses by mat_inv."""
+    out = identity(len(next(iter(matrices.values()))))
+    for g, e in word:
+        m = matrices[g] if e >= 0 else mat_inv(matrices[g])
+        for _ in range(abs(e)):
+            out = mat_mul(out, m)
+    return out
+
+
+def test_failing_outcomes_carry_the_dense_products():
+    w = Weights((2, 3, 4))
+    lat = octopus_lattice(w, default_lambda(w.r))
+    spec = semidirect_spec(w)
+    assignment = semidirect_assignment(lat)
+    # Two translations swapped, and one reflection replaced by a bare
+    # matrix of another reflection: many relations fail, some still hold.
+    assignment["tau[1]"], assignment["tau[(1,1)]"] = (
+        assignment["tau[(1,1)]"],
+        assignment["tau[1]"],
+    )
+    assignment["w[(2,1)]"] = WeylElement(simple_reflection(lat, (3, 1)).matrix)
+    matrices = {g: a.matrix for g, a in assignment.items()}
+    report = verify(spec, assignment)
+    assert report.failures() and len(report.failures()) < len(report.outcomes)
+    for rel, outcome in zip(spec.relations, report.outcomes, strict=True):
+        lhs, rhs = dense_side(rel.lhs, matrices), dense_side(rel.rhs, matrices)
+        assert outcome.holds == (lhs == rhs)
+        if outcome.holds:
+            assert outcome.lhs_matrix is outcome.rhs_matrix is None
+        else:
+            assert (outcome.lhs_matrix, outcome.rhs_matrix) == (lhs, rhs)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octoweyl.errors import NotOctopus
-from octoweyl.exact import is_unit_upper_triangular, mat_vec, transpose
+from octoweyl.exact import mat_vec, transpose
 from octoweyl.lattice import (
     cartan_matrix,
     delta_vector,
@@ -25,6 +25,8 @@ from octoweyl.lattice import (
 )
 from octoweyl.quiver import Weights, build_octopus, build_star, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
+
+from oracles import is_unit_upper_triangular
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 

@@ -291,11 +291,3 @@ def test_translations_commute(a, data):
     u = data.draw(st.sampled_from(verts), label="u")
     tv, tu = translation_element(lat, v), translation_element(lat, u)
     assert (tv * tu).matrix == (tu * tv).matrix
-
-
-def test_element_serialization():
-    lat = octopus_lattice((2, 2, 2))
-    tau = translation_element(lat, "1")
-    blob = tau.to_json()
-    assert blob["word"] == [["1", 1], ["1*", 1]]
-    assert blob["matrix"][0] == [3, -1, -1, -1, 2]
