@@ -30,9 +30,9 @@ from functools import cached_property
 from math import lcm
 
 from .errors import BudgetExceeded, NotInConeWithinBudget, ValidationError
-from .exact import Vec, dot, format_rational, parse_rational
+from .exact import Vec, dot
 from .lattice import RootLattice
-from .weyl import Word, enumerate_real_roots, simple_reflection
+from .weyl import DEFAULT_ROOT_CAP, Word, enumerate_real_roots, simple_reflection
 
 RationalVec = tuple[Fraction, ...]
 
@@ -72,19 +72,6 @@ class DualPoint:
         """h(root) as an exact (real, imaginary) pair."""
         return dot(self.re, root), dot(self.im, root)
 
-    def to_json(self) -> dict:
-        return {
-            "re": [format_rational(x) for x in self.re],
-            "im": [format_rational(x) for x in self.im],
-        }
-
-
-def parse_dual_point(data: dict) -> DualPoint:
-    return DualPoint(
-        tuple(parse_rational(x) for x in data["re"]),
-        tuple(parse_rational(x) for x in data["im"]),
-    )
-
 
 @dataclass(frozen=True)
 class DominanceResult:
@@ -93,9 +80,9 @@ class DominanceResult:
     The word, evaluated as a matrix M, reproduces the chase exactly: the
     input's values h, as a row, times M are the returned values.  A check of
     the word therefore applies M itself, for example through
-    ``WeylElement(M).act_right`` on the input's integer rows ``p.scaled``,
-    and compares with d times the returned point; it does not replay the
-    chase.
+    ``evaluate_word(lattice, word).act_right`` on the input's integer rows
+    ``p.scaled``, and compares with d times the returned point; it does not
+    replay the chase.
     """
 
     point: DualPoint
@@ -167,7 +154,7 @@ def is_regular(
     p: DualPoint,
     root_depth: int,
     n_bound: int,
-    cap: int | None = None,
+    cap: int = DEFAULT_ROOT_CAP,
 ) -> RegularityResult:
     """Scan the hyperplanes h(root) = n over a bounded window of roots and levels.
 
@@ -177,9 +164,8 @@ def is_regular(
     scaled rows of the point that is (d*im) . root == 0, (d*re) . root
     divisible by d and |(d*re) . root| <= n_bound * d.
     """
-    kwargs = {} if cap is None else {"cap": cap}
     try:
-        roots = enumerate_real_roots(lattice, root_depth, **kwargs)
+        roots = enumerate_real_roots(lattice, root_depth, cap)
     except BudgetExceeded:
         return RegularityResult("undetermined", root_depth, n_bound)
     d, re, im = p.scaled

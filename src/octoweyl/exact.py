@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from operator import mul
 
 Vec = tuple[int, ...]
@@ -186,13 +185,3 @@ def determinant(a: Mat) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def primitive(v: Vec) -> Vec:
-    """Divide out the gcd and normalize the leading sign."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    if g > 1:
-        v = tuple(a // g for a in v)
-    return _sign_normalize(v)

@@ -160,9 +160,6 @@ class BoundQuiver:
     def rank(self) -> int:
         return len(self.vertices)
 
-    def relation_map(self) -> dict[tuple[Vertex, Vertex], int]:
-        return dict(self.relations)
-
     def index(self, v: Vertex) -> int:
         try:
             return self.vertices.index(v)

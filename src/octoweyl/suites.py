@@ -545,12 +545,11 @@ def suite_cone(run: SuiteRun) -> dict:
             res = make_dominant(star, p, cfg.budget)
         except NotInConeWithinBudget:
             return None
-        # h M on the integer rows of p, for the matrix M = I + D of the
-        # returned word acting over its moved rows, against the returned
-        # point times d.
+        # h M on the integer rows of p, for the matrix M of the returned
+        # word, against the returned point times d.
         d, re, im = p.scaled
         rows = [list(re), list(im)]
-        WeylElement(evaluate_word(star, res.word).matrix).act_right(rows)
+        evaluate_word(star, res.word).act_right(rows)
         expected = [[x * d for x in h] for h in (res.point.re, res.point.im)]
         consistent = rows == expected
         return res.steps if consistent and all(x >= 0 for x in res.point.im) else None

@@ -6,19 +6,20 @@ evaluated as x^T I y.
 Every generator is a transvection x -> x - (p . x) u, the matrix I - u p^T,
 with sparse u and p: the simple reflection s_v is (e_v, C e_v), the
 reflection at a norm-two vector alpha is (alpha, C alpha), and the
-translation tau_v is (delta, C e_v).  One kernel applies them: x - (p . x) u
-on vectors, M - (M u) p^T on matrices from the right and h - (h . u) p on
-dual points, so a letter touches only the coordinates in the support of u
-or p, and its inverse has a closed form.  A product of such steps differs
-from the identity only in the rows of the supports of their u, so
-``product_rows`` multiplies a word over those rows alone, starting from
+translation tau_v is (delta, C e_v).  Each has a closed-form inverse.
+
+Every element acts by one rule.  A generator acts through its
+transvection, touching only the coordinates in the support of u or p:
+x - (p . x) u on vectors, M - (M u) p^T on matrices from the right and
+h - (h . u) p on dual points.  Any other element is M = I + D, where D is
+nonzero only in the rows in which M differs from the identity, its moved
+rows, and acts over those rows alone: x -> x + D x on vectors and
+r -> r + sum_k r[k] D_k on rows.  Since every step names the rows it
+moves, ``product_rows`` multiplies a word over those rows, starting from
 none, and returns the rows that differ from the identity; relation checks
-compare these row dicts, and an element's matrix fills in the unit rows.
-An element given by a bare matrix M = I + D acts on rows over the rows
-where D is nonzero, r -> r + sum_k r[k] D_k, and any product acts on
-vectors through the cached sparse rows of its matrix.  The projection to
-the star lattice conjugates by the split basis change T of
-``lattice.to_split`` column by column through that same action, so no
+compare these row dicts, and ``multiply`` fills in the unit rows to make an
+element.  The projection to the star lattice conjugates by the split basis
+change T of ``lattice.to_split`` column by column through ``apply``, so no
 dense product is formed.
 
 A translation witness follows the induction tau_v = s_v tau_prev s_v
@@ -68,12 +69,12 @@ from .exact import (
     Mat,
     Sparse,
     Vec,
+    dot,
     identity,
     mat_inv,
     mat_mul,
     sparse,
     sparse_mat_vec,
-    sparse_rows,
     transpose,
 )
 from .lattice import RootLattice
@@ -142,14 +143,6 @@ class Transvection:
         raise ValueError(f"I - u p^T with p . u = {k} has no integral inverse")
 
 
-def right_product(m: Mat, steps) -> Mat:
-    """m times the ordered product of the steps (transvections or elements)."""
-    rows = [list(r) for r in m]
-    for step in steps:
-        step.act_right(rows)
-    return tuple(map(tuple, rows))
-
-
 def product_rows(n: int, steps) -> dict[int, Vec]:
     """The ordered product of the steps, as the rows that differ from I_n.
 
@@ -180,6 +173,17 @@ def product_rows(n: int, steps) -> dict[int, Vec]:
 def expand_rows(n: int, rows: dict[int, Vec]) -> Mat:
     """The n x n matrix with the given rows and unit rows elsewhere."""
     return tuple(map(rows.get, range(n), identity(n)))
+
+
+def multiply(
+    n: int,
+    steps,
+    word: Witness | None = None,
+    factors: tuple[Transvection, ...] | None = None,
+) -> WeylElement:
+    """The element of the ordered product of the steps, by ``product_rows``,
+    with the given witness and factors."""
+    return WeylElement(expand_rows(n, product_rows(n, steps)), word, factors)
 
 
 class WordProgram:
@@ -300,23 +304,19 @@ class WeylElement:
     The witness is a tuple of letters (g, e) or, for a translation and the
     elements built from one, a ``WordProgram``.
 
-    Every element this module builds preserves the Cartan form.  The checks
-    that stay are ``transvection_preserves_form`` once per cached generator,
-    I(alpha, alpha) = 2 for any other reflection, and the induced-form check
-    in ``project_p``; they imply the dropped per-element check M^T I M = I,
-    because products and inverses of isometries are isometries.
+    An element acts by one rule.  A generator, an element whose ``factors``
+    is exactly one transvection, acts through that transvection, and its
+    moved rows are the support of u.  Every other element is M = I + D, its
+    moved rows are the rows in which D is nonzero, and it acts over them
+    alone: x -> x + D x on vectors and r -> r + sum_k r[k] D_k on rows.  A
+    translation word's matrix I - delta (C e_v)^T has about n + 6 nonzero
+    entries in D, so it acts in O(n) steps, not O(n^2).
 
     ``factors``, when known, writes the matrix as the ordered product of
-    transvections: it gives the inverse in closed form and lets products act
-    by row updates.  ``moved`` names the rows in which the matrix can differ
-    from the identity: the union of the factors' supports of u, or for an
-    element built from a bare matrix the rows that do differ.  Such an
-    element has no factors; it is taken as given, written I + D with D
-    nonzero only in its moved rows, acts on rows as r -> r + sum_k r[k] D_k
-    and is inverted with ``mat_inv``.  Any element other than a single
-    generator acts on vectors through the sparse rows of its matrix, built
-    on first use: a translation word's matrix I - delta (C e_v)^T has about
-    n + 6 nonzero entries, so it acts in O(n) steps, not O(n^2).
+    transvections; beyond marking a generator it gives the inverse in closed
+    form, and ``*`` concatenates it.  An element without factors is taken
+    as given: it is its own inverse when its square is the identity, and is
+    inverted with ``mat_inv`` otherwise.
     """
 
     matrix: Mat
@@ -328,29 +328,18 @@ class WeylElement:
     @classmethod
     def from_factors(cls, n: int, factors, word: Witness | None = None) -> "WeylElement":
         factors = tuple(factors)
-        return cls(expand_rows(n, product_rows(n, factors)), word, factors)
+        return multiply(n, factors, word, factors)
 
     @property
     def rank(self) -> int:
         return len(self.matrix)
 
-    def apply(self, x: Vec) -> Vec:
-        """M x: a generator acts through its transvection, any other element
-        through the cached sparse rows of its matrix."""
+    @cached_property
+    def _generator(self) -> Transvection | None:
+        """The transvection of a generator; None for any other element."""
         if self.factors is not None and len(self.factors) == 1:
-            return self.factors[0].apply(x)
-        return sparse_mat_vec(self._rows, x)
-
-    @cached_property
-    def _rows(self) -> tuple[Sparse, ...]:
-        return sparse_rows(self.matrix)
-
-    @cached_property
-    def moved(self) -> tuple[int, ...]:
-        """The rows in which the matrix can differ from the identity's."""
-        if self.factors is None:
-            return tuple(k for k, _d in self._delta)
-        return tuple(dict.fromkeys(i for f in self.factors for i in f.moved))
+            return self.factors[0]
+        return None
 
     @cached_property
     def _delta(self) -> tuple[tuple[int, Sparse], ...]:
@@ -364,19 +353,35 @@ class WeylElement:
                 delta.append((k, sparse(d)))
         return tuple(delta)
 
+    @cached_property
+    def moved(self) -> tuple[int, ...]:
+        """The rows in which the matrix can differ from the identity's."""
+        if self._generator is not None:
+            return self._generator.moved
+        return tuple(k for k, _d in self._delta)
+
+    def apply(self, x: Vec) -> Vec:
+        """M x, as x + D x over the moved rows unless M is a generator."""
+        if self._generator is not None:
+            return self._generator.apply(x)
+        y = list(x)
+        for k, d in self._delta:
+            for j, b in d:
+                y[k] += b * x[j]
+        return tuple(y)
+
     def act_right(self, rows) -> None:
-        """rows <- rows M in place: by row updates when the factors are known,
-        else as r <- r + sum_k r[k] D_k over the moved rows k of M = I + D."""
-        if self.factors is None:
-            delta = self._delta
-            for r in rows:
-                # Every coefficient r[k] is read before r changes.
-                for c, d in [(r[k], d) for k, d in delta if r[k]]:
-                    for j, b in d:
-                        r[j] += c * b
-        else:
-            for f in self.factors:
-                f.act_right(rows)
+        """rows <- rows M in place, as r <- r + sum_k r[k] D_k over the moved
+        rows k of M = I + D unless M is a generator."""
+        if self._generator is not None:
+            self._generator.act_right(rows)
+            return
+        delta = self._delta
+        for r in rows:
+            # Every coefficient r[k] is read before r changes.
+            for c, d in [(r[k], d) for k, d in delta if r[k]]:
+                for j, b in d:
+                    r[j] += c * b
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         word = None
@@ -385,14 +390,16 @@ class WeylElement:
         factors = None
         if self.factors is not None and other.factors is not None:
             factors = self.factors + other.factors
-        return WeylElement(right_product(self.matrix, (other,)), word, factors)
+        return multiply(self.rank, (self, other), word, factors)
 
     def inverse(self) -> "WeylElement":
         word = None if self.word is None else inverse_word(self.word)
-        if self.factors is None:
-            return WeylElement(mat_inv(self.matrix), word)
-        factors = (f.inverse() for f in reversed(self.factors))
-        return WeylElement.from_factors(self.rank, factors, word)
+        if self.factors is not None:
+            factors = (f.inverse() for f in reversed(self.factors))
+            return WeylElement.from_factors(self.rank, factors, word)
+        if not product_rows(self.rank, (self, self)):
+            return WeylElement(self.matrix, word)
+        return WeylElement(mat_inv(self.matrix), word)
 
     def is_identity(self) -> bool:
         return self.matrix == identity(self.rank)
@@ -445,10 +452,11 @@ def reflection_transvection(lattice: RootLattice, alpha: Vec) -> Transvection:
     I(alpha, alpha) = 2 is the only check; it holds exactly when the map is
     an isometry of the Cartan form.
     """
-    norm = lattice.form(alpha, alpha)
+    q = sparse_mat_vec(lattice.cartan_rows, alpha)
+    norm = dot(alpha, q)
     if norm != 2:
         raise NotNormTwo(f"I(a, a) = {norm} != 2 for a = {alpha}")
-    return Transvection(sparse(alpha), sparse(sparse_mat_vec(lattice.cartan_rows, alpha)))
+    return Transvection(sparse(alpha), sparse(q))
 
 
 def reflection(lattice: RootLattice, alpha: Vec, word: Word | None = None) -> WeylElement:
@@ -490,8 +498,8 @@ def evaluate_program(lattice: RootLattice, word: WordProgram, memo: dict) -> Wey
     memoised elements of its subprograms, multiplied by ``product_rows``
     over the rows they move; a memoised element is kept as a bare matrix and
     acts as I + D over its moved rows.  Pass one dict per run of a check,
-    so that each run multiplies its reflections itself.  The result acts
-    through the sparse rows of its matrix, and its word is ``word``.
+    so that each run multiplies its reflections itself.  The result is such
+    a bare matrix too, and its word is ``word``.
     """
     forward, backward = _evaluate_parts(lattice, word, memo)
     return WeylElement((backward if word.inverted else forward).matrix, word)
@@ -514,10 +522,7 @@ def _evaluate_parts(
                 forward.append(step)
                 backward.append(step)
         n = lattice.rank
-        found = memo[node.parts] = (
-            WeylElement(expand_rows(n, product_rows(n, forward))),
-            WeylElement(expand_rows(n, product_rows(n, reversed(backward)))),
-        )
+        found = memo[node.parts] = (multiply(n, forward), multiply(n, reversed(backward)))
     return found
 
 
@@ -742,15 +747,16 @@ def group_enumerate(
         raise ValidationError("cap must be >= 1")
     if generators is None:
         generators = tuple(simple_reflection(lattice, v) for v in lattice.vertices)
-    seen = {identity(lattice.rank)}
-    frontier = list(seen)
+    start = WeylElement(identity(lattice.rank))
+    seen = {start.matrix}
+    frontier = [start]
     while frontier:
         new = []
         for m in frontier:
             for g in generators:
-                prod = right_product(m, (g,))
-                if prod not in seen:
-                    seen.add(prod)
+                prod = m * g
+                if prod.matrix not in seen:
+                    seen.add(prod.matrix)
                     new.append(prod)
                     if len(seen) > cap:
                         return Truncated(explored=len(seen))
@@ -774,10 +780,10 @@ def order_of(w: WeylElement, cap: int) -> Finite | Truncated:
     """Multiplicative order of an element, probed up to cap."""
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    power = w.matrix
-    ident = identity(w.rank)
+    # A bare power, so that products carry no growing word or factors.
+    power = WeylElement(w.matrix)
     for k in range(1, cap + 1):
-        if power == ident:
+        if power.is_identity():
             return Finite(order=k)
-        power = right_product(power, (w,))
+        power = power * w
     return Truncated(explored=cap)

@@ -5,22 +5,25 @@ dense integer matrices and multiplied with ``mat_mul``/``mat_vec``; the
 library's row-update kernel must agree with them exactly.  The Tits cone
 probes, which run on integer rows over a common denominator, are checked
 against scans and chases in ``Fraction`` arithmetic, and the sparse
-bilinear forms against the dense x^T M y.  The translation path, which
-applies products through their sparse rows and conjugates by the split
-basis without a dense product, is checked against ``mat_vec`` and a dense
-conjugation, and once with the dense kernels disabled altogether.  The
-memoised evaluation of translation witnesses is checked against the flat
-letters and the dense product, and the column-wise closed-form sample
-check against the sample-by-sample loop it replaces.  The layered root
-window that ``root_orbit`` keeps per lattice and basis answers every
-sequence of requests as a fresh dense closure would, and the cone suite,
-too, runs with the dense kernels disabled.  ``product_rows``, which
-multiplies a word over the rows it moves, is checked against the dense
-product, the I + D action of an element built from a bare matrix against
-``mat_mul``, and the sparse form criterion of a transvection against
-``preserves_form``.  The presentation suites and the twists run with the
-dense kernels disabled, and the translation and semidirect suites also with
-cold generator caches, so that the generators' form checks run too.
+bilinear forms against the dense x^T M y.  The one action rule of an
+element (a generator acts through its transvection, any other element as
+I + D over the rows it moves) is checked against ``mat_vec`` and
+``mat_mul`` on generators, words, products, program nodes and bare
+matrices, and ``order_of`` against a dense power loop.  The translation
+path, which conjugates by the split basis without a dense product, is
+checked against a dense conjugation, and once with the dense kernels
+disabled altogether.  The memoised evaluation of translation witnesses is
+checked against the flat letters and the dense product, and the
+column-wise closed-form sample check against the sample-by-sample loop it
+replaces.  The layered root window that ``root_orbit`` keeps per lattice
+and basis answers every sequence of requests as a fresh dense closure
+would, and the cone suite, too, runs with the dense kernels disabled.
+``product_rows``, which multiplies a word over the rows it moves, is
+checked against the dense product, and the sparse form criterion of a
+transvection against ``preserves_form``.  The presentation suites and the
+twists run with the dense kernels and ``mat_inv`` disabled, and the
+translation and semidirect suites also with cold generator caches, so that
+the generators' form checks run too.
 """
 
 import random
@@ -47,6 +50,7 @@ from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.presentations import semidirect_assignment, semidirect_spec, verify
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import (
+    DEFAULT_CATALOG,
     closed_form_samples,
     draws_below_19,
     suite_artin,
@@ -60,19 +64,23 @@ from octoweyl.suites import (
 )
 from octoweyl.weyl import (
     DEFAULT_ROOT_CAP,
+    Finite,
     Transvection,
+    Truncated,
     WeylElement,
+    WordProgram,
+    coxeter_element,
     enumerate_real_roots,
     enumerate_until_stable,
     evaluate_program,
     evaluate_word,
     expand_rows,
     identity_element,
+    order_of,
     preserves_form,
     product_rows,
     project_p,
     reflection,
-    right_product,
     root_orbit,
     simple_reflection,
     transvection_preserves_form,
@@ -425,17 +433,41 @@ def near_identity_matrices(n):
     return changes.map(lambda rows: expand_rows(n, rows))
 
 
+def acting_elements(lat, data):
+    """One element of each kind the action rule covers: a simple reflection,
+    a word of several letters built from factors, a product by ``*`` and a
+    program node, and on an octopus lattice a translation, its inverse, a
+    product with it and its witness evaluated as a program."""
+    letters = data.draw(
+        st.lists(st.sampled_from(lat.vertices), min_size=2, max_size=6), label="w"
+    )
+    word = [(v, 1) for v in letters]
+    s_v = simple_reflection(lat, data.draw(st.sampled_from(lat.vertices), label="v"))
+    word_el = evaluate_word(lat, word)
+    product = word_el * s_v
+    assert product.matrix == mat_mul(word_el.matrix, s_v.matrix)
+    elements = [s_v, word_el, product, evaluate_program(lat, WordProgram(word), {})]
+    if lat.is_octopus:
+        u = data.draw(st.sampled_from(lat.star_vertices()), label="u")
+        tau = translation_element(lat, u)
+        elements += [tau, tau.inverse(), tau * s_v, evaluate_program(lat, tau.word, {})]
+    return elements
+
+
 @settings(max_examples=30, deadline=None)
 @given(lattices, st.data())
 def test_factorless_action_matches_mat_mul(lat, data):
-    # A bare matrix M = I + D acts as r -> r + sum_k r[k] D_k over its moved rows.
+    # A bare matrix M = I + D acts as r -> r + sum_k r[k] D_k over its moved
+    # rows, and so does every element but a generator, which acts through
+    # its transvection.
     letters = data.draw(st.lists(st.sampled_from(lat.vertices), max_size=6), label="w")
     word_matrix = evaluate_word(lat, [(v, 1) for v in letters]).matrix
     v = data.draw(st.sampled_from(lat.vertices), label="v")
     twist = twist_matrix(lat, lat.basis_vector(v))
     near = data.draw(near_identity_matrices(lat.rank), label="near identity")
-    for m in (word_matrix, twist, near):
-        element = WeylElement(m)
+    bare = [WeylElement(m) for m in (word_matrix, twist, near)]
+    for element in bare + acting_elements(lat, data):
+        m = element.matrix
         assert set(element.moved) == set(unit_rows_dropped(m))
         assert product_rows(lat.rank, (element,)) == unit_rows_dropped(m)
         rows = [list(data.draw(int_vecs(lat.rank))) for _ in range(3)]
@@ -447,6 +479,10 @@ def test_factorless_action_matches_mat_mul(lat, data):
     )
     assert WeylElement(twist).inverse().matrix == mat_inv(twist)
     assert (WeylElement(twist) * WeylElement(twist)).matrix == identity(lat.rank)
+    # A bare element that is not an involution is still inverted by mat_inv.
+    cox = WeylElement(coxeter_element(lat).matrix)
+    assert product_rows(lat.rank, (cox, cox))
+    assert cox.inverse().matrix == mat_inv(cox.matrix)
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,13 +491,36 @@ def test_apply_matches_mat_vec(lat, data):
     letters = data.draw(
         st.lists(st.sampled_from(lat.vertices), min_size=2, max_size=10), label="w"
     )
-    word_el = evaluate_word(lat, [(v, 1) for v in letters])
+    bare = WeylElement(evaluate_word(lat, [(v, 1) for v in letters]).matrix)
     v = data.draw(st.sampled_from(lat.vertices), label="v")
     twist = WeylElement(twist_matrix(lat, lat.basis_vector(v)))
-    for element in (word_el, WeylElement(word_el.matrix), twist, identity_element(lat)):
+    for element in [bare, twist, identity_element(lat)] + acting_elements(lat, data):
         for _ in range(3):
             x = data.draw(int_vecs(lat.rank), label="x")
             assert element.apply(x) == mat_vec(element.matrix, x)
+
+
+def dense_order(m, cap):
+    """What order_of answers for the matrix m, by dense powers."""
+    ident = identity(len(m))
+    power = m
+    for k in range(1, cap + 1):
+        if power == ident:
+            return Finite(order=k)
+        power = mat_mul(power, m)
+    return Truncated(explored=cap)
+
+
+def test_order_of_coxeter_elements_matches_dense_powers():
+    answers = []
+    for a in DEFAULT_CATALOG:
+        for kind in ("star", "octopus"):
+            c = coxeter_element(_lattice(a, kind))
+            answers.append(dense_order(c.matrix, 50))
+            assert order_of(c, 50) == answers[-1]
+    # Both kinds of answer occur, and finite orders above 2.
+    assert any(isinstance(x, Truncated) for x in answers)
+    assert any(isinstance(x, Finite) and x.order > 2 for x in answers)
 
 
 def dense_split_matrix(lat, m):
@@ -578,13 +637,14 @@ def test_closed_form_samples_match_the_sample_loop():
     assert failing_at - {0}
 
 
-def refuse_dense_kernels(monkeypatch):
-    """Make every binding of mat_vec and mat_mul in the package raise."""
+def refuse_dense_kernels(monkeypatch, *more):
+    """Make every binding of mat_vec, mat_mul and the kernels in ``more``
+    in the package raise."""
 
     def refuse(*_args):
         raise AssertionError("dense kernel called")
 
-    dense = (exact.mat_vec, exact.mat_mul)
+    dense = (exact.mat_vec, exact.mat_mul, *more)
     for name, module in list(sys.modules.items()):
         if name == "octoweyl" or name.startswith("octoweyl."):
             for attr, value in list(vars(module).items()):
@@ -603,7 +663,8 @@ def test_translations_suite_runs_without_dense_kernels(monkeypatch):
 
 def test_cone_suite_runs_without_dense_kernels(monkeypatch):
     # Pushed points and the word consistency check act through the word's
-    # transvections and sparse columns; the wall scan reads the root window.
+    # element, as I + D over its moved rows; the wall scan reads the root
+    # window.
     weights = ((2, 3, 4), (4, 4, 4, 4))
     warm = {w: suite_cone(w) for w in weights}
     assert all(report["pass"] for report in warm.values())
@@ -614,7 +675,8 @@ def test_cone_suite_runs_without_dense_kernels(monkeypatch):
 
 def test_presentation_and_twist_suites_run_without_dense_kernels(monkeypatch):
     # Both sides of every relation are multiplied over the rows they move;
-    # the twists act as I + D through the rows in which they differ from I.
+    # the twists act as I + D through the rows in which they differ from I,
+    # and each twist, an involution, is its own inverse without mat_inv.
     suites = (
         suite_presentations,
         suite_semidirect,
@@ -626,7 +688,7 @@ def test_presentation_and_twist_suites_run_without_dense_kernels(monkeypatch):
     w = (4, 4, 4, 4)
     warm = {suite: suite(w) for suite in suites}
     assert all(report["pass"] for report in warm.values())
-    refuse_dense_kernels(monkeypatch)
+    refuse_dense_kernels(monkeypatch, exact.mat_inv)
     for suite in suites:
         assert suite(w) == warm[suite]
 
@@ -699,7 +761,7 @@ def test_product_rows_matches_dense_products(lat, data):
         dense = mat_mul(dense, step_matrix(lat, step))
     rows = product_rows(n, steps)
     assert rows == unit_rows_dropped(dense)
-    assert expand_rows(n, rows) == dense == right_product(identity(n), steps)
+    assert expand_rows(n, rows) == dense
     if shape == "cancel":
         assert rows == {}
 

@@ -44,10 +44,8 @@ def test_invalid_weights():
 def test_octopus_counts_forced():
     q = build_octopus(Weights((2, 2, 2)))
     assert len(q.vertices) == 5 and len(q.arrows) == 6
-    assert q.relation_map() == {(HUB, EXT): 2}
     q = build_octopus(Weights((2, 2, 3)))
     assert len(q.vertices) == 6 and len(q.arrows) == 7
-    assert q.relation_map() == {(HUB, EXT): 2}
 
 
 def test_octopus_lambda_validation():
