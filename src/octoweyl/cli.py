@@ -32,6 +32,7 @@ from .lattice import (
     weyl_class,
 )
 from .quiver import (
+    Weights,
     build_octopus,
     build_star,
     default_lambda,
@@ -52,24 +53,21 @@ TOOL = {"name": "octoweyl", "version": __version__}
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
-def _add_common(p: argparse.ArgumentParser, lam=True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--weights", help="comma separated arm multiplicities, e.g. 2,2,3")
-    if lam:
-        p.add_argument(
-            "--lambda",
-            dest="lam",
-            help="comma separated marked points: inf, rationals p/q (default inf,0,1,2,...)",
-        )
+    p.add_argument(
+        "--lambda",
+        dest="lam",
+        help="comma separated marked points: inf, rationals p/q (default inf,0,1,2,...)",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _lattices(args, need_weights=True):
+def _lattices(args):
     if args.weights is None:
-        if need_weights:
-            raise ValidationError("--weights is required for this command")
-        return None, None
+        raise ValidationError("--weights is required for this command")
     w = parse_weights(args.weights)
-    lam = parse_lambda(args.lam) if getattr(args, "lam", None) else default_lambda(w.r)
+    lam = parse_lambda(args.lam) if args.lam else default_lambda(w.r)
     if len(lam.entries) != w.r:
         raise ValidationError(
             f"lambda tuple has {len(lam.entries)} points for {w.r} arms"
@@ -142,8 +140,7 @@ def cmd_describe(args) -> int:
 
 
 def _pick_lattice(args, w, lam):
-    kind = getattr(args, "kind", "star")
-    return star_lattice(w) if kind == "star" else octopus_lattice(w, lam)
+    return star_lattice(w) if args.kind == "star" else octopus_lattice(w, lam)
 
 
 def cmd_roots(args) -> int:
@@ -153,18 +150,17 @@ def cmd_roots(args) -> int:
         raise ValidationError("--n-bound must be >= 0")
     if args.limit < 0:
         raise ValidationError("--limit must be >= 0")
-    depth = args.depth if args.depth is not None else 10
-    roots = enumerate_real_roots(lat, depth, args.cap)
+    roots = enumerate_real_roots(lat, args.depth, args.cap)
     payload = {
         "tool": TOOL,
         "weights": list(w.a),
         "kind": lat.kind,
-        "depth": depth,
+        "depth": args.depth,
         "cap": args.cap,
         "count": len(roots),
         "roots": [list(r) for r in roots],
     }
-    lines = [f"{lat.kind} {w}: {len(roots)} roots within word depth {depth}"]
+    lines = [f"{lat.kind} {w}: {len(roots)} roots within word depth {args.depth}"]
     if lat.is_octopus and args.n_bound is not None:
         window = [r for r in roots if abs(lat.delta_coordinate(r)) <= args.n_bound]
         payload["n_bound"] = args.n_bound
@@ -226,10 +222,7 @@ def cmd_verify(args) -> int:
         w, lam = _lattices(args)
         targets = [(w, lam)]
     else:
-        targets = []
-        for a in DEFAULT_CATALOG:
-            wt = parse_weights(",".join(map(str, a)))
-            targets.append((wt, default_lambda(wt.r)))
+        targets = [(Weights(a), default_lambda(len(a))) for a in DEFAULT_CATALOG]
     reports = []
     for w, lam in targets:
         for name in suites:
@@ -310,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="bounded real root enumeration")
     _add_common(p)
     p.add_argument("--kind", choices=("star", "octopus"), default="star")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=10)
     p.add_argument("--cap", type=int, default=500_000)
     p.add_argument("--n-bound", type=int, default=None)
     p.add_argument("--limit", type=int, default=24, help="roots to print in text mode")

@@ -19,7 +19,7 @@ from .errors import (
     RankMismatch,
     ValidationError,
 )
-from .exact import Mat, Vec, determinant, dot, sparse_mat_vec, vec_neg
+from .exact import Mat, Vec, determinant, dot, identity, sparse_mat_vec, transpose, vec_neg
 from .lattice import RootLattice
 from .weyl import WeylElement, reflection_transvection
 
@@ -39,13 +39,6 @@ class KCollection:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def to_json(self) -> dict:
-        return {
-            "weights": list(self.lattice.weights.a),
-            "kind": self.lattice.kind,
-            "classes": [list(c) for c in self.classes],
-        }
 
 
 def simples_collection(lattice: RootLattice) -> KCollection:
@@ -161,9 +154,5 @@ def spherical_twist_K(lattice: RootLattice, s: Vec, x: Vec) -> Vec:
 
 def twist_matrix(lattice: RootLattice, s: Vec) -> Mat:
     """Matrix of the twist at s, assembled column by column from its action."""
-    n = lattice.rank
-    cols = [
-        spherical_twist_K(lattice, s, tuple(int(i == j) for i in range(n)))
-        for j in range(n)
-    ]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    cols = [spherical_twist_K(lattice, s, unit) for unit in identity(lattice.rank)]
+    return transpose(cols)

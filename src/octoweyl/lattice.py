@@ -20,6 +20,7 @@ from .quiver import (
     BoundQuiver,
     LambdaTuple,
     Weights,
+    as_weights,
     build_octopus,
     build_star,
 )
@@ -180,12 +181,8 @@ def _cached_lattice(kind: str, w: Weights, lam: LambdaTuple | None) -> RootLatti
 
 
 def star_lattice(w: Weights | tuple) -> RootLattice:
-    if not isinstance(w, Weights):
-        w = Weights(tuple(w))
-    return _cached_lattice("star", w, None)
+    return _cached_lattice("star", as_weights(w), None)
 
 
 def octopus_lattice(w: Weights | tuple, lam: LambdaTuple | None = None) -> RootLattice:
-    if not isinstance(w, Weights):
-        w = Weights(tuple(w))
-    return _cached_lattice("octopus", w, lam)
+    return _cached_lattice("octopus", as_weights(w), lam)

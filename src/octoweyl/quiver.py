@@ -58,6 +58,10 @@ class Weights:
         return ",".join(str(x) for x in self.a)
 
 
+def as_weights(w) -> Weights:
+    return w if isinstance(w, Weights) else Weights(tuple(w))
+
+
 def parse_weights(text: str) -> Weights:
     try:
         parts = tuple(int(p) for p in text.split(","))
@@ -108,7 +112,11 @@ def parse_point(text: str) -> ProjPoint:
     s = text.strip()
     if s.lower() in ("inf", "infinity", "oo"):
         return INFINITY
-    return ProjPoint(parse_rational(s), Fraction(1))
+    try:
+        x = parse_rational(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidLambda(f"cannot parse marked point {s!r}") from exc
+    return ProjPoint(x, Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -185,8 +193,7 @@ def star_vertices(w: Weights) -> tuple[Vertex, ...]:
 
 def build_star(w: Weights) -> BoundQuiver:
     """Star quiver: hub arrow to each arm, then a chain along each arm."""
-    if not isinstance(w, Weights):
-        w = Weights(tuple(w))
+    w = as_weights(w)
     arrows: list[tuple[Vertex, Vertex]] = []
     for i, ai in enumerate(w.a, start=1):
         arrows.append((HUB, (i, 1)))
@@ -208,8 +215,7 @@ def build_octopus(w: Weights, lam: LambdaTuple | None = None) -> BoundQuiver:
     on (1, 1*) is the constant 2; lambda is carried symbolically and never
     enters the lattice data.
     """
-    if not isinstance(w, Weights):
-        w = Weights(tuple(w))
+    w = as_weights(w)
     if lam is None:
         if w.r > 3:
             raise InvalidLambda(f"{w.r} arms need an explicit lambda tuple")

@@ -30,8 +30,8 @@ from .exact import (  # noqa: F401
     Sparse,
     Vec,
     mat_mul,
+    sparse,
     sparse_mat_vec,
-    sparse_rows,
     vec_neg,
 )
 from .ktheory import (
@@ -62,7 +62,7 @@ from .presentations import (
     van_der_lek_spec,
     verify,
 )
-from .quiver import LambdaTuple, Weights, default_lambda, vertex_str
+from .quiver import LambdaTuple, Weights, as_weights, default_lambda, vertex_str
 from .weyl import (
     WeylElement,
     enumerate_real_roots,
@@ -121,10 +121,6 @@ class SuiteConfig:
                 raise ValidationError(f"{name} must be >= {least}")
 
 
-def _normalize_weights(w) -> Weights:
-    return w if isinstance(w, Weights) else Weights(tuple(w))
-
-
 @dataclass
 class SuiteRun:
     """One suite run: its inputs, what it resolves on first use, its checks."""
@@ -167,7 +163,7 @@ def _suite(name: str):
 
     def register(body):
         def suite(w, lam=None, cfg=SuiteConfig()) -> dict:
-            run = SuiteRun(_normalize_weights(w), lam, cfg)
+            run = SuiteRun(as_weights(w), lam, cfg)
             bounds = body(run)
             return {
                 "name": name,
@@ -258,9 +254,9 @@ def closed_form_samples(
     The coordinates of the samples are drawn one sample after another as
     ``rng.randrange(19) - 9``.  Row j of the pass holds coordinate j of
     every sample, so the element's sparse rows and the closed form act on
-    all samples at once.  If a sample fails, the generator is left in its
-    state just after that sample, as a loop that stops at the first failing
-    sample leaves it.
+    all samples at once, over the rows that it moves or delta touches.  If a
+    sample fails, the generator is left in its state just after that sample,
+    as a loop that stops at the first failing sample leaves it.
     """
     n = len(delta)
     state = rng.getstate()
@@ -268,10 +264,9 @@ def closed_form_samples(
     x = [flat[j::n] for j in range(n)]
     coeff = _combine(c_v, x)
     first_bad = samples
-    for i, row in enumerate(sparse_rows(element.matrix)):
-        if row == ((i, 1),) and not delta[i]:
-            continue  # both sides are coordinate i of each sample
-        got = _combine(row, x)
+    moved = dict(element.rows)
+    for i in moved.keys() | {i for i, d in enumerate(delta) if d}:
+        got = _combine(sparse(moved[i]), x) if i in moved else x[i]
         expected = list(map(sub, x[i], map(mul, repeat(delta[i]), coeff)))
         if got != expected:
             bad = next(k for k, (a, b) in enumerate(zip(got, expected)) if a != b)
@@ -298,7 +293,7 @@ def suite_translations(run: SuiteRun) -> dict:
     for v in star_verts:
         tau, vx = translations[v], vertex_str(v)
         word_el = evaluate_program(octo, tau.word, memo)
-        run.add("translation-word-matrix", word_el.matrix == tau.matrix, vertex=vx)
+        run.add("translation-word-matrix", word_el.rows == tau.rows, vertex=vx)
         # I(x, e_v) is x . C e_v, and C e_v is row v of the symmetric C.
         c_v = octo.cartan_rows[octo.index(v)]
         ok = closed_form_samples(rng, word_el, c_v, octo.delta, cfg.samples)
@@ -317,8 +312,8 @@ def suite_translations(run: SuiteRun) -> dict:
 
     for v in star_verts:
         vx = vertex_str(v)
-        p_i = project_p(octo, lift_i(octo, v)).matrix
-        run.add("project-after-lift", p_i == simple_reflection(star, v).matrix, vertex=vx)
+        p_i = project_p(octo, lift_i(octo, v)).rows
+        run.add("project-after-lift", p_i == simple_reflection(star, v).rows, vertex=vx)
         killed = project_p(octo, translations[v]).is_identity()
         run.add("project-kills-translation", killed, vertex=vx)
 
@@ -491,8 +486,8 @@ def suite_mutations(run: SuiteRun) -> dict:
         ok &= numerically_exceptional(image).ok and is_full(image)
     run.add("random-word-preservation", ok, words=5)
 
-    c0 = coxeter_from_collection(simples).matrix
-    invariant = all(coxeter_from_collection(k).matrix == c0 for k in images.values())
+    c0 = coxeter_from_collection(simples).rows
+    invariant = all(coxeter_from_collection(k).rows == c0 for k in images.values())
     run.add("coxeter-mutation-invariance", invariant)
     return {"seed": run.cfg.seed}
 
@@ -504,9 +499,8 @@ def suite_twists(run: SuiteRun) -> None:
     twist_assignment = {}
     for v in octo.vertices:
         s, vx = octo.basis_vector(v), vertex_str(v)
-        twist = twist_matrix(octo, s)
-        twist_assignment[vx] = WeylElement(twist)
-        reflects = twist == simple_reflection(octo, v).matrix
+        twist = twist_assignment[vx] = WeylElement.from_matrix(twist_matrix(octo, s))
+        reflects = twist.rows == simple_reflection(octo, v).rows
         run.add("twist-equals-reflection", reflects, vertex=vx)
         negates = spherical_twist_K(octo, s, s) == vec_neg(s)
         run.add("twist-negates-own-class", negates, vertex=vx)

@@ -17,10 +17,10 @@ rows, and acts over those rows alone: x -> x + D x on vectors and
 r -> r + sum_k r[k] D_k on rows.  Since every step names the rows it
 moves, ``product_rows`` multiplies a word over those rows, starting from
 none, and returns the rows that differ from the identity; relation checks
-compare these row dicts, and ``multiply`` fills in the unit rows to make an
-element.  The projection to the star lattice conjugates by the split basis
-change T of ``lattice.to_split`` column by column through ``apply``, so no
-dense product is formed.
+compare these row dicts.  An element is its moved rows, and its dense
+matrix is built only on request.  The projection to the star lattice
+conjugates by the split basis change T of ``lattice.to_split`` column by
+column through ``apply``, so no dense product is formed.
 
 A translation witness follows the induction tau_v = s_v tau_prev s_v
 tau_prev^-1 and has 2^(j+2) - 2 letters at arm depth j, so it is kept as a
@@ -48,7 +48,7 @@ behind that are made once, not on every product:
   induces on the quotient by delta, so the image of an isometry that keeps
   the delta line is again an isometry.
 
-A WeylElement constructed directly from a matrix is taken as given.
+A WeylElement built by ``WeylElement.from_matrix`` is taken as given.
 """
 
 from __future__ import annotations
@@ -143,18 +143,18 @@ class Transvection:
         raise ValueError(f"I - u p^T with p . u = {k} has no integral inverse")
 
 
-def product_rows(n: int, steps) -> dict[int, Vec]:
+def product_rows(n: int, steps, start: dict[int, Vec] | None = None) -> dict[int, Vec]:
     """The ordered product of the steps, as the rows that differ from I_n.
 
     A step (a transvection or an element) names in ``moved`` the rows in
     which it can differ from the identity; every other unit row e_i passes
-    through it unchanged.  So the product starts from no rows, takes unit
-    row i in when a step first moves row i, and multiplies only the rows it
-    holds.  A row that has gone back to its unit row is left out, so two
-    products are equal exactly when their dicts are equal, and the identity
-    is the empty dict.
+    through it unchanged.  So the product starts from no rows (or from the
+    moved rows ``start`` of a left factor), takes unit row i in when a step
+    first moves row i, and multiplies only the rows it holds.  A row that
+    has gone back to its unit row is left out, so two products are equal
+    exactly when their dicts are equal, and the identity is the empty dict.
     """
-    rows: dict[int, list[int]] = {}
+    rows = {} if start is None else {i: list(row) for i, row in start.items()}
     for step in steps:
         for i in step.moved:
             if i not in rows:
@@ -183,7 +183,8 @@ def multiply(
 ) -> WeylElement:
     """The element of the ordered product of the steps, by ``product_rows``,
     with the given witness and factors."""
-    return WeylElement(expand_rows(n, product_rows(n, steps)), word, factors)
+    rows = product_rows(n, steps)
+    return WeylElement(n, tuple(sorted(rows.items())), word, factors)
 
 
 class WordProgram:
@@ -299,9 +300,12 @@ def _same_program(a: WordProgram, b: WordProgram, proven: set) -> bool:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """An integer matrix with an optional word witness and factorisation.
+    """An element of rank n as its moved rows, with an optional word witness
+    and factorisation.
 
-    The witness is a tuple of letters (g, e) or, for a translation and the
+    ``rows`` holds (k, M_k) for each row k in which the matrix M differs
+    from e_k, sorted by k; ``matrix`` is built from them on request.  The
+    witness is a tuple of letters (g, e) or, for a translation and the
     elements built from one, a ``WordProgram``.
 
     An element acts by one rule.  A generator, an element whose ``factors``
@@ -312,14 +316,15 @@ class WeylElement:
     translation word's matrix I - delta (C e_v)^T has about n + 6 nonzero
     entries in D, so it acts in O(n) steps, not O(n^2).
 
-    ``factors``, when known, writes the matrix as the ordered product of
+    ``factors``, when known, writes the element as the ordered product of
     transvections; beyond marking a generator it gives the inverse in closed
     form, and ``*`` concatenates it.  An element without factors is taken
     as given: it is its own inverse when its square is the identity, and is
     inverted with ``mat_inv`` otherwise.
     """
 
-    matrix: Mat
+    rank: int
+    rows: tuple[tuple[int, Vec], ...]
     word: Witness | None = None
     factors: tuple[Transvection, ...] | None = field(
         default=None, compare=False, repr=False
@@ -330,9 +335,17 @@ class WeylElement:
         factors = tuple(factors)
         return multiply(n, factors, word, factors)
 
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
+    @classmethod
+    def from_matrix(cls, m: Mat, word: Witness | None = None) -> "WeylElement":
+        """The element of a square matrix, taken as given."""
+        ident = identity(len(m))
+        rows = tuple((k, row) for k, row in enumerate(map(tuple, m)) if row != ident[k])
+        return cls(len(m), rows, word)
+
+    @cached_property
+    def matrix(self) -> Mat:
+        """The dense n x n matrix, the moved rows with unit rows elsewhere."""
+        return expand_rows(self.rank, dict(self.rows))
 
     @cached_property
     def _generator(self) -> Transvection | None:
@@ -343,14 +356,12 @@ class WeylElement:
 
     @cached_property
     def _delta(self) -> tuple[tuple[int, Sparse], ...]:
-        """(k, D_k) for each row k of M that differs from e_k, D_k = M_k - e_k."""
-        ident = identity(self.rank)
+        """(k, D_k) for each moved row k, D_k = M_k - e_k."""
         delta = []
-        for k, row in enumerate(self.matrix):
-            if row != ident[k]:
-                d = list(row)
-                d[k] -= 1
-                delta.append((k, sparse(d)))
+        for k, row in self.rows:
+            d = list(row)
+            d[k] -= 1
+            delta.append((k, sparse(d)))
         return tuple(delta)
 
     @cached_property
@@ -358,7 +369,7 @@ class WeylElement:
         """The rows in which the matrix can differ from the identity's."""
         if self._generator is not None:
             return self._generator.moved
-        return tuple(k for k, _d in self._delta)
+        return tuple(k for k, _row in self.rows)
 
     def apply(self, x: Vec) -> Vec:
         """M x, as x + D x over the moved rows unless M is a generator."""
@@ -398,11 +409,11 @@ class WeylElement:
             factors = (f.inverse() for f in reversed(self.factors))
             return WeylElement.from_factors(self.rank, factors, word)
         if not product_rows(self.rank, (self, self)):
-            return WeylElement(self.matrix, word)
-        return WeylElement(mat_inv(self.matrix), word)
+            return WeylElement(self.rank, self.rows, word)
+        return WeylElement.from_matrix(mat_inv(self.matrix), word)
 
     def is_identity(self) -> bool:
-        return self.matrix == identity(self.rank)
+        return not self.rows
 
 
 def preserves_form(lattice: RootLattice, m: Mat) -> bool:
@@ -440,10 +451,6 @@ def _checked(lattice: RootLattice, g: WeylElement) -> WeylElement:
     if not transvection_preserves_form(lattice, g.factors[0]):
         raise ValueError("matrix does not preserve the Cartan form")
     return g
-
-
-def identity_element(lattice: RootLattice) -> WeylElement:
-    return WeylElement.from_factors(lattice.rank, (), ())
 
 
 def reflection_transvection(lattice: RootLattice, alpha: Vec) -> Transvection:
@@ -496,13 +503,13 @@ def evaluate_program(lattice: RootLattice, word: WordProgram, memo: dict) -> Wey
     ``memo`` maps each part tuple met so far to the elements of its word and
     of the inverse word, each the product of simple reflections and of the
     memoised elements of its subprograms, multiplied by ``product_rows``
-    over the rows they move; a memoised element is kept as a bare matrix and
-    acts as I + D over its moved rows.  Pass one dict per run of a check,
-    so that each run multiplies its reflections itself.  The result is such
-    a bare matrix too, and its word is ``word``.
+    over the rows they move; a memoised element is kept bare, as its moved
+    rows without factors, and acts as I + D over them.  Pass one dict per
+    run of a check, so that each run multiplies its reflections itself.  The
+    result is such a bare element too, and its word is ``word``.
     """
     forward, backward = _evaluate_parts(lattice, word, memo)
-    return WeylElement((backward if word.inverted else forward).matrix, word)
+    return WeylElement(lattice.rank, (backward if word.inverted else forward).rows, word)
 
 
 def _evaluate_parts(
@@ -593,7 +600,7 @@ def project_p(lattice: RootLattice, w: WeylElement) -> WeylElement:
         word = word.relabel({EXT: "1"})
     elif word is not None:
         word = tuple(("1" if g == EXT else g, e) for g, e in word)
-    return WeylElement(block, word)
+    return WeylElement.from_matrix(block, word)
 
 
 def lift_i(lattice: RootLattice, v) -> WeylElement:
@@ -747,16 +754,17 @@ def group_enumerate(
         raise ValidationError("cap must be >= 1")
     if generators is None:
         generators = tuple(simple_reflection(lattice, v) for v in lattice.vertices)
-    start = WeylElement(identity(lattice.rank))
-    seen = {start.matrix}
-    frontier = [start]
+    # Elements are moved rows: dicts to multiply, sorted tuples in ``seen``.
+    seen = {()}
+    frontier = [{}]
     while frontier:
         new = []
         for m in frontier:
             for g in generators:
-                prod = m * g
-                if prod.matrix not in seen:
-                    seen.add(prod.matrix)
+                prod = product_rows(lattice.rank, (g,), m)
+                key = tuple(sorted(prod.items()))
+                if key not in seen:
+                    seen.add(key)
                     new.append(prod)
                     if len(seen) > cap:
                         return Truncated(explored=len(seen))
@@ -770,20 +778,32 @@ def coxeter_element(lattice: RootLattice) -> WeylElement:
 
 
 def serre_coxeter_matrix(lattice: RootLattice) -> Mat:
-    """-C^{-1} C^T: the lattice shadow of the shifted Serre functor."""
-    inv = mat_inv(lattice.euler)
-    prod = mat_mul(inv, transpose(lattice.euler))
-    return tuple(tuple(-x for x in row) for row in prod)
+    """-E^{-1} E^T: the lattice shadow of the shifted Serre functor.
+
+    The Euler matrix E is unit upper triangular, so X = E^{-1} E^T solves
+    E X = E^T in integers, row by row from the bottom.
+    """
+    e = lattice.euler
+    if any(e[i][j] != (i == j) for i in range(len(e)) for j in range(i + 1)):
+        raise ValueError("the Euler matrix is not unit upper triangular")
+    x = {}
+    for i, row in reversed(list(enumerate(transpose(e)))):
+        for j, a in lattice.euler_rows[i]:
+            if j > i:
+                row = [r - a * y for r, y in zip(row, x[j])]
+        x[i] = row
+    return tuple(tuple(-v for v in x[i]) for i in sorted(x))
 
 
 def order_of(w: WeylElement, cap: int) -> Finite | Truncated:
     """Multiplicative order of an element, probed up to cap."""
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    # A bare power, so that products carry no growing word or factors.
-    power = WeylElement(w.matrix)
+    # The moved rows of the power, times the factors of w when they are known.
+    steps = w.factors if w.factors is not None else (w,)
+    power = dict(w.rows)
     for k in range(1, cap + 1):
-        if power.is_identity():
+        if not power:
             return Finite(order=k)
-        power = power * w
+        power = product_rows(w.rank, steps, power)
     return Truncated(explored=cap)

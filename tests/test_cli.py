@@ -220,6 +220,25 @@ def test_invalid_bound_is_one_line_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("lam", ["inf,0,1/0", "inf,0,1/x", "inf,0,abc"])
+def test_malformed_lambda_entry_is_one_line_exit_2(lam):
+    argv = ["coxeter", "--weights", "2,2,2", "--lambda", lam]
+    proc = subprocess.run(
+        [sys.executable, "-m", "octoweyl.cli", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    # The message names the bad entry.
+    assert repr(lam.split(",")[-1]) in lines[0]
+
+
 def test_closed_stdout_ends_quietly():
     # The reader of the pipe is gone before the report is written.
     read_end, write_end = os.pipe()

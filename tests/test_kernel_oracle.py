@@ -23,7 +23,11 @@ checked against the dense product, and the sparse form criterion of a
 transvection against ``preserves_form``.  The presentation suites and the
 twists run with the dense kernels and ``mat_inv`` disabled, and the
 translation and semidirect suites also with cold generator caches, so that
-the generators' form checks run too.
+the generators' form checks run too.  An element is its moved rows: the
+translation and twist suites, ``order_of`` and ``group_enumerate`` run with
+``expand_rows`` disabled too, so none of them builds a dense matrix.  The
+integer back-substitution of ``serre_coxeter_matrix`` is checked against
+the dense ``mat_inv`` product.
 """
 
 import random
@@ -75,18 +79,21 @@ from octoweyl.weyl import (
     evaluate_program,
     evaluate_word,
     expand_rows,
-    identity_element,
+    group_enumerate,
     order_of,
     preserves_form,
     product_rows,
     project_p,
     reflection,
     root_orbit,
+    serre_coxeter_matrix,
     simple_reflection,
     transvection_preserves_form,
     translation_element,
     translation_word,
 )
+
+from oracles import identity_element
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 
@@ -465,7 +472,7 @@ def test_factorless_action_matches_mat_mul(lat, data):
     v = data.draw(st.sampled_from(lat.vertices), label="v")
     twist = twist_matrix(lat, lat.basis_vector(v))
     near = data.draw(near_identity_matrices(lat.rank), label="near identity")
-    bare = [WeylElement(m) for m in (word_matrix, twist, near)]
+    bare = [WeylElement.from_matrix(m) for m in (word_matrix, twist, near)]
     for element in bare + acting_elements(lat, data):
         m = element.matrix
         assert set(element.moved) == set(unit_rows_dropped(m))
@@ -474,13 +481,12 @@ def test_factorless_action_matches_mat_mul(lat, data):
         expected = mat_mul(rows, m)
         element.act_right(rows)
         assert tuple(map(tuple, rows)) == expected
-    assert (WeylElement(word_matrix) * WeylElement(twist)).matrix == mat_mul(
-        word_matrix, twist
-    )
-    assert WeylElement(twist).inverse().matrix == mat_inv(twist)
-    assert (WeylElement(twist) * WeylElement(twist)).matrix == identity(lat.rank)
+    bare_word, bare_twist = WeylElement.from_matrix(word_matrix), WeylElement.from_matrix(twist)
+    assert (bare_word * bare_twist).matrix == mat_mul(word_matrix, twist)
+    assert bare_twist.inverse().matrix == mat_inv(twist)
+    assert (bare_twist * bare_twist).matrix == identity(lat.rank)
     # A bare element that is not an involution is still inverted by mat_inv.
-    cox = WeylElement(coxeter_element(lat).matrix)
+    cox = WeylElement.from_matrix(coxeter_element(lat).matrix)
     assert product_rows(lat.rank, (cox, cox))
     assert cox.inverse().matrix == mat_inv(cox.matrix)
 
@@ -491,9 +497,9 @@ def test_apply_matches_mat_vec(lat, data):
     letters = data.draw(
         st.lists(st.sampled_from(lat.vertices), min_size=2, max_size=10), label="w"
     )
-    bare = WeylElement(evaluate_word(lat, [(v, 1) for v in letters]).matrix)
+    bare = WeylElement.from_matrix(evaluate_word(lat, [(v, 1) for v in letters]).matrix)
     v = data.draw(st.sampled_from(lat.vertices), label="v")
-    twist = WeylElement(twist_matrix(lat, lat.basis_vector(v)))
+    twist = WeylElement.from_matrix(twist_matrix(lat, lat.basis_vector(v)))
     for element in [bare, twist, identity_element(lat)] + acting_elements(lat, data):
         for _ in range(3):
             x = data.draw(int_vecs(lat.rank), label="x")
@@ -621,9 +627,11 @@ def test_closed_form_samples_match_the_sample_loop():
         for v in octo.star_vertices():
             tau = translation_element(octo, v)
             c_v = octo.cartan_rows[octo.index(v)]
-            wrong = WeylElement(wrong_entries(tau.matrix, (seed % n, j)))
+            wrong = WeylElement.from_matrix(wrong_entries(tau.matrix, (seed % n, j)))
             # Two rows that fail at different samples: the earlier counts.
-            two_wrong = WeylElement(wrong_entries(tau.matrix, (0, (j + 1) % n), (n - 1, j)))
+            two_wrong = WeylElement.from_matrix(
+                wrong_entries(tau.matrix, (0, (j + 1) % n), (n - 1, j))
+            )
             cases = ((tau, 30), (wrong, 30), (wrong, 1), (two_wrong, 30))
             for element, samples in cases:
                 a, b = random.Random(seed), random.Random(seed)
@@ -711,6 +719,39 @@ def test_cold_generators_are_form_checked_without_dense_kernels(monkeypatch):
         assert suite(w) == report
 
 
+def test_hot_paths_build_no_dense_matrix(monkeypatch):
+    # Products keep their moved rows, so no element on these paths calls
+    # expand_rows; cold generator caches rebuild the generators too.
+    w = (2, 3, 7)
+    octo, star = _lattice(w, "octopus"), _lattice((2, 2, 2), "star")
+    warm = {suite: suite(w) for suite in (suite_translations, suite_twists)}
+    assert all(report["pass"] for report in warm.values())
+    order = order_of(coxeter_element(octo), 50)
+    group = group_enumerate(star, 1000)
+    assert group == Finite(order=192)
+    refuse_dense_kernels(monkeypatch, weyl.expand_rows)
+    simple_reflection.cache_clear()
+    translation_element.cache_clear()
+    for suite, report in warm.items():
+        assert suite(w) == report
+    assert order_of(coxeter_element(octo), 50) == order
+    assert group_enumerate(star, 1000) == group
+
+
+def test_serre_coxeter_matrix_matches_the_dense_inverse(monkeypatch):
+    # -E^-1 E^T by Gauss-Jordan over the rationals, against the integer
+    # back-substitution, which must not call mat_inv.
+    lattices = [
+        _lattice(a, kind)
+        for a in DEFAULT_CATALOG + ((2, 3, 20),)
+        for kind in ("star", "octopus")
+    ]
+    dense = [mat_mul(mat_inv(lat.euler), transpose(lat.euler)) for lat in lattices]
+    refuse_dense_kernels(monkeypatch, exact.mat_inv)
+    for lat, prod in zip(lattices, dense):
+        assert serre_coxeter_matrix(lat) == tuple(tuple(-x for x in row) for row in prod)
+
+
 def step_matrix(lat, step):
     """The dense matrix of a transvection or an element."""
     if isinstance(step, Transvection):
@@ -736,9 +777,10 @@ def word_steps(lat, data):
     gens += [translation_element(lat, v).inverse() for v in star_verts]
     v = data.draw(st.sampled_from(lat.vertices), label="twist vertex")
     letters = data.draw(st.lists(st.sampled_from(lat.vertices), max_size=4), label="bare")
-    gens.append(WeylElement(twist_matrix(lat, lat.basis_vector(v))))
-    gens.append(WeylElement(evaluate_word(lat, [(x, 1) for x in letters]).matrix))
-    gens.append(WeylElement(identity(n)))
+    gens.append(WeylElement.from_matrix(twist_matrix(lat, lat.basis_vector(v))))
+    word_matrix = evaluate_word(lat, [(x, 1) for x in letters]).matrix
+    gens.append(WeylElement.from_matrix(word_matrix))
+    gens.append(WeylElement.from_matrix(identity(n)))
     word = data.draw(st.lists(st.sampled_from(gens), max_size=8), label="word")
     shape = data.draw(st.sampled_from(("plain", "pair", "cancel")), label="shape")
     if shape == "pair" and word:
@@ -856,7 +898,7 @@ def test_failing_outcomes_carry_the_dense_products():
         assignment["tau[(1,1)]"],
         assignment["tau[1]"],
     )
-    assignment["w[(2,1)]"] = WeylElement(simple_reflection(lat, (3, 1)).matrix)
+    assignment["w[(2,1)]"] = WeylElement.from_matrix(simple_reflection(lat, (3, 1)).matrix)
     matrices = {g: a.matrix for g, a in assignment.items()}
     report = verify(spec, assignment)
     assert report.failures() and len(report.failures()) < len(report.outcomes)

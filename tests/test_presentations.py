@@ -23,7 +23,9 @@ from octoweyl.presentations import (
 )
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
-from octoweyl.weyl import evaluate_word, identity_element, translation_element
+from octoweyl.weyl import evaluate_word, translation_element
+
+from oracles import identity_element
 
 SAMPLE = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 2, 2), (2, 3, 7)]
 

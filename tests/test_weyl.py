@@ -25,7 +25,6 @@ from octoweyl.weyl import (
     enumerate_until_stable,
     evaluate_word,
     group_enumerate,
-    identity_element,
     inverse_word,
     lift_i,
     order_of,
@@ -38,6 +37,8 @@ from octoweyl.weyl import (
     translation_element,
     translation_word,
 )
+
+from oracles import identity_element
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 
@@ -178,7 +179,7 @@ def test_projection_rejects_delta_breaking_matrix():
     for i, j in enumerate(order):
         perm[i][j] = 1
     with pytest.raises(DeltaNotPreserved):
-        project_p(octo, WeylElement(tuple(tuple(r) for r in perm)))
+        project_p(octo, WeylElement.from_matrix(tuple(tuple(r) for r in perm)))
 
 
 def test_root_enumeration_counts():
