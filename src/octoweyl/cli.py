@@ -271,6 +271,7 @@ def cmd_mutate(args) -> int:
     coll = simples_collection(lat)
     image = braid_word_act(coll, moves)
     check = numerically_exceptional(image)
+    full = is_full(image)
     payload = {
         "tool": TOOL,
         "weights": list(w.a),
@@ -278,13 +279,13 @@ def cmd_mutate(args) -> int:
         "word": args.word,
         "classes": [list(c) for c in image.classes],
         "numerically_exceptional": check.ok,
-        "full": is_full(image),
+        "full": full,
     }
     lines = [f"applied {args.word} to the simples of the {lat.kind} {w}:"]
     lines += ["  " + str(list(c)) for c in image.classes]
-    lines.append(f"numerically exceptional: {check.ok}   full: {is_full(image)}")
+    lines.append(f"numerically exceptional: {check.ok}   full: {full}")
     _emit(args, payload, lines)
-    return 0 if check.ok and is_full(image) else 1
+    return 0 if check.ok and full else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from heapq import heapify, heappop, heappush
+from itertools import compress, count
+from operator import mul, neg
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -62,7 +64,8 @@ def dot(x, y):
 
 
 def sparse(x: Vec) -> Sparse:
-    return tuple((i, a) for i, a in enumerate(x) if a)
+    # The indices and the values of the nonzero entries, paired in C.
+    return tuple(zip(compress(count(), x), filter(None, x)))
 
 
 def sparse_rows(a: Mat) -> tuple[Sparse, ...]:
@@ -81,12 +84,19 @@ def sparse_mat_vec(rows: tuple[Sparse, ...], x) -> tuple:
 
 
 def sparse_form(rows: tuple[Sparse, ...], x: Vec, y: Vec) -> int:
-    """x^T a y for the matrix a given by its sparse rows."""
-    return dot(x, sparse_mat_vec(rows, y))
+    """x^T a y for the matrix a given by its sparse rows, summed over the
+    rows in the support of x: a term per entry of those rows."""
+    total = 0
+    for i, a in sparse(x):
+        c = 0
+        for j, b in rows[i]:
+            c += b * y[j]
+        total += a * c
+    return total
 
 
 def vec_neg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
+    return tuple(map(neg, x))
 
 
 def mat_inv(a: Mat) -> Mat:
@@ -164,24 +174,77 @@ def integer_kernel(a: Mat) -> tuple[Vec, ...]:
     return tuple(sorted(kernel))
 
 
-def determinant(a: Mat) -> int:
-    """Exact integer determinant by fraction-free Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
+def sparse_determinant(rows: tuple[Sparse, ...]) -> int:
+    """Exact determinant of the square matrix with the given sparse rows.
+
+    Fraction-free elimination over dict rows: a pivot p at (r, c) after the
+    pivot prev turns each other row i into (p m_i - m_ic m_r) / prev, an exact
+    division for any order of pivots (E. H. Bareiss, Math. Comp. 22, 1968).
+    The pivot row is a live row with the fewest entries, and the pivot
+    column the one of its entries shared with the fewest live rows, a
+    Markowitz-style order that keeps fill-in low (H. M. Markowitz,
+    Management Science 3, 1957).  A row without an entry in the pivot
+    column would only be scaled by p / prev; it keeps the pivot it was last
+    updated at and is scaled up to date when it is next used.  The
+    determinant is the last pivot, signed by the permutation that takes each
+    pivot row to its pivot column.
+    """
+    live = {i: dict(row) for i, row in enumerate(rows)}
+    holders: dict[int, set[int]] = {}  # column -> live rows nonzero there
+    for i, row in live.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    level = dict.fromkeys(live, 1)  # the pivot each row was last updated at
+    queue = [(len(row), i) for i, row in live.items()]
+    heapify(queue)
+    column_of = {}
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
+    while live:
+        size, r = heappop(queue)
+        if r not in live or size != len(live[r]):
+            continue  # a stale entry: the row has gone or changed
+        if not size:
+            return 0
+        pivot_row = _scaled(live.pop(r), prev, level[r])
+        c = min(pivot_row, key=lambda j: (len(holders[j]), abs(pivot_row[j]), j))
+        p = pivot_row[c]
+        for j in pivot_row:
+            holders[j].discard(r)
+        for i in holders.pop(c):
+            row = _scaled(live[i], prev, level[i])
+            f = row.pop(c)
+            new = {j: a * p for j, a in row.items()}
+            for j, b in pivot_row.items():
+                if j != c:
+                    new[j] = new.get(j, 0) - f * b
+            new = {j: v // prev for j, v in new.items() if v}
+            for j in row.keys() - new.keys():
+                holders[j].discard(i)
+            for j in new.keys() - row.keys():
+                holders.setdefault(j, set()).add(i)
+            live[i], level[i] = new, p
+            heappush(queue, (len(new), i))
+        column_of[r] = c
+        prev = p
+    return _permutation_sign(column_of) * prev
+
+
+def _scaled(row: dict[int, int], prev: int, level: int) -> dict[int, int]:
+    """A row last updated at pivot ``level``, scaled up to date at ``prev``."""
+    if level == prev:
+        return row
+    return {j: a * prev // level for j, a in row.items()}
+
+
+def _permutation_sign(perm: dict[int, int]) -> int:
+    """The sign of a permutation given as a dict, by counting its cycles."""
+    sign = 1
+    seen = set()
+    for start in perm:
+        j = perm[start]
+        seen.add(start)
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign

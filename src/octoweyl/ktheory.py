@@ -5,12 +5,21 @@ exceptional when its Euler Gram matrix is unit upper triangular in
 collection order, and full when the class matrix is unimodular.  Braid
 moves mutate neighbouring pairs through reflections with a sign, the shift
 move negates one class, and both preserve numerical exceptionality.
+
+A class in these collections has one to three nonzero entries, so every
+pairing is a sum over the supports of the classes and no dense n x n matrix
+is formed.  Exceptionality pairs each Gram row x^T E only with the earlier
+classes nonzero where it is, and names the failure a dense scan would name
+first.  Fullness is decided by the sparse fraction-free elimination of
+``exact.sparse_determinant``.  The reflection at a class, which a braid move
+and the Coxeter element of a collection use, is memoised per lattice.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     IndexOutOfRange,
@@ -19,7 +28,18 @@ from .errors import (
     RankMismatch,
     ValidationError,
 )
-from .exact import Mat, Vec, determinant, dot, identity, sparse_mat_vec, transpose, vec_neg
+from .exact import (
+    Mat,
+    Sparse,
+    Vec,
+    dot,
+    identity,
+    sparse,
+    sparse_determinant,
+    sparse_mat_vec,
+    transpose,
+    vec_neg,
+)
 from .lattice import RootLattice
 from .weyl import WeylElement, reflection_transvection
 
@@ -39,6 +59,11 @@ class KCollection:
 
     def __len__(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def supports(self) -> tuple[Sparse, ...]:
+        """The nonzero entries of each class."""
+        return tuple(map(sparse, self.classes))
 
 
 def simples_collection(lattice: RootLattice) -> KCollection:
@@ -60,20 +85,37 @@ def euler_gram(k: KCollection) -> Mat:
 
 
 def numerically_exceptional(k: KCollection) -> ExceptionalityCheck:
-    """Unit upper triangularity of the Euler Gram matrix, with first failure."""
-    gram = euler_gram(k)
-    n = len(gram)
-    for i in range(n):
-        if gram[i][i] != 1:
-            return ExceptionalityCheck(False, (i, i, gram[i][i], 1))
-        for j in range(i):
-            if gram[i][j] != 0:
-                return ExceptionalityCheck(False, (i, j, gram[i][j], 0))
+    """Unit upper triangularity of the Euler Gram matrix, with first failure.
+
+    The Gram row x_i^T E is the sum of the Euler rows in the support of x_i,
+    and each of its entries is paired only with the classes j <= i nonzero
+    at that coordinate, found through an index of the classes by coordinate;
+    the other entries of row i are zero.  Row by row, the diagonal is
+    checked first, then the lowest j < i.
+    """
+    euler = k.lattice.euler_rows
+    holders: dict[int, list[tuple[int, int]]] = {}  # coordinate -> (j, x_j there)
+    for i, xs in enumerate(k.supports):
+        for c, a in xs:
+            holders.setdefault(c, []).append((i, a))
+        row: dict[int, int] = {}
+        for c, a in xs:
+            for d, e in euler[c]:
+                for j, b in holders.get(d, ()):
+                    row[j] = row.get(j, 0) + a * e * b
+        diagonal = row.pop(i, 0)
+        if diagonal != 1:
+            return ExceptionalityCheck(False, (i, i, diagonal, 1))
+        below = [j for j, value in row.items() if value]
+        if below:
+            j = min(below)
+            return ExceptionalityCheck(False, (i, j, row[j], 0))
     return ExceptionalityCheck(True)
 
 
 def is_full(k: KCollection) -> bool:
-    return determinant(k.classes) in (1, -1)
+    """Whether the class matrix is unimodular, by sparse elimination."""
+    return sparse_determinant(k.supports) in (1, -1)
 
 
 Move = tuple  # ("b", i, +1) | ("b", i, -1) | ("e", i)

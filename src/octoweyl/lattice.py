@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 
 from .errors import NotOctopus
 from .exact import Mat, Sparse, Vec, integer_kernel, sparse_form, sparse_rows, transpose
@@ -40,11 +41,7 @@ def euler_matrix(q: BoundQuiver) -> Mat:
 
 
 def cartan_matrix(q: BoundQuiver) -> Mat:
-    c = euler_matrix(q)
-    ct = transpose(c)
-    return tuple(
-        tuple(a + b for a, b in zip(row, col)) for row, col in zip(c, ct)
-    )
+    return root_lattice(q).cartan
 
 
 def euler_characteristic(w: Weights) -> Fraction:
@@ -78,6 +75,15 @@ class RootLattice:
     vertices: tuple
     euler: Mat
     cartan: Mat
+
+    # The caches keyed by a lattice hash it on every lookup, and its fields
+    # hold two n x n matrices: hash them once.  Equality stays field-wise.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.weights, self.vertices, self.euler, self.cartan))
 
     @property
     def rank(self) -> int:
@@ -164,12 +170,15 @@ def delta_vector(lattice: RootLattice) -> Vec:
 
 
 def root_lattice(q: BoundQuiver) -> RootLattice:
+    """The lattice of q, whose Cartan matrix is E + E^T for its one Euler
+    matrix E."""
+    e = euler_matrix(q)
     return RootLattice(
         kind=q.kind,
         weights=q.weights,
         vertices=q.vertices,
-        euler=euler_matrix(q),
-        cartan=cartan_matrix(q),
+        euler=e,
+        cartan=tuple(tuple(map(add, row, col)) for row, col in zip(e, transpose(e))),
     )
 
 

@@ -69,12 +69,10 @@ from .exact import (
     Mat,
     Sparse,
     Vec,
-    dot,
     identity,
     mat_inv,
     mat_mul,
     sparse,
-    sparse_mat_vec,
     transpose,
 )
 from .lattice import RootLattice
@@ -425,6 +423,17 @@ def preserves_form(lattice: RootLattice, m: Mat) -> bool:
     return mat_mul(mat_mul(transpose(m), lattice.cartan), m) == lattice.cartan
 
 
+def _cartan_image(lattice: RootLattice, u: Sparse) -> tuple[dict[int, int], int]:
+    """q = I u as {index: value}, the sum of the Cartan rows (equally, the
+    columns: the form is symmetric) in the support of u, and I(u, u)."""
+    rows = lattice.cartan_rows
+    q: dict[int, int] = {}
+    for i, a in u:
+        for j, c in rows[i]:
+            q[j] = q.get(j, 0) + a * c
+    return q, sum(a * q.get(i, 0) for i, a in u)
+
+
 def transvection_preserves_form(lattice: RootLattice, t: Transvection) -> bool:
     """Whether I - u p^T preserves the Cartan form, in the supports of p and q.
 
@@ -434,12 +443,7 @@ def transvection_preserves_form(lattice: RootLattice, t: Transvection) -> bool:
     trivially outside the supports of p and q.  For a reflection p = q and
     I(u, u) = 2; for a translation u = delta spans the radical and q = 0.
     """
-    rows = lattice.cartan_rows
-    q: dict[int, int] = {}
-    for i, a in t.u:
-        for j, c in rows[i]:
-            q[j] = q.get(j, 0) + a * c
-    norm = sum(a * q.get(i, 0) for i, a in t.u)
+    q, norm = _cartan_image(lattice, t.u)
     p = dict(t.p)
     support = set(p).union(j for j, c in q.items() if c)
     pq = [(p.get(i, 0), q.get(i, 0)) for i in support]
@@ -453,17 +457,21 @@ def _checked(lattice: RootLattice, g: WeylElement) -> WeylElement:
     return g
 
 
+@lru_cache(maxsize=GENERATOR_CACHE)
 def reflection_transvection(lattice: RootLattice, alpha: Vec) -> Transvection:
     """(alpha, C alpha): the reflection x -> x - I(x, alpha) alpha as a transvection.
 
+    C alpha and I(alpha, alpha) are sums over the support of alpha.
     I(alpha, alpha) = 2 is the only check; it holds exactly when the map is
-    an isometry of the Cartan form.
+    an isometry of the Cartan form.  Memoised per (lattice, class), so the
+    collections of a braid orbit, which share most of their classes, share
+    those classes' reflections.
     """
-    q = sparse_mat_vec(lattice.cartan_rows, alpha)
-    norm = dot(alpha, q)
+    u = sparse(alpha)
+    q, norm = _cartan_image(lattice, u)
     if norm != 2:
         raise NotNormTwo(f"I(a, a) = {norm} != 2 for a = {alpha}")
-    return Transvection(sparse(alpha), sparse(q))
+    return Transvection(u, tuple(sorted((j, c) for j, c in q.items() if c)))
 
 
 def reflection(lattice: RootLattice, alpha: Vec, word: Word | None = None) -> WeylElement:

@@ -27,7 +27,13 @@ the generators' form checks run too.  An element is its moved rows: the
 translation and twist suites, ``order_of`` and ``group_enumerate`` run with
 ``expand_rows`` disabled too, so none of them builds a dense matrix.  The
 integer back-substitution of ``serre_coxeter_matrix`` is checked against
-the dense ``mat_inv`` product.
+the dense ``mat_inv`` product.  The K-theory pairings run over the supports
+of the classes: the sparse fraction-free elimination is checked against the
+dense Bareiss ``determinant`` of ``oracles.py`` on singular, permuted and
+repeated-row matrices, ``numerically_exceptional`` against a scan of the
+dense Gram matrix on braid images with planted failures, and the reflection
+at a class against ``C alpha`` over all Cartan rows; the mutations suite
+runs with the dense kernels disabled.
 """
 
 import random
@@ -39,14 +45,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octoweyl import exact, weyl
+from octoweyl import exact, ktheory, weyl
 from octoweyl.cone import DualPoint, is_regular, make_dominant
-from octoweyl.errors import BudgetExceeded, NotInConeWithinBudget
-from octoweyl.exact import dot, identity, mat_inv, mat_mul, mat_vec, transpose
+from octoweyl.errors import BudgetExceeded, NotInConeWithinBudget, NotNormTwo
+from octoweyl.exact import (
+    dot,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    sparse,
+    sparse_determinant,
+    sparse_mat_vec,
+    sparse_rows,
+    transpose,
+)
 from octoweyl.ktheory import (
     KCollection,
     braid_act,
+    braid_word_act,
     euler_gram,
+    is_full,
+    numerically_exceptional,
     simples_collection,
     twist_matrix,
 )
@@ -59,6 +79,7 @@ from octoweyl.suites import (
     draws_below_19,
     suite_artin,
     suite_cone,
+    suite_mutations,
     suite_presentations,
     suite_prop44,
     suite_semidirect,
@@ -85,6 +106,7 @@ from octoweyl.weyl import (
     product_rows,
     project_p,
     reflection,
+    reflection_transvection,
     root_orbit,
     serre_coxeter_matrix,
     simple_reflection,
@@ -93,7 +115,7 @@ from octoweyl.weyl import (
     translation_word,
 )
 
-from oracles import identity_element
+from oracles import determinant, identity_element
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 
@@ -909,3 +931,167 @@ def test_failing_outcomes_carry_the_dense_products():
             assert outcome.lhs_matrix is outcome.rhs_matrix is None
         else:
             assert (outcome.lhs_matrix, outcome.rhs_matrix) == (lhs, rhs)
+
+
+@st.composite
+def planted_matrices(draw):
+    """A square integer matrix of size 0-10: generic, mostly zero, with a
+    repeated or dependent row (singular), or a permuted triangular one,
+    which the dense elimination can only finish with row swaps."""
+    n = draw(st.integers(0, 10), label="n")
+    shape = draw(st.sampled_from(("generic", "sparse", "repeated", "permuted")), label="shape")
+    entries = st.integers(-9, 9) if shape == "generic" else st.sampled_from((0, 0, 0, 1, -1, 2))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n), label="row") for _ in range(n)]
+    if shape == "repeated" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2), label="multiple")
+        rows[j] = [c * a for a in rows[i]]
+    elif shape == "permuted":
+        for i in range(n):
+            rows[i][:i] = [0] * i
+            rows[i][i] = draw(st.sampled_from((1, -1, 2)), label="diagonal")
+        rows = [rows[i] for i in draw(st.permutations(range(n)), label="order")]
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_matrices())
+def test_sparse_determinant_matches_dense_bareiss(a):
+    assert sparse_determinant(sparse_rows(a)) == determinant(a)
+
+
+def test_sparse_determinant_examples():
+    assert sparse_determinant(()) == 1
+    assert sparse_determinant(sparse_rows(((0, 1), (1, 0)))) == -1
+    assert sparse_determinant(sparse_rows(((2, 1), (4, 2)))) == 0
+    assert sparse_determinant(sparse_rows(((0, 0), (1, 1)))) == 0
+    # Pivots 3, 8, 8, -55: the last row waits two pivots before it is scaled
+    # up to date, and the last two pivots sit in swapped columns.
+    a = ((3, 1, 0, 0), (1, 3, 1, 0), (0, 1, 3, 1), (0, 0, 1, 3))
+    assert sparse_determinant(sparse_rows(a)) == determinant(a) == 55
+
+
+def dense_exceptionality(k):
+    """The scan over the dense Gram matrix: each row's diagonal entry, then
+    its entries below the diagonal from the left."""
+    gram = [[dot(x, mat_vec(k.lattice.euler, y)) for y in k.classes] for x in k.classes]
+    for i, row in enumerate(gram):
+        if row[i] != 1:
+            return False, (i, i, row[i], 1)
+        for j in range(i):
+            if row[j] != 0:
+                return False, (i, j, row[j], 0)
+    return True, None
+
+
+def planted_collection(lat, data):
+    """The image of the simples under a drawn word of braid moves and
+    shifts, with a drawn defect: two classes swapped, one class scaled (to
+    zero, too), or a multiple of one class added to another."""
+    simples = simples_collection(lat)
+    mu = len(simples)
+    moves = [("b", i, s) for i in range(1, mu) for s in (1, -1)]
+    moves += [("e", i) for i in range(1, mu + 1)]
+    word = data.draw(st.lists(st.sampled_from(moves), max_size=8), label="word")
+    classes = list(braid_word_act(simples, word).classes)
+    plant = data.draw(st.sampled_from(("none", "swap", "scale", "add")), label="plant")
+    i, j = data.draw(st.lists(st.integers(0, mu - 1), min_size=2, max_size=2, unique=True))
+    c = data.draw(st.sampled_from((-2, -1, 0, 1, 2)), label="c")
+    if plant == "swap":
+        classes[i], classes[j] = classes[j], classes[i]
+    elif plant == "scale":
+        classes[i] = tuple(c * a for a in classes[i])
+    elif plant == "add":
+        classes[i] = tuple(a + c * b for a, b in zip(classes[i], classes[j]))
+    return KCollection(tuple(classes), lat)
+
+
+k_lattices = st.builds(
+    _lattice, st.sampled_from(DEFAULT_CATALOG + ((2, 3, 20),)), st.sampled_from(("star", "octopus"))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_lattices, st.data())
+def test_numerically_exceptional_matches_the_dense_scan(lat, data):
+    k = planted_collection(lat, data)
+    check = numerically_exceptional(k)
+    assert (check.ok, check.witness) == dense_exceptionality(k)
+    assert is_full(k) == (determinant(k.classes) in (1, -1))
+
+
+def test_numerically_exceptional_planted_failures():
+    lat = _lattice((2, 3, 20), "octopus")
+    classes = simples_collection(lat).classes
+    e = list(classes)
+
+    def witness(cs):
+        k = KCollection(tuple(cs), lat)
+        check = numerically_exceptional(k)
+        assert (check.ok, check.witness) == dense_exceptionality(k)
+        return check.witness
+
+    # The hub class 0 pairs with -1 against each first arm vertex, which
+    # comes after it in the canonical order.
+    arms = [j for j in range(1, lat.rank) if lat.euler[0][j]]
+    a, b = arms[0], arms[1]
+    e[5] = tuple(2 * x for x in classes[5])
+    assert witness(e) == (5, 5, 4, 1)
+    # A zero class has an empty Gram row, so its diagonal entry is 0.
+    e[3] = (0,) * lat.rank
+    assert witness(e) == (3, 3, 0, 1)
+    # A class moved below two classes it pairs with: the lowest j is named.
+    e = list(classes)
+    e.insert(b, e.pop(0))
+    assert witness(e) == (b, a - 1, lat.euler[0][a], 0)
+    # A bad diagonal in the same row as a bad entry below it: the diagonal
+    # comes first; a later bad row does not matter.
+    e[b] = tuple(2 * x for x in e[b])
+    e[-1] = tuple(3 * x for x in e[-1])
+    assert witness(e) == (b, b, 4, 1)
+
+
+def cartan_image_cases(lat, data):
+    """Candidate classes: simples, sums and differences of two simples,
+    doubled simples, classes of a braid word, delta, and random vectors."""
+    n = lat.rank
+    simples = simples_collection(lat)
+    basis = simples.classes
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    word = data.draw(st.lists(st.sampled_from([("b", k, 1) for k in range(1, n)]), max_size=5))
+    candidates = [
+        basis[i],
+        tuple(map(add, basis[i], basis[j])),
+        tuple(a - b for a, b in zip(basis[i], basis[j])),
+        tuple(2 * a for a in basis[i]),
+        *braid_word_act(simples, word).classes,
+        data.draw(int_vecs(n), label="random"),
+    ]
+    if lat.is_octopus:
+        candidates.append(lat.delta)
+    return candidates
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices, st.data())
+def test_support_cartan_image_matches_sparse_mat_vec(lat, data):
+    weyl.reflection_transvection.cache_clear()
+    for alpha in cartan_image_cases(lat, data):
+        q = sparse_mat_vec(lat.cartan_rows, alpha)
+        if dot(alpha, q) == 2:
+            t = reflection_transvection(lat, alpha)
+            assert (t.u, t.p) == (sparse(alpha), sparse(q))
+        else:
+            with pytest.raises(NotNormTwo):
+                reflection_transvection(lat, alpha)
+
+
+def test_mutations_suite_runs_without_dense_kernels(monkeypatch):
+    # Gram rows, pairings and fullness go over the classes' supports: no
+    # dense Gram matrix, no dense determinant, no dense product.
+    weights = DEFAULT_CATALOG + ((4, 4, 4, 4),)
+    warm = {w: suite_mutations(w) for w in weights}
+    assert all(report["pass"] for report in warm.values())
+    refuse_dense_kernels(monkeypatch, determinant, ktheory.euler_gram)
+    for w in weights:
+        assert suite_mutations(w) == warm[w]

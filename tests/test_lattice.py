@@ -11,19 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octoweyl import lattice
 from octoweyl.errors import NotOctopus
 from octoweyl.exact import mat_vec, transpose
 from octoweyl.lattice import (
+    RootLattice,
     cartan_matrix,
     delta_vector,
     euler_characteristic,
     euler_matrix,
     octopus_lattice,
     radical_basis,
+    root_lattice,
     star_lattice,
     weyl_class,
 )
-from octoweyl.quiver import Weights, build_octopus, build_star, default_lambda
+from octoweyl.quiver import BoundQuiver, Weights, build_octopus, build_star, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
 
 from oracles import is_unit_upper_triangular
@@ -200,3 +203,45 @@ def test_tampered_quiver_rejected_at_validation():
     )
     with _pytest.raises(InvalidQuiver):
         euler_matrix(extra_relation)
+
+
+class CountedVertices(tuple):
+    """A vertex tuple that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_lattice_hash_is_computed_once_and_follows_equality():
+    w = Weights((2, 3, 4))
+    a = root_lattice(build_octopus(w, default_lambda(3)))
+    b = root_lattice(build_octopus(w, default_lambda(3)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != star_lattice(w)
+    counted = RootLattice(a.kind, a.weights, CountedVertices(a.vertices), a.euler, a.cartan)
+    for _ in range(3):
+        assert hash(counted) == hash(a)
+    assert counted == a
+    assert CountedVertices.hashes == 1
+
+
+def test_lattice_build_makes_one_euler_matrix(monkeypatch):
+    calls = {"euler_matrix": 0, "validate": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lattice, "euler_matrix", counted("euler_matrix", lattice.euler_matrix))
+    monkeypatch.setattr(BoundQuiver, "validate", counted("validate", BoundQuiver.validate))
+    w = Weights((2, 3, 150))
+    # Past the lattice cache, so the lattice is really built.
+    lat = lattice._cached_lattice.__wrapped__("octopus", w, default_lambda(3))
+    assert calls == {"euler_matrix": 1, "validate": 1}
+    assert lat.cartan == cartan_matrix(build_octopus(w, default_lambda(3)))
