@@ -32,11 +32,9 @@ from .exact import (
     Mat,
     Sparse,
     Vec,
-    dot,
     identity,
     sparse,
     sparse_determinant,
-    sparse_mat_vec,
     transpose,
     vec_neg,
 )
@@ -76,12 +74,6 @@ def simples_collection(lattice: RootLattice) -> KCollection:
 class ExceptionalityCheck:
     ok: bool
     witness: tuple | None = None  # (i, j, value, expected) on first failure
-
-
-def euler_gram(k: KCollection) -> Mat:
-    """<x, y> for every ordered pair of classes, with E y computed once per class."""
-    e_classes = [sparse_mat_vec(k.lattice.euler_rows, y) for y in k.classes]
-    return tuple(tuple(dot(x, ey) for ey in e_classes) for x in k.classes)
 
 
 def numerically_exceptional(k: KCollection) -> ExceptionalityCheck:

@@ -17,7 +17,6 @@ from operator import add
 from .errors import NotOctopus
 from .exact import Mat, Sparse, Vec, integer_kernel, sparse_form, sparse_rows, transpose
 from .quiver import (
-    EXT,
     BoundQuiver,
     LambdaTuple,
     Weights,
@@ -133,40 +132,46 @@ class RootLattice:
     def star_vertices(self) -> tuple:
         return self.vertices[:-1] if self.is_octopus else self.vertices
 
+    @cached_property
     def star_lattice(self) -> "RootLattice":
+        """The star lattice of an octopus, checked once to carry the form
+        that the octopus form induces on the quotient by delta."""
         if not self.is_octopus:
-            return self
-        return star_lattice(self.weights)
+            raise NotOctopus("only an octopus lattice has a star quotient")
+        star = star_lattice(self.weights)
+        if star.cartan != tuple(row[:-1] for row in self.cartan[:-1]):
+            raise ValueError("the star form is not the form induced on the quotient by delta")
+        return star
 
     # Split basis for an octopus: (star simples in canonical order, delta),
-    # realized by substituting e_{1*} = e_1 + delta.
-    def to_split(self, x: Vec) -> Vec:
+    # realized by substituting e_{1*} = e_1 + delta: ``to_split`` is
+    # x -> x + x_j e_i, with (i, j) the hub and 1*, and ``from_split`` its inverse.
+    @cached_property
+    def split_indices(self) -> tuple[int, int]:
         if not self.is_octopus:
             raise NotOctopus("split basis only exists for an octopus lattice")
-        return (x[0] + x[-1],) + x[1:-1] + (x[-1],)
+        return 0, self.rank - 1
+
+    def to_split(self, x: Vec) -> Vec:
+        i, j = self.split_indices
+        return x[:i] + (x[i] + x[j],) + x[i + 1 :]
 
     def from_split(self, y: Vec) -> Vec:
-        if not self.is_octopus:
-            raise NotOctopus("split basis only exists for an octopus lattice")
-        return (y[0] - y[-1],) + y[1:-1] + (y[-1],)
+        i, j = self.split_indices
+        return y[:i] + (y[i] - y[j],) + y[i + 1 :]
 
     def star_part(self, x: Vec) -> Vec:
         """Image of x under the projection that kills delta, in star coordinates."""
         return self.to_split(x)[:-1]
 
     def delta_coordinate(self, x: Vec) -> int:
-        if not self.is_octopus:
-            raise NotOctopus("no delta coordinate on a star lattice")
-        return x[-1]
+        return x[self.split_indices[1]]
 
 
 def delta_vector(lattice: RootLattice) -> Vec:
     """The radical vector e_{1*} - e_1 of an octopus lattice."""
-    if EXT not in lattice.vertices:
-        raise NotOctopus("lattice has no extension vertex")
-    e_hub = lattice.basis_vector("1")
-    e_ext = lattice.basis_vector(EXT)
-    return tuple(a - b for a, b in zip(e_ext, e_hub))
+    i, j = lattice.split_indices
+    return tuple(int(k == j) - int(k == i) for k in range(lattice.rank))
 
 
 def root_lattice(q: BoundQuiver) -> RootLattice:

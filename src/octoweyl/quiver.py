@@ -28,16 +28,6 @@ def vertex_str(v: Vertex) -> str:
     return v
 
 
-def parse_vertex(text: str) -> Vertex:
-    s = text.strip()
-    if s in (HUB, EXT):
-        return s
-    if s.startswith("(") and s.endswith(")"):
-        i, j = s[1:-1].split(",")
-        return (int(i), int(j))
-    raise InvalidQuiver(f"cannot parse vertex label {text!r}")
-
-
 @dataclass(frozen=True)
 class Weights:
     """Arm multiplicities (a_1, ..., a_r): at least three arms, each a_i >= 2."""
@@ -167,12 +157,6 @@ class BoundQuiver:
     @property
     def rank(self) -> int:
         return len(self.vertices)
-
-    def index(self, v: Vertex) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError as exc:
-            raise InvalidQuiver(f"unknown vertex {v!r}") from exc
 
     def validate(self) -> None:
         """Reject anything whose shape differs from the star/octopus pattern."""

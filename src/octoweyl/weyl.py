@@ -19,8 +19,8 @@ moves, ``product_rows`` multiplies a word over those rows, starting from
 none, and returns the rows that differ from the identity; relation checks
 compare these row dicts.  An element is its moved rows, and its dense
 matrix is built only on request.  The projection to the star lattice
-conjugates by the split basis change T of ``lattice.to_split`` column by
-column through ``apply``, so no dense product is formed.
+conjugates by the split basis change T of ``lattice.to_split``, itself a
+transvection, in one ``product_rows`` call over T, the element and T^-1.
 
 A translation witness follows the induction tau_v = s_v tau_prev s_v
 tau_prev^-1 and has 2^(j+2) - 2 letters at arm depth j, so it is kept as a
@@ -44,7 +44,8 @@ behind that are made once, not on every product:
   which holds exactly when s_alpha is an isometry;
 - products and inverses of isometries are isometries, so words, products
   and inverses are not re-checked;
-- ``project_p`` checks that the star form is the form that the octopus form
+- the star lattice of an octopus lattice is checked once, when
+  ``project_p`` first looks it up, to carry the form that the octopus form
   induces on the quotient by delta, so the image of an isometry that keeps
   the delta line is again an isometry.
 
@@ -579,36 +580,28 @@ def translation_element(lattice: RootLattice, v) -> WeylElement:
     )
 
 
-def _split_matrix(lattice: RootLattice, w: WeylElement) -> Mat:
-    """T M T^-1 for the split basis change T of ``lattice.to_split``.
-
-    Column k is T M T^-1 e_k, with T^-1 and T taken from
-    ``lattice.from_split`` and ``lattice.to_split`` and M applied through
-    ``w.apply``: n sparse applications, not a dense conjugation.
-    """
-    cols = [
-        lattice.to_split(w.apply(lattice.from_split(unit)))
-        for unit in identity(lattice.rank)
-    ]
-    return transpose(cols)
-
-
 def project_p(lattice: RootLattice, w: WeylElement) -> WeylElement:
-    """Induced action on the quotient by the delta line, in star coordinates."""
-    split = _split_matrix(lattice, w)
+    """Induced action on the quotient by the delta line, in star coordinates.
+
+    T M T^-1, for the transvection T of ``lattice.to_split``, is one
+    ``product_rows`` call over row i of T and the moved rows of M.  M keeps
+    the delta line exactly when column n - 1 is 0 above the corner and the
+    corner is +-1; the held rows above the corner, cut there, are the image.
+    """
+    i, j = lattice.split_indices
+    t = Transvection(((i, 1),), ((j, -1),))
     n = lattice.rank
-    if any(split[i][n - 1] != 0 for i in range(n - 1)) or split[n - 1][n - 1] not in (1, -1):
+    rows = product_rows(n, (t, w, t.inverse()))
+    corner = rows.pop(n - 1)[n - 1] if n - 1 in rows else 1
+    if corner not in (1, -1) or any(row[n - 1] for row in rows.values()):
         raise DeltaNotPreserved("matrix does not preserve the delta line")
-    star = lattice.star_lattice()
-    if star.cartan != tuple(row[: n - 1] for row in lattice.cartan[: n - 1]):
-        raise ValueError("the star form is not the form induced on the quotient by delta")
-    block = tuple(row[: n - 1] for row in split[: n - 1])
     word = w.word
     if isinstance(word, WordProgram):
         word = word.relabel({EXT: "1"})
     elif word is not None:
         word = tuple(("1" if g == EXT else g, e) for g, e in word)
-    return WeylElement.from_matrix(block, word)
+    block = tuple(sorted((k, row[: n - 1]) for k, row in rows.items()))
+    return WeylElement(lattice.star_lattice.rank, block, word)
 
 
 def lift_i(lattice: RootLattice, v) -> WeylElement:

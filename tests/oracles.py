@@ -1,6 +1,9 @@
 """Dense matrix predicates and kernels that the tests hold the library's
 sparse kernels to, and the helpers that only the tests need."""
 
+from octoweyl.errors import InvalidQuiver
+from octoweyl.exact import dot, sparse_mat_vec
+from octoweyl.quiver import EXT, HUB
 from octoweyl.weyl import WeylElement
 
 
@@ -39,3 +42,22 @@ def determinant(a) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def euler_gram(k) -> tuple:
+    """The dense Euler Gram matrix <x, y> of a collection's ordered pairs of
+    classes, with E y computed once per class."""
+    e_classes = [sparse_mat_vec(k.lattice.euler_rows, y) for y in k.classes]
+    return tuple(tuple(dot(x, ey) for ey in e_classes) for x in k.classes)
+
+
+def parse_vertex(text: str):
+    """The vertex of a label ``1``, ``1*`` or ``(i,j)``, as ``vertex_str``
+    writes it."""
+    s = text.strip()
+    if s in (HUB, EXT):
+        return s
+    if s.startswith("(") and s.endswith(")"):
+        i, j = s[1:-1].split(",")
+        return (int(i), int(j))
+    raise InvalidQuiver(f"cannot parse vertex label {text!r}")

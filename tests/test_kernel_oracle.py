@@ -9,10 +9,11 @@ bilinear forms against the dense x^T M y.  The one action rule of an
 element (a generator acts through its transvection, any other element as
 I + D over the rows it moves) is checked against ``mat_vec`` and
 ``mat_mul`` on generators, words, products, program nodes and bare
-matrices, and ``order_of`` against a dense power loop.  The translation
-path, which conjugates by the split basis without a dense product, is
-checked against a dense conjugation, and once with the dense kernels
-disabled altogether.  The memoised evaluation of translation witnesses is
+matrices, and ``order_of`` against a dense power loop.  The projection,
+one product over the split transvection, the element and its inverse, is
+checked against a dense conjugation, also on bare elements that move the
+delta line, and the translation suite runs once with the dense kernels and
+``transpose`` disabled altogether.  The memoised evaluation of translation witnesses is
 checked against the flat letters and the dense product, and the
 column-wise closed-form sample check against the sample-by-sample loop it
 replaces.  The layered root window that ``root_orbit`` keeps per lattice
@@ -45,9 +46,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octoweyl import exact, ktheory, weyl
+from octoweyl import exact, weyl
 from octoweyl.cone import DualPoint, is_regular, make_dominant
-from octoweyl.errors import BudgetExceeded, NotInConeWithinBudget, NotNormTwo
+from octoweyl.errors import (
+    BudgetExceeded,
+    DeltaNotPreserved,
+    NotInConeWithinBudget,
+    NotNormTwo,
+)
 from octoweyl.exact import (
     dot,
     identity,
@@ -64,7 +70,6 @@ from octoweyl.ktheory import (
     KCollection,
     braid_act,
     braid_word_act,
-    euler_gram,
     is_full,
     numerically_exceptional,
     simples_collection,
@@ -115,7 +120,7 @@ from octoweyl.weyl import (
     translation_word,
 )
 
-from oracles import determinant, identity_element
+from oracles import determinant, euler_gram, identity_element
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 
@@ -561,21 +566,70 @@ def dense_split_matrix(lat, m):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-@settings(max_examples=40, deadline=None)
+def bare_elements(n, i, j, c):
+    """As bare elements: the elementary matrix I + c e_i e_j^T and the
+    transposition of i and j, which can move the delta line, and the matrix
+    that scales coordinates i and j by 1 + c, which at the hub and 1* keeps
+    the line but scales delta."""
+    elementary = [list(row) for row in identity(n)]
+    elementary[i][j] = c
+    swap = [list(row) for row in identity(n)]
+    swap[i], swap[j] = swap[j], swap[i]
+    scale = [list(row) for row in identity(n)]
+    scale[i][i] = scale[j][j] = 1 + c
+    return [WeylElement.from_matrix(tuple(map(tuple, m))) for m in (elementary, swap, scale)]
+
+
+def check_projection(lat, w) -> bool:
+    """Whether the dense conjugation moves the delta line; project_p must
+    raise exactly then, and otherwise return the dense block."""
+    n = lat.rank
+    split = dense_split_matrix(lat, w.matrix)
+    moved = any(split[k][n - 1] for k in range(n - 1)) or split[n - 1][n - 1] not in (1, -1)
+    if moved:
+        with pytest.raises(DeltaNotPreserved):
+            project_p(lat, w)
+    else:
+        assert project_p(lat, w).matrix == tuple(row[: n - 1] for row in split[: n - 1])
+    return moved
+
+
+@settings(max_examples=60, deadline=None)
 @given(octopus_lattices, st.data())
 def test_project_p_matches_dense_conjugation(lat, data):
-    # Reflections and translations of an octopus lattice all fix delta.
+    # Reflections and translations of an octopus lattice all fix delta; the
+    # bare elements, drawn into about half of the words, need not.
+    n = lat.rank
     gens = [simple_reflection(lat, v) for v in lat.vertices]
     gens += [translation_element(lat, v) for v in lat.star_vertices()]
     gens += [translation_element(lat, v).inverse() for v in lat.star_vertices()]
     picks = data.draw(st.lists(st.sampled_from(gens), max_size=6), label="word")
+    if data.draw(st.booleans(), label="bare"):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = data.draw(st.sampled_from((-2, -1, 1, 2)), label="c")
+        bare = data.draw(st.sampled_from(bare_elements(n, i, j, c)), label="bare element")
+        picks.insert(data.draw(st.integers(0, len(picks)), label="at"), bare)
     w = identity_element(lat)
     for g in picks:
         w = w * g
+    check_projection(lat, w)
+
+
+def test_project_p_on_every_bare_element():
+    # Every bare element of one octopus lattice, so that both answers of the
+    # delta-line test are met, the corner test among them.
+    lat = octopus_lattice((2, 3, 4))
     n = lat.rank
-    split = dense_split_matrix(lat, w.matrix)
-    assert all(split[i][n - 1] == 0 for i in range(n - 1))
-    assert project_p(lat, w).matrix == tuple(row[: n - 1] for row in split[: n - 1])
+    moved = {
+        check_projection(lat, w)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        for w in bare_elements(n, i, j, -1 if i < j else 2)
+    }
+    assert moved == {False, True}
+    with pytest.raises(DeltaNotPreserved):
+        project_p(lat, bare_elements(n, 0, n - 1, 1)[2])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 1729, 4242, 2**40 + 3])
@@ -683,10 +737,12 @@ def refuse_dense_kernels(monkeypatch, *more):
 
 
 def test_translations_suite_runs_without_dense_kernels(monkeypatch):
+    # The projection is one product over the rows it moves: no dense
+    # conjugation, so no transpose either.
     weights = ((2, 3, 7), (2, 3, 12))
     warm = {w: suite_translations(w) for w in weights}
     assert all(report["pass"] for report in warm.values())
-    refuse_dense_kernels(monkeypatch)
+    refuse_dense_kernels(monkeypatch, exact.transpose)
     for w in weights:
         assert suite_translations(w) == warm[w]
 
@@ -1092,6 +1148,6 @@ def test_mutations_suite_runs_without_dense_kernels(monkeypatch):
     weights = DEFAULT_CATALOG + ((4, 4, 4, 4),)
     warm = {w: suite_mutations(w) for w in weights}
     assert all(report["pass"] for report in warm.values())
-    refuse_dense_kernels(monkeypatch, determinant, ktheory.euler_gram)
+    refuse_dense_kernels(monkeypatch, determinant, euler_gram)
     for w in weights:
         assert suite_mutations(w) == warm[w]

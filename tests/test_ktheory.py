@@ -10,7 +10,6 @@ from octoweyl.ktheory import (
     braid_act,
     braid_word_act,
     coxeter_from_collection,
-    euler_gram,
     is_full,
     numerically_exceptional,
     parse_braid_word,
@@ -22,6 +21,8 @@ from octoweyl.ktheory import (
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.weyl import coxeter_element, simple_reflection
+
+from oracles import euler_gram
 
 weight_tuples = st.lists(st.integers(2, 4), min_size=3, max_size=4).map(tuple)
 

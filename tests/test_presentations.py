@@ -25,7 +25,7 @@ from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
 from octoweyl.weyl import evaluate_word, translation_element
 
-from oracles import identity_element
+from oracles import identity_element, parse_vertex
 
 SAMPLE = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 2, 2), (2, 3, 7)]
 
@@ -173,15 +173,9 @@ def test_sigma_words_realize_translations():
         for v in octo.star_vertices():
             word = tuple(sigma_word(v))
             evaluated = evaluate_word(
-                octo, tuple((_parse(label), e) for label, e in word)
+                octo, tuple((parse_vertex(label), e) for label, e in word)
             )
             assert evaluated.matrix == translation_element(octo, v).matrix
-
-
-def _parse(label):
-    from octoweyl.quiver import parse_vertex
-
-    return parse_vertex(label)
 
 
 def test_sigma_word_base_case():

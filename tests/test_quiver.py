@@ -16,10 +16,11 @@ from octoweyl.quiver import (
     default_lambda,
     parse_lambda,
     parse_point,
-    parse_vertex,
     parse_weights,
     vertex_str,
 )
+
+from oracles import parse_vertex
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 

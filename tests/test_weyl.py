@@ -1,5 +1,7 @@
 """Reflections, translations, projections, orbits, Coxeter elements."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 from octoweyl.errors import (
     BudgetExceeded,
     DeltaNotPreserved,
+    NotOctopus,
     NotNormTwo,
     NotStarVertex,
     UnknownGenerator,
 )
 from octoweyl.exact import identity, mat_mul
+from octoweyl import lattice
 from octoweyl.ktheory import braid_act, simples_collection
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
@@ -180,6 +184,29 @@ def test_projection_rejects_delta_breaking_matrix():
         perm[i][j] = 1
     with pytest.raises(DeltaNotPreserved):
         project_p(octo, WeylElement.from_matrix(tuple(tuple(r) for r in perm)))
+
+
+def test_projection_rejects_star_lattice():
+    star = star_lattice((2, 2, 2))
+    with pytest.raises(NotOctopus):
+        project_p(star, simple_reflection(star, "1"))
+
+
+def test_projection_checks_quotient_form_once_per_lattice(monkeypatch):
+    octo = octopus_lattice((2, 3, 5))
+    looked_up = []
+    real = lattice.star_lattice
+    monkeypatch.setattr(lattice, "star_lattice", lambda w: looked_up.append(w) or real(w))
+    fresh = dataclasses.replace(octo)
+    for v in fresh.vertices:
+        project_p(fresh, simple_reflection(fresh, v))
+    assert looked_up == [octo.weights]
+    # A lattice whose star block differs from the star form is refused.
+    cartan = [list(row) for row in octo.cartan]
+    cartan[1][2] = cartan[2][1] = -1
+    bad = dataclasses.replace(octo, cartan=tuple(map(tuple, cartan)))
+    with pytest.raises(ValueError, match="induced on the quotient"):
+        project_p(bad, translation_element(octo, "1"))
 
 
 def test_root_enumeration_counts():
