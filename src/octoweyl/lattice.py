@@ -134,8 +134,7 @@ class RootLattice:
 
     @cached_property
     def star_lattice(self) -> "RootLattice":
-        """The star lattice of an octopus, checked once to carry the form
-        that the octopus form induces on the quotient by delta."""
+        """The star lattice of an octopus, checked once to carry the quotient form."""
         if not self.is_octopus:
             raise NotOctopus("only an octopus lattice has a star quotient")
         star = star_lattice(self.weights)
@@ -143,9 +142,9 @@ class RootLattice:
             raise ValueError("the star form is not the form induced on the quotient by delta")
         return star
 
-    # Split basis for an octopus: (star simples in canonical order, delta),
-    # realized by substituting e_{1*} = e_1 + delta: ``to_split`` is
-    # x -> x + x_j e_i, with (i, j) the hub and 1*, and ``from_split`` its inverse.
+    # Split basis for an octopus: (star simples in canonical order, delta), by
+    # e_{1*} = e_1 + delta.  ``to_split`` is x -> x + x_j e_i for (i, j) = (hub,
+    # 1*), ``from_split`` its inverse; 1* is last, so star coordinates come first.
     @cached_property
     def split_indices(self) -> tuple[int, int]:
         if not self.is_octopus:
@@ -162,7 +161,7 @@ class RootLattice:
 
     def star_part(self, x: Vec) -> Vec:
         """Image of x under the projection that kills delta, in star coordinates."""
-        return self.to_split(x)[:-1]
+        return self.to_split(x)[: self.split_indices[1]]
 
     def delta_coordinate(self, x: Vec) -> int:
         return x[self.split_indices[1]]

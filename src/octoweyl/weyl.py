@@ -44,10 +44,9 @@ behind that are made once, not on every product:
   which holds exactly when s_alpha is an isometry;
 - products and inverses of isometries are isometries, so words, products
   and inverses are not re-checked;
-- the star lattice of an octopus lattice is checked once, when
-  ``project_p`` first looks it up, to carry the form that the octopus form
-  induces on the quotient by delta, so the image of an isometry that keeps
-  the delta line is again an isometry.
+- the star lattice of an octopus is checked once, on its first lookup, to
+  carry the form that the octopus form induces on the quotient by delta, so
+  the image of an isometry that keeps the delta line is an isometry.
 
 A WeylElement built by ``WeylElement.from_matrix`` is taken as given.
 """
@@ -585,23 +584,23 @@ def project_p(lattice: RootLattice, w: WeylElement) -> WeylElement:
 
     T M T^-1, for the transvection T of ``lattice.to_split``, is one
     ``product_rows`` call over row i of T and the moved rows of M.  M keeps
-    the delta line exactly when column n - 1 is 0 above the corner and the
+    the delta line exactly when column j is 0 above the corner and the
     corner is +-1; the held rows above the corner, cut there, are the image.
     """
     i, j = lattice.split_indices
+    lattice.star_lattice  # checks the quotient form once per lattice
     t = Transvection(((i, 1),), ((j, -1),))
-    n = lattice.rank
-    rows = product_rows(n, (t, w, t.inverse()))
-    corner = rows.pop(n - 1)[n - 1] if n - 1 in rows else 1
-    if corner not in (1, -1) or any(row[n - 1] for row in rows.values()):
+    rows = product_rows(lattice.rank, (t, w, t.inverse()))
+    corner = rows.pop(j)[j] if j in rows else 1
+    if corner not in (1, -1) or any(row[j] for row in rows.values()):
         raise DeltaNotPreserved("matrix does not preserve the delta line")
     word = w.word
     if isinstance(word, WordProgram):
         word = word.relabel({EXT: "1"})
     elif word is not None:
         word = tuple(("1" if g == EXT else g, e) for g, e in word)
-    block = tuple(sorted((k, row[: n - 1]) for k, row in rows.items()))
-    return WeylElement(lattice.star_lattice.rank, block, word)
+    block = tuple(sorted((k, row[:j]) for k, row in rows.items()))
+    return WeylElement(j, block, word)
 
 
 def lift_i(lattice: RootLattice, v) -> WeylElement:

@@ -594,7 +594,7 @@ def check_projection(lat, w) -> bool:
     return moved
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(octopus_lattices, st.data())
 def test_project_p_matches_dense_conjugation(lat, data):
     # Reflections and translations of an octopus lattice all fix delta; the
@@ -604,15 +604,18 @@ def test_project_p_matches_dense_conjugation(lat, data):
     gens += [translation_element(lat, v) for v in lat.star_vertices()]
     gens += [translation_element(lat, v).inverse() for v in lat.star_vertices()]
     picks = data.draw(st.lists(st.sampled_from(gens), max_size=6), label="word")
-    if data.draw(st.booleans(), label="bare"):
+    bare = data.draw(st.booleans(), label="bare")
+    if bare:
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         c = data.draw(st.sampled_from((-2, -1, 1, 2)), label="c")
-        bare = data.draw(st.sampled_from(bare_elements(n, i, j, c)), label="bare element")
-        picks.insert(data.draw(st.integers(0, len(picks)), label="at"), bare)
+        b = data.draw(st.sampled_from(bare_elements(n, i, j, c)), label="bare element")
+        picks.insert(data.draw(st.integers(0, len(picks)), label="at"), b)
     w = identity_element(lat)
     for g in picks:
         w = w * g
-    check_projection(lat, w)
+    moved = check_projection(lat, w)
+    if not bare:
+        assert not moved
 
 
 def test_project_p_on_every_bare_element():
