@@ -3,7 +3,8 @@
 Every suite takes a weight tuple (plus optional marked points and bounds),
 runs a family of exact checks, and returns a JSON-ready report with one
 entry per check.  All randomness comes from an explicitly seeded generator
-so reports are reproducible bit for bit.
+so reports are reproducible bit for bit; the translations' closed-form
+samples are drawn in bulk and checked all at once as packed integers.
 
 A suite is a body registered with ``@_suite(name)``.  It gets a prepared
 ``SuiteRun``, records each check with ``run.add`` and returns its bounds;
@@ -15,12 +16,9 @@ are table rows, and rows look up this module's names (``verify``,
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat
-from operator import add, mul, sub
 
 from .cone import DualPoint, is_regular, make_dominant
 from .errors import NotInConeWithinBudget, NotStarVertex, ValidationError
@@ -30,7 +28,6 @@ from .exact import (  # noqa: F401
     Sparse,
     Vec,
     mat_mul,
-    sparse,
     sparse_mat_vec,
     vec_neg,
 )
@@ -232,50 +229,58 @@ ADJOINT_RULES = {
 }
 
 
-def _combine(terms, rows: list[list[int]]) -> list[int]:
-    """The sum of a * rows[j] over the (j, a) terms, entry by entry."""
-    out = [0] * len(rows[0])
-    for j, a in terms:
-        out = list(map(add, out, map(mul, repeat(a), rows[j])))
+# A Mersenne word's top byte b gives getrandbits(5) = b >> 3, below 19 if b < 152.
+_TOP_5_BITS, _REJECTED = bytes(b >> 3 for b in range(256)), bytes(range(152, 256))
+
+
+def bulk_draws_below_19(rng: random.Random, count: int) -> bytearray:
+    """The next count values of ``rng.randrange(19)``.  ``getrandbits(32 k)``
+    is the next k words, lowest first; a word gives at most one value, so no
+    round draws more words than values are missing."""
+    out = bytearray()
+    while len(out) < count:
+        k = count - len(out)
+        words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        out += words[3::4].translate(_TOP_5_BITS, _REJECTED)
     return out
-
-
-def draws_below_19(rng: random.Random, count: int):
-    """The next count values of ``rng.randrange(19)``, drawn as CPython's
-    randrange draws them: 5 random bits at a time until they are below 19."""
-    return islice(filter((19).__gt__, map(rng.getrandbits, repeat(5))), count)
 
 
 def closed_form_samples(
     rng: random.Random, element: WeylElement, c_v: Sparse, delta: Vec, samples: int
 ) -> bool:
-    """Whether element maps x to x - (c_v . x) delta on ``samples`` random x.
+    """Whether element maps x to x - (c_v . x) delta on ``samples`` random x,
+    drawn one sample after another as ``rng.randrange(19) - 9``.
 
-    The coordinates of the samples are drawn one sample after another as
-    ``rng.randrange(19) - 9``.  Row j of the pass holds coordinate j of
-    every sample, so the element's sparse rows and the closed form act on
-    all samples at once, over the rows that it moves or delta touches.  If a
-    sample fails, the generator is left in its state just after that sample,
-    as a loop that stops at the first failing sample leaves it.
+    Coordinate j of all samples is packed as sum_k x_jk 2^(width k), and each
+    row that the element moves or delta touches is compared as one integer
+    combination.  A slot is at most 9 times the row's L1 norm, below
+    2^(width - 1), so the slots pack uniquely and a difference's lowest set
+    bit is in the slot of the first failing sample.  After a failing sample
+    the generator is where a loop that stops there leaves it.
     """
     n = len(delta)
     state = rng.getstate()
-    flat = list(map(sub, draws_below_19(rng, samples * n), repeat(9)))
-    x = [flat[j::n] for j in range(n)]
-    coeff = _combine(c_v, x)
-    first_bad = samples
+    draws = bulk_draws_below_19(rng, samples * n)
     moved = dict(element.rows)
+    c_norm = max(map(abs, delta)) * sum(abs(a) for _, a in c_v)
+    norm = max([1 + c_norm] + [sum(map(abs, row)) for _, row in element.rows])
+    step = ((9 * norm).bit_length() + 8) // 8  # bytes per slot, width = 8 step
+    nines = 9 * int.from_bytes(b"\1".ljust(step, b"\0") * samples, "little")
+    slots = bytearray(step * samples)
+    x = []
+    for j in range(n):
+        slots[::step] = draws[j::n]
+        x.append(int.from_bytes(slots, "little") - nines)
+    coeff = sum(a * x[j] for j, a in c_v)
+    bad = 0  # the OR of the differences, whose lowest set bit is the lowest of any
     for i in moved.keys() | {i for i, d in enumerate(delta) if d}:
-        got = _combine(sparse(moved[i]), x) if i in moved else x[i]
-        expected = list(map(sub, x[i], map(mul, repeat(delta[i]), coeff)))
-        if got != expected:
-            bad = next(k for k, (a, b) in enumerate(zip(got, expected)) if a != b)
-            first_bad = min(first_bad, bad)
-    if first_bad == samples:
+        got = sum(a * y for a, y in zip(moved[i], x) if a) if i in moved else x[i]
+        bad |= got - (x[i] - delta[i] * coeff)
+    if not bad:
         return True
     rng.setstate(state)
-    # Draw again, up to the end of the failing sample.
-    deque(draws_below_19(rng, (first_bad + 1) * n), maxlen=0)
+    # Draw again, up to the end of the first failing sample.
+    bulk_draws_below_19(rng, (((bad & -bad).bit_length() - 1) // (8 * step) + 1) * n)
     return False
 
 

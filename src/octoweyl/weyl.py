@@ -594,13 +594,17 @@ def project_p(lattice: RootLattice, w: WeylElement) -> WeylElement:
     corner = rows.pop(j)[j] if j in rows else 1
     if corner not in (1, -1) or any(row[j] for row in rows.values()):
         raise DeltaNotPreserved("matrix does not preserve the delta line")
-    word = w.word
-    if isinstance(word, WordProgram):
-        word = word.relabel({EXT: "1"})
-    elif word is not None:
-        word = tuple(("1" if g == EXT else g, e) for g, e in word)
+    word = None if w.word is None else _star_word(w.word)
     block = tuple(sorted((k, row[:j]) for k, row in rows.items()))
     return WeylElement(j, block, word)
+
+
+@lru_cache(maxsize=GENERATOR_CACHE)
+def _star_word(word: Witness) -> Witness:
+    """The witness with the extension letter renamed to the hub, once per witness."""
+    if isinstance(word, WordProgram):
+        return word.relabel({EXT: "1"})
+    return tuple(("1" if g == EXT else g, e) for g, e in word)
 
 
 def lift_i(lattice: RootLattice, v) -> WeylElement:

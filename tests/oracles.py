@@ -1,6 +1,8 @@
 """Dense matrix predicates and kernels that the tests hold the library's
 sparse kernels to, and the helpers that only the tests need."""
 
+from itertools import islice, repeat
+
 from octoweyl.errors import InvalidQuiver
 from octoweyl.exact import dot, sparse_mat_vec
 from octoweyl.quiver import EXT, HUB
@@ -61,3 +63,10 @@ def parse_vertex(text: str):
         i, j = s[1:-1].split(",")
         return (int(i), int(j))
     raise InvalidQuiver(f"cannot parse vertex label {text!r}")
+
+
+def draws_below_19(rng, count):
+    """The next count values of ``rng.randrange(19)``, drawn as CPython's
+    randrange draws them: 5 random bits at a time until they are below 19.
+    The reference stream for ``suites.bulk_draws_below_19``."""
+    return islice(filter((19).__gt__, map(rng.getrandbits, repeat(5))), count)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octoweyl import exact, weyl
@@ -81,7 +81,7 @@ from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import (
     DEFAULT_CATALOG,
     closed_form_samples,
-    draws_below_19,
+    bulk_draws_below_19,
     suite_artin,
     suite_cone,
     suite_mutations,
@@ -120,7 +120,7 @@ from octoweyl.weyl import (
     translation_word,
 )
 
-from oracles import determinant, euler_gram, identity_element
+from oracles import determinant, draws_below_19, euler_gram, identity_element
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 
@@ -638,13 +638,34 @@ def test_project_p_on_every_bare_element():
 @pytest.mark.parametrize("seed", [0, 1, 7, 1729, 4242, 2**40 + 3])
 def test_randrange_draws_as_randint(seed):
     # The translations suite's samples, and so the golden digests, rely on
-    # randint(-9, 9), randrange(19) - 9 and the getrandbits(5) stream of
-    # draws_below_19 drawing alike and leaving the same state.
-    a, b, c = random.Random(seed), random.Random(seed), random.Random(seed)
+    # randint(-9, 9), randrange(19) - 9, the getrandbits(5) stream of
+    # draws_below_19 and bulk_draws_below_19 drawing alike and leaving the
+    # same state.
+    a, b, c, d = (random.Random(seed) for _ in range(4))
     expected = [a.randint(-9, 9) for _ in range(500)]
     assert [b.randrange(19) - 9 for _ in range(500)] == expected
     assert [x - 9 for x in draws_below_19(c, 500)] == expected
-    assert a.getstate() == b.getstate() == c.getstate()
+    assert [x - 9 for x in bulk_draws_below_19(d, 500)] == expected
+    assert a.getstate() == b.getstate() == c.getstate() == d.getstate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, 1729, 2**32, 2**64 + 7]), st.integers(0, 2**80)),
+    st.one_of(st.sampled_from([0, 1, 2, 19, 1000, 10**4]), st.integers(0, 3000)),
+)
+@example(0, 0)
+@example(1729, 1)
+@example(2**32, 2)
+@example(0, 19)
+@example(1729, 1000)
+@example(2**64 + 7, 10**4)
+def test_bulk_draws_match_randrange(seed, count):
+    # bulk_draws_below_19 reads CPython's getrandbits word order, so this
+    # runs on every supported Python: same values, same state afterwards.
+    a, b = random.Random(seed), random.Random(seed)
+    assert list(bulk_draws_below_19(b, count)) == [a.randrange(19) for _ in range(count)]
+    assert a.getstate() == b.getstate()
 
 
 @settings(max_examples=30, deadline=None)
@@ -687,10 +708,10 @@ def reference_samples(rng, element, c_v, delta, samples):
     return True, None
 
 
-def wrong_entries(m, *entries):
+def wrong_entries(m, *entries, amount=1):
     rows = [list(r) for r in m]
     for i, j in entries:
-        rows[i][j] += 1
+        rows[i][j] += amount
     return tuple(map(tuple, rows))
 
 
@@ -722,6 +743,45 @@ def test_closed_form_samples_match_the_sample_loop():
                 if k is not None:
                     failing_at.add(k)
     assert failing_at - {0}
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2, 2), (2, 3, 4), (3, 4, 5), (4, 4, 4, 4)])
+def test_packed_check_matches_the_sample_loop_on_any_entry(a):
+    # Wrong entries of either sign and any size, on lattices up to rank 14:
+    # the slots must be wide enough for the rows' values to pack uniquely,
+    # and the first failing sample, read from the lowest set bit, must leave
+    # the generator where the sample loop leaves it.
+    octo = octopus_lattice(Weights(a), default_lambda(len(a)))
+    n = octo.rank
+    verts = octo.star_vertices()
+    failing_at = set()
+    for seed in (0, 1729, 2**40 + 3):
+        x = [v - 9 for v in draws_below_19(random.Random(seed), 100 * n)]
+        # The column whose coordinate stays zero over the most samples.
+        zeros = [next((k for k in range(100) if x[k * n + c]), 100) for c in range(n)]
+        j = zeros.index(max(zeros))
+        for v in (verts[0], verts[-1]):
+            tau = translation_element(octo, v)
+            c_v = octo.cartan_rows[octo.index(v)]
+            for amount in (1, -1, 2**40, -(2**70)):
+                wrong = wrong_entries(tau.matrix, (seed % n, j), amount=amount)
+                # A second wrong row: the earlier failing sample counts.
+                j2 = (j + 1) % n
+                two_wrong = wrong_entries(wrong, ((seed + 1) % n, j2), amount=-amount)
+                cases = (
+                    (tau, 100),
+                    (WeylElement.from_matrix(wrong), zeros[j]),
+                    (WeylElement.from_matrix(two_wrong), min(zeros[j], zeros[j2])),
+                )
+                for element, passing in cases:
+                    for samples in (1, 2, 30, 100):
+                        a_rng, b_rng = random.Random(seed), random.Random(seed)
+                        holds, k = reference_samples(a_rng, element, c_v, octo.delta, samples)
+                        got = closed_form_samples(b_rng, element, c_v, octo.delta, samples)
+                        assert got == holds == (samples <= passing)
+                        assert a_rng.getstate() == b_rng.getstate()
+                        failing_at.add(k)
+    assert failing_at - {0, None}
 
 
 def refuse_dense_kernels(monkeypatch, *more):

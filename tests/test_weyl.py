@@ -15,15 +15,16 @@ from octoweyl.errors import (
     UnknownGenerator,
 )
 from octoweyl.exact import identity, mat_mul
-from octoweyl import lattice
+from octoweyl import lattice, weyl
 from octoweyl.ktheory import braid_act, simples_collection
 from octoweyl.lattice import octopus_lattice, star_lattice
-from octoweyl.quiver import Weights, default_lambda
+from octoweyl.quiver import EXT, Weights, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
 from octoweyl.weyl import (
     Finite,
     Truncated,
     WeylElement,
+    WordProgram,
     coxeter_element,
     enumerate_real_roots,
     enumerate_until_stable,
@@ -207,6 +208,22 @@ def test_projection_checks_quotient_form_once_per_lattice(monkeypatch):
     bad = dataclasses.replace(octo, cartan=tuple(map(tuple, cartan)))
     with pytest.raises(ValueError, match="induced on the quotient"):
         project_p(bad, translation_element(octo, "1"))
+
+
+def test_projection_renames_each_witness_once(monkeypatch):
+    octo = octopus_lattice((2, 3, 5))
+    tau = translation_element(octo, (3, 4))
+    walked = []
+    real = WordProgram.relabel
+    monkeypatch.setattr(
+        WordProgram, "relabel", lambda word, rename: walked.append(word) or real(word, rename)
+    )
+    weyl._star_word.cache_clear()
+    first, second = project_p(octo, tau), project_p(octo, tau)
+    assert walked == [tau.word]
+    assert first.word is second.word
+    assert first.word == real(tau.word, {EXT: "1"})
+    assert list(first.word) == [("1" if g == EXT else g, e) for g, e in tau.word]
 
 
 def test_root_enumeration_counts():
