@@ -307,10 +307,7 @@ def suite_translations(run: SuiteRun) -> dict:
     for v in star_verts:
         rv = simple_reflection(octo, v)
         for u in star_verts:
-            rule = ADJOINT_RULES.get(octo.cartan[octo.index(v)][octo.index(u)])
-            if rule is None:
-                continue
-            tag, rhs = rule
+            tag, rhs = ADJOINT_RULES[octo.cartan[octo.index(v)][octo.index(u)]]
             lhs = product_rows(n, (rv, translations[u], rv))
             holds = lhs == product_rows(n, rhs(translations, inverses, v, u))
             run.add(tag, holds, pair=[vertex_str(v), vertex_str(u)])

@@ -25,12 +25,16 @@ transvection, in one ``product_rows`` call over T, the element and T^-1.
 A translation witness follows the induction tau_v = s_v tau_prev s_v
 tau_prev^-1 and has 2^(j+2) - 2 letters at arm depth j, so it is kept as a
 straight-line program, a ``WordProgram``: a DAG of named subwords whose
-inverse is a flag and whose length is counted, not expanded.  Inverting,
-multiplying and relabelling a witness builds O(1) or O(nodes) new nodes,
-and ``evaluate_program`` multiplies it out by memoised products of its
+inverse is a flag and whose length is counted, not expanded.
+``evaluate_program`` multiplies it out by memoised products of its
 subwords, O(arm length) products where the flat word had 2^(j+2) letters
 (M. Lohrey and S. Schleimer, "Efficient computation in groups via
 compression", CSR 2007).  Iterating a program yields its letters in order.
+
+A witness is a label, set where a word is built and read where it is
+evaluated: ``evaluate_word``, the generators, ``translation_element`` and
+``evaluate_program`` keep theirs, while products, inverses and projections
+carry none.  Two elements are equal when their ranks and rows are.
 
 Every WeylElement this module builds preserves the Cartan form.  The checks
 behind that are made once, not on every product:
@@ -194,20 +198,17 @@ class WordProgram:
     it is counted when a node is built, and ``len`` returns it while it
     fits in an index (below 2^63).  Iteration expands the letters, an
     inverted node yielding its parts in reverse order with negated
-    exponents.  Equality is structural: equal programs expand to the same
-    letters, not conversely.  ``==``, ``hash`` and ``repr`` never expand a
-    program, and ``==`` compares each pair of shared subprograms once.
+    exponents; ``repr`` never expands a program.  Programs compare and hash
+    by identity: a program is evaluated, never compared.
     """
 
     # A plain slotted class: building a dataclass costs milliseconds at import.
-    __slots__ = ("parts", "inverted", "length", "_hash")
+    __slots__ = ("parts", "inverted", "length")
 
     def __init__(self, parts, inverted: bool = False):
         parts = tuple(parts)
         length = sum(p.length if isinstance(p, WordProgram) else 1 for p in parts)
-        # Subprograms hash in O(1) from their own stored hash.
-        values = (parts, inverted, length, hash((parts, inverted)))
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, (parts, inverted, length)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -232,68 +233,12 @@ class WordProgram:
                 g, e = item
                 yield (g, -e) if flip else item
 
-    def __add__(self, other) -> "WordProgram":
-        """Concatenation with a program or a tuple of letters."""
-        return WordProgram(_parts(self) + _parts(other))
-
-    def __radd__(self, other) -> "WordProgram":
-        return WordProgram(_parts(other) + _parts(self))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WordProgram):
-            return NotImplemented
-        return _same_program(self, other, set())
-
     def __repr__(self) -> str:
         flag = ", inverted" if self.inverted else ""
         return f"WordProgram({len(self.parts)} parts, {self.length} letters{flag})"
 
-    def relabel(self, rename: dict) -> "WordProgram":
-        """The program with each letter's generator g replaced by
-        ``rename.get(g, g)``; shared subprograms are relabelled once."""
-        done: dict[int, tuple] = {}
-
-        def walk(node: WordProgram) -> WordProgram:
-            parts = done.get(id(node.parts))
-            if parts is None:
-                parts = tuple(
-                    walk(p) if isinstance(p, WordProgram) else (rename.get(p[0], p[0]), p[1])
-                    for p in node.parts
-                )
-                done[id(node.parts)] = parts
-            return WordProgram(parts, node.inverted)
-
-        return walk(self)
-
 
 Witness = Word | WordProgram
-
-
-def _parts(word: Witness) -> tuple:
-    return (word,) if isinstance(word, WordProgram) else tuple(word)
-
-
-def _same_program(a: WordProgram, b: WordProgram, proven: set) -> bool:
-    """Structural equality; ``proven`` holds the pairs of part tuples already
-    found equal, so a subprogram shared k times is compared once, not 2^k."""
-    if a.inverted != b.inverted or a._hash != b._hash or a.length != b.length:
-        return False
-    key = (id(a.parts), id(b.parts))
-    if a.parts is b.parts or key in proven:
-        return True
-    if len(a.parts) != len(b.parts):
-        return False
-    for x, y in zip(a.parts, b.parts):
-        if isinstance(x, WordProgram) and isinstance(y, WordProgram):
-            if not _same_program(x, y, proven):
-                return False
-        elif isinstance(x, WordProgram) or isinstance(y, WordProgram) or x != y:
-            return False
-    proven.add(key)
-    return True
 
 
 @dataclass(frozen=True)
@@ -302,9 +247,11 @@ class WeylElement:
     and factorisation.
 
     ``rows`` holds (k, M_k) for each row k in which the matrix M differs
-    from e_k, sorted by k; ``matrix`` is built from them on request.  The
-    witness is a tuple of letters (g, e) or, for a translation and the
-    elements built from one, a ``WordProgram``.
+    from e_k, sorted by k; ``matrix`` is built from them on request.  An
+    element is its rows: equality and hash read ``rank`` and ``rows`` only.
+    The witness ``word`` is a label, a tuple of letters (g, e) or, for a
+    translation, a ``WordProgram``, set by the functions that build an
+    element from a word; products, inverses and projections carry none.
 
     An element acts by one rule.  A generator, an element whose ``factors``
     is exactly one transvection, acts through that transvection, and its
@@ -323,7 +270,7 @@ class WeylElement:
 
     rank: int
     rows: tuple[tuple[int, Vec], ...]
-    word: Witness | None = None
+    word: Witness | None = field(default=None, compare=False)
     factors: tuple[Transvection, ...] | None = field(
         default=None, compare=False, repr=False
     )
@@ -334,11 +281,11 @@ class WeylElement:
         return multiply(n, factors, word, factors)
 
     @classmethod
-    def from_matrix(cls, m: Mat, word: Witness | None = None) -> "WeylElement":
+    def from_matrix(cls, m: Mat) -> "WeylElement":
         """The element of a square matrix, taken as given."""
         ident = identity(len(m))
         rows = tuple((k, row) for k, row in enumerate(map(tuple, m)) if row != ident[k])
-        return cls(len(m), rows, word)
+        return cls(len(m), rows)
 
     @cached_property
     def matrix(self) -> Mat:
@@ -393,22 +340,18 @@ class WeylElement:
                     r[j] += c * b
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
         factors = None
         if self.factors is not None and other.factors is not None:
             factors = self.factors + other.factors
-        return multiply(self.rank, (self, other), word, factors)
+        return multiply(self.rank, (self, other), factors=factors)
 
     def inverse(self) -> "WeylElement":
-        word = None if self.word is None else inverse_word(self.word)
         if self.factors is not None:
             factors = (f.inverse() for f in reversed(self.factors))
-            return WeylElement.from_factors(self.rank, factors, word)
+            return WeylElement.from_factors(self.rank, factors)
         if not product_rows(self.rank, (self, self)):
-            return WeylElement(self.rank, self.rows, word)
-        return WeylElement.from_matrix(mat_inv(self.matrix), word)
+            return WeylElement(self.rank, self.rows)
+        return WeylElement.from_matrix(mat_inv(self.matrix))
 
     def is_identity(self) -> bool:
         return not self.rows
@@ -541,12 +484,6 @@ def _evaluate_parts(
     return found
 
 
-def inverse_word(word: Witness) -> Witness:
-    if isinstance(word, WordProgram):
-        return word.inverse()
-    return tuple((g, -e) for g, e in reversed(word))
-
-
 @lru_cache(maxsize=GENERATOR_CACHE)
 def translation_word(v) -> WordProgram:
     """Inductive word for the translation at a star vertex, as a program.
@@ -594,17 +531,8 @@ def project_p(lattice: RootLattice, w: WeylElement) -> WeylElement:
     corner = rows.pop(j)[j] if j in rows else 1
     if corner not in (1, -1) or any(row[j] for row in rows.values()):
         raise DeltaNotPreserved("matrix does not preserve the delta line")
-    word = None if w.word is None else _star_word(w.word)
     block = tuple(sorted((k, row[:j]) for k, row in rows.items()))
-    return WeylElement(j, block, word)
-
-
-@lru_cache(maxsize=GENERATOR_CACHE)
-def _star_word(word: Witness) -> Witness:
-    """The witness with the extension letter renamed to the hub, once per witness."""
-    if isinstance(word, WordProgram):
-        return word.relabel({EXT: "1"})
-    return tuple(("1" if g == EXT else g, e) for g, e in word)
+    return WeylElement(j, block)
 
 
 def lift_i(lattice: RootLattice, v) -> WeylElement:
@@ -750,14 +678,11 @@ class Truncated:
     explored: int
 
 
-def group_enumerate(
-    lattice: RootLattice, cap: int, generators: tuple[WeylElement, ...] | None = None
-) -> Finite | Truncated:
-    """Breadth-first closure of the generator matrices under multiplication."""
+def group_enumerate(lattice: RootLattice, cap: int) -> Finite | Truncated:
+    """Breadth-first closure of the simple reflections under multiplication."""
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    if generators is None:
-        generators = tuple(simple_reflection(lattice, v) for v in lattice.vertices)
+    generators = [simple_reflection(lattice, v) for v in lattice.vertices]
     # Elements are moved rows: dicts to multiply, sorted tuples in ``seen``.
     seen = {()}
     frontier = [{}]

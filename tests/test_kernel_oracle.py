@@ -678,11 +678,11 @@ def test_evaluate_program_matches_expansion_and_dense_product(lat, data):
         st.sampled_from(lat.vertices).map(lambda v: ((v, 1),)),
     )
     pieces = data.draw(st.lists(piece, min_size=1, max_size=3), label="pieces")
-    program = pieces[0]
-    for p in pieces[1:]:
-        program = program + p
-    if isinstance(program, tuple):
-        program = translation_word("1") + program
+    # A letter tuple contributes its letters, a program itself as one part.
+    parts = [q for p in pieces for q in ((p,) if isinstance(p, WordProgram) else p)]
+    if not any(isinstance(p, WordProgram) for p in pieces):
+        parts.insert(0, translation_word("1"))
+    program = WordProgram(parts)
     memo = {}
     for word in (program, program.inverse()):
         letters = tuple(word)
