@@ -18,7 +18,7 @@ built only for a relation that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import DimensionMismatch, MissingGenerator
 from .exact import Mat
@@ -109,7 +109,7 @@ def _letters(name: str):
 
 
 # Reflection and translation letter maps of the two paired presentations.
-_SEMIDIRECT_LETTERS = (_letters("w"), _letters("tau"))
+SEMIDIRECT_LETTERS = (_letters("w"), _letters("tau"))
 _VAN_DER_LEK_LETTERS = (_letters("g"), _letters("rho"))
 
 # Tag maps send a relation family to its tag prefix; the Cartan-conditioned
@@ -126,9 +126,8 @@ def _relations(lat: RootLattice, tags: dict, g, t=None):
     involution g_v g_v = 1; pair g_v g_u = g_u g_v if I(v,u) = 0, the braid
     rule if I(v,u) = -1; hub-bound h_i s_1 h_i s_1 = s_1 h_i s_1 h_i;
     arm-bound h_i s_(j,1) = s_(j,1) h_i (a) and h_j s_(i,1) = s_(i,1) h_j (b);
-    translations t_v t_u = t_u t_v; inverse g_v t_v g_v = t_v^-1; adjoint,
-    over ordered pairs, g_v t_u = t_u g_v if I(v,u) = 0 and
-    g_v t_u g_v = t_u t_v if I(v,u) = -1.
+    translations t_v t_u = t_u t_v; inverse and adjoint, the rule-0 and the
+    rule-1/2 entries of ``adjoint_rules``.
     """
     verts = lat.vertices
     c = lat.cartan
@@ -166,18 +165,31 @@ def _relations(lat: RootLattice, tags: dict, g, t=None):
             tag = f"{tags['translations']}/{s[a]},{s[b]}"
             yield Relation(tag, _word(x, y), _word(y, x))
     if "inverse" in tags:
-        for a, v in enumerate(verts):
-            lhs = _word(g(v), t(v), g(v))
-            yield Relation(f"{tags['inverse']}/{s[a]}", lhs, ((t(v), -1),))
+        for v, _, rule, lhs, rhs in adjoint_rules(lat, g, t):
+            if rule == 0:
+                yield Relation(f"{tags['inverse']}/{v}", lhs, rhs)
     if "adjoint" in tags:
-        commute, braid = tags["adjoint"]
-        for a, b in permutations(range(len(verts)), 2):
-            x, y = g(verts[a]), t(verts[b])
-            if c[a][b] == 0:
-                yield Relation(f"{commute}/{s[a]},{s[b]}", _word(x, y), _word(y, x))
-            elif c[a][b] == -1:
-                lhs, rhs = _word(x, y, x), _word(y, t(verts[a]))
-                yield Relation(f"{braid}/{s[a]},{s[b]}", lhs, rhs)
+        for v, u, rule, lhs, rhs in adjoint_rules(lat, g, t):
+            if rule:
+                yield Relation(f"{tags['adjoint'][rule - 1]}/{v},{u}", lhs, rhs)
+
+
+def adjoint_rules(lat: RootLattice, g, t):
+    """Yield ``(v, u, rule, lhs, rhs)`` over the ordered vertex pairs, row by
+    row with the diagonal, with v and u as vertex strings and I = ``lat.cartan``:
+    rule 0 g_v t_v g_v = t_v^-1 (v = u); rule 1 g_v t_u = t_u g_v if
+    I(v,u) = 0; rule 2 g_v t_u g_v = t_u t_v if I(v,u) = -1."""
+    s = [vertex_str(v) for v in lat.vertices]
+    gs = [(g(v), 1) for v in lat.vertices]
+    ts = [(t(v), 1) for v in lat.vertices]
+    for a, row in enumerate(lat.cartan):
+        for b, entry in enumerate(row):
+            if a == b:
+                yield s[a], s[a], 0, (gs[a], ts[a], gs[a]), ((ts[a][0], -1),)
+            elif entry == 0:
+                yield s[a], s[b], 1, (gs[a], ts[b]), (ts[b], gs[a])
+            elif entry == -1:
+                yield s[a], s[b], 2, (gs[a], ts[b], gs[a]), (ts[b], ts[a])
 
 
 def _spec(name: str, lat: RootLattice, tags: dict, g, t=None) -> PresentationSpec:
@@ -203,7 +215,7 @@ def semidirect_spec(w: Weights) -> PresentationSpec:
         "inverse": "4.3e",
         "adjoint": ("4.3f", "4.3g"),
     }
-    return _spec("Semidirect", star_lattice(w), tags, *_SEMIDIRECT_LETTERS)
+    return _spec("Semidirect", star_lattice(w), tags, *SEMIDIRECT_LETTERS)
 
 
 def generalized_coxeter_spec_W(w: Weights) -> PresentationSpec:
@@ -273,7 +285,7 @@ def _paired_assignment(lat: RootLattice, g, t) -> dict:
 
 
 def semidirect_assignment(lat: RootLattice) -> dict:
-    return _paired_assignment(lat, *_SEMIDIRECT_LETTERS)
+    return _paired_assignment(lat, *SEMIDIRECT_LETTERS)
 
 
 def van_der_lek_assignment(lat: RootLattice) -> dict:

@@ -48,6 +48,8 @@ from .lattice import (
     star_lattice,
 )
 from .presentations import (
+    SEMIDIRECT_LETTERS,
+    adjoint_rules,
     artin_spec,
     check_coxeter_power_equivalences,
     generalized_coxeter_spec_W,
@@ -89,16 +91,15 @@ DEFAULT_CATALOG: tuple[tuple[int, ...], ...] = (
     (3, 3, 4),
 )
 
-# Root counts of the finite star diagrams, frozen from the closure oracle.
-FINITE_STAR_ROOT_COUNTS = {
-    (2, 2, 2): 24,
-    (2, 2, 3): 40,
-    (2, 2, 4): 60,
-    (2, 2, 5): 84,
-    (2, 3, 3): 72,
-    (2, 3, 4): 126,
-    (2, 3, 5): 240,
-}
+
+def finite_star_root_count(w: Weights) -> int:
+    """The number of roots of a star with chi > 0, which has weights (2,2,k)
+    or (2,3,k) with k <= 5: (2,2,k) is D_(k+2), with 2(k+2)(k+1) roots, and
+    (2,3,3), (2,3,4), (2,3,5) are E6, E7, E8 (Bourbaki VI, Plates IV-VII)."""
+    _, b, k = sorted(w.a)
+    if b == 2:
+        return 2 * (k + 2) * (k + 1)
+    return {3: 72, 4: 126, 5: 240}[k]
 
 
 @dataclass(frozen=True)
@@ -219,14 +220,8 @@ def suite_prop44(run: SuiteRun) -> None:
     run.add_spec(check_coxeter_power_equivalences(run.w))
 
 
-# r_v tau_u r_v by the Cartan entry of (v, u): the diagonal entry is 2, and
-# two distinct star vertices have entry 0 or -1.  Right-hand sides are words
-# in the translations and their inverses: tau_u^-1, tau_u and tau_v tau_u.
-ADJOINT_RULES = {
-    2: ("adjoint-inverse", lambda tau, inv, v, u: (inv[u],)),
-    0: ("adjoint-commute", lambda tau, inv, v, u: (tau[u],)),
-    -1: ("adjoint-product", lambda tau, inv, v, u: (tau[v], tau[u])),
-}
+# The check names of the translations suite, by rule of ``adjoint_rules``.
+ADJOINT_CHECKS = ("adjoint-inverse", "adjoint-commute", "adjoint-product")
 
 
 # A Mersenne word's top byte b gives getrandbits(5) = b >> 3, below 19 if b < 152.
@@ -304,13 +299,14 @@ def suite_translations(run: SuiteRun) -> dict:
         ok = closed_form_samples(rng, word_el, c_v, octo.delta, cfg.samples)
         run.add("translation-closed-form-samples", ok, vertex=vx, samples=cfg.samples)
 
+    g, t = SEMIDIRECT_LETTERS
+    steps = {}
     for v in star_verts:
-        rv = simple_reflection(octo, v)
-        for u in star_verts:
-            tag, rhs = ADJOINT_RULES[octo.cartan[octo.index(v)][octo.index(u)]]
-            lhs = product_rows(n, (rv, translations[u], rv))
-            holds = lhs == product_rows(n, rhs(translations, inverses, v, u))
-            run.add(tag, holds, pair=[vertex_str(v), vertex_str(u)])
+        steps[g(v), 1] = simple_reflection(octo, v)
+        steps[t(v), 1], steps[t(v), -1] = translations[v], inverses[v]
+    for v, u, rule, lhs, rhs in adjoint_rules(star, g, t):
+        holds = product_rows(n, map(steps.get, lhs)) == product_rows(n, map(steps.get, rhs))
+        run.add(ADJOINT_CHECKS[rule], holds, pair=[v, u])
 
     for v in star_verts:
         vx = vertex_str(v)
@@ -388,16 +384,21 @@ def suite_roots(run: SuiteRun) -> dict:
 
     if chi > 0:
         star_roots = set(enumerate_until_stable(star, cap=cfg.cap))
-        expected = FINITE_STAR_ROOT_COUNTS.get(tuple(sorted(run.w.a)))
+        if cfg.depth is None:
+            # The window needs height(highest root) + n_bound rounds.
+            depth = max(depth, max(map(sum, star_roots)) + cfg.n_bound)
+        expected = finite_star_root_count(run.w)
         run.add(
             "star-count",
-            expected is None or len(star_roots) == expected,
+            len(star_roots) == expected,
             count=len(star_roots),
             expected=expected,
         )
     else:
         star_roots = set(enumerate_real_roots(star, depth, cfg.cap))
-        run.add("star-count-bounded", True, count=len(star_roots), depth=depth)
+        # Real roots have norm two and are positive or negative (Kac, 1.3, 5.1).
+        ok = all(star.form(x, x) == 2 and (min(x) >= 0 or max(x) <= 0) for x in star_roots)
+        run.add("star-count-bounded", ok, count=len(star_roots), depth=depth)
 
     octo_roots = enumerate_real_roots(octo, depth, cfg.cap)
     window = [x for x in octo_roots if abs(octo.delta_coordinate(x)) <= cfg.n_bound]

@@ -7,8 +7,10 @@ import pytest
 from octoweyl.errors import DimensionMismatch, MissingGenerator, NotStarVertex
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.presentations import (
+    SEMIDIRECT_LETTERS,
     PresentationSpec,
     Relation,
+    adjoint_rules,
     artin_spec,
     check_coxeter_power_equivalences,
     generalized_coxeter_spec_W,
@@ -21,7 +23,7 @@ from octoweyl.presentations import (
     van_der_lek_spec,
     verify,
 )
-from octoweyl.quiver import Weights, default_lambda
+from octoweyl.quiver import Weights, default_lambda, vertex_str
 from octoweyl.suites import DEFAULT_CATALOG
 from octoweyl.weyl import evaluate_word, translation_element
 
@@ -107,6 +109,33 @@ def test_all_assignments_satisfy_all_relations(a):
     assert verify(semidirect_spec(w), semidirect_assignment(octo)).passed
     assert verify(artin_spec(w), reflection_assignment(octo)).passed
     assert verify(van_der_lek_spec(w), van_der_lek_assignment(octo)).passed
+
+
+@pytest.mark.parametrize("a", SAMPLE)
+def test_adjoint_rules_follow_the_cartan_matrix(a):
+    w = Weights(a)
+    star = star_lattice(w)
+    labels = [vertex_str(v) for v in star.vertices]
+    rules = list(adjoint_rules(star, *SEMIDIRECT_LETTERS))
+    # Every ordered pair once, row by row, the diagonal included.
+    assert [(v, u) for v, u, *_ in rules] == [(v, u) for v in labels for u in labels]
+    for v, u, rule, lhs, rhs in rules:
+        entry = star.cartan[labels.index(v)][labels.index(u)]
+        g_v, t_v, t_u = (f"w[{v}]", 1), (f"tau[{v}]", 1), (f"tau[{u}]", 1)
+        expected = {
+            2: (0, (g_v, t_v, g_v), ((f"tau[{v}]", -1),)),
+            0: (1, (g_v, t_u), (t_u, g_v)),
+            -1: (2, (g_v, t_u, g_v), (t_u, t_v)),
+        }[entry]
+        assert (rule, lhs, rhs) == expected, (v, u)
+    # The 4.3e-g relations of the semidirect presentation are its entries.
+    families = ("4.3e", "4.3f", "4.3g")
+    inverse = [Relation(f"4.3e/{v}", lhs, rhs) for v, _, r, lhs, rhs in rules if r == 0]
+    adjoint = [
+        Relation(f"{families[r]}/{v},{u}", lhs, rhs) for v, u, r, lhs, rhs in rules if r
+    ]
+    spec = semidirect_spec(w)
+    assert [r for r in spec.relations if r.tag[:4] in families] == inverse + adjoint
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (2, 3, 3), (2, 2, 2, 2)])

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+import octoweyl.suites as suites
 from octoweyl.errors import NotStarVertex, ValidationError
-from octoweyl.lattice import octopus_lattice
-from octoweyl.quiver import Weights, default_lambda, parse_lambda
+from octoweyl.exact import mat_inv, mat_mul
+from octoweyl.lattice import octopus_lattice, star_lattice
+from octoweyl.quiver import Weights, default_lambda, parse_lambda, vertex_str
 from octoweyl.suites import (
     DEFAULT_CATALOG,
     SUITE_NAMES,
@@ -25,6 +27,7 @@ from octoweyl.suites import (
     suite_vanderlek,
     witness_root,
 )
+from octoweyl.weyl import simple_reflection
 
 DIRECT_SUITES = (
     suite_presentations,
@@ -107,6 +110,85 @@ def test_roots_window_complete_for_affine_example():
     assert by_check["star-count"]["count"] == 24
     assert by_check["window-count"]["count"] == 168
     assert by_check["window-set-equality"]["holds"]
+
+
+@pytest.mark.parametrize("a, depth", [((2, 3, 5), 32), ((2, 2, 12), 28)])
+def test_finite_star_window_reaches_its_highest_root(a, depth):
+    # E8 and D14 have highest roots of height 29 and 25: a depth-24 window
+    # missed the top of the window {beta + m delta : |m| <= 3}.
+    rep = run_suite("roots-decomposition", a)
+    assert rep["pass"], [d for d in rep["details"] if not d["holds"]]
+    assert rep["bounds"]["depth"] == depth
+
+
+def test_star_count_is_a_closed_form(monkeypatch):
+    rep = run_suite("roots-decomposition", (2, 2, 6))
+    count = next(d for d in rep["details"] if d.get("check") == "star-count")
+    assert count["expected"] == count["count"] == 112 and count["holds"]
+    real = suites.finite_star_root_count
+    monkeypatch.setattr(suites, "finite_star_root_count", lambda w: real(w) + 1)
+    rep = run_suite("roots-decomposition", (2, 2, 6))
+    count = next(d for d in rep["details"] if d.get("check") == "star-count")
+    assert not count["holds"]
+
+
+def _planted_star_roots():
+    """Two vectors of the (2,3,8) star that are not real roots: one of norm
+    two with mixed signs, delta of the affine (2,3,6) sub-star minus the tip
+    of the long arm, which no vertex of that sub-star meets; and twice the
+    hub root, of one sign and norm eight."""
+    delta = [abs(c) for c in star_lattice(Weights((2, 3, 6))).radical[0]]
+    return {"mixed-sign": tuple(delta + [0, -1]), "norm-eight": (2,) + (0,) * 10}
+
+
+@pytest.mark.parametrize("plant", ["mixed-sign", "norm-eight"])
+def test_star_count_bounded_checks_each_root(monkeypatch, plant):
+    star, x = star_lattice(Weights((2, 3, 8))), _planted_star_roots()[plant]
+    assert star.form(x, x) == (2 if plant == "mixed-sign" else 8)
+    real = suites.enumerate_real_roots
+
+    def planted(lat, depth, cap):
+        return list(real(lat, depth, cap)) + ([] if lat.is_octopus else [x])
+
+    def bounded(rep):
+        return next(d for d in rep["details"] if d.get("check") == "star-count-bounded")
+
+    assert bounded(run_suite("roots-decomposition", (2, 3, 8)))["holds"]
+    monkeypatch.setattr(suites, "enumerate_real_roots", planted)
+    assert not bounded(run_suite("roots-decomposition", (2, 3, 8)))["holds"]
+
+
+def test_adjoint_checks_see_the_suites_translations(monkeypatch):
+    # Swap the translations at (1,1) and (2,1).  The adjoint checks that fail
+    # must be those where r_v tau_u r_v, multiplied densely, differs from
+    # tau_u^-1, tau_u or tau_v tau_u as the Cartan entry of (v, u) selects.
+    swap = {(1, 1): (2, 1), (2, 1): (1, 1)}
+    real = suites.translation_element
+    monkeypatch.setattr(
+        suites, "translation_element", lambda lat, v: real(lat, swap.get(v, v))
+    )
+    rep = run_suite("translations", (2, 2, 3))
+    failing = {
+        (d["check"], tuple(d["pair"]))
+        for d in rep["details"]
+        if d["check"].startswith("adjoint-") and not d["holds"]
+    }
+    octo = octopus_lattice(Weights((2, 2, 3)))
+    verts = octo.star_vertices()
+    tau = {v: real(octo, swap.get(v, v)).matrix for v in verts}
+    expected = set()
+    for a, v in enumerate(verts):
+        r = simple_reflection(octo, v).matrix
+        for b, u in enumerate(verts):
+            lhs = mat_mul(mat_mul(r, tau[u]), r)
+            check, rhs = {
+                2: ("adjoint-inverse", mat_inv(tau[u])),
+                0: ("adjoint-commute", tau[u]),
+                -1: ("adjoint-product", mat_mul(tau[v], tau[u])),
+            }[octo.cartan[a][b]]
+            if lhs != rhs:
+                expected.add((check, (vertex_str(v), vertex_str(u))))
+    assert expected and failing == expected
 
 
 def test_catalog_spans_all_signs():
