@@ -6,71 +6,45 @@ reflects the point at the lowest negative imaginary coordinate until all of
 them are nonnegative; regularity is a bounded semi-decision against the
 countable family of affine reflection hyperplanes {h(root) = n}.
 
-Both probes work on integers.  A point is scaled once by the least common
-denominator d of all its values, d >= 1, into the integer rows d*re and
-d*im.  The rows stay integral under the dual action h -> h s_v, because
-every simple reflection is an integral transvection, and d > 0 keeps every
-sign; so dominance chasing never leaves the integers, and a wall test is
-integer dot products with the hit condition scaled by d.  Rationals are
-built again only for the point that ``make_dominant`` returns.
+Both probes work on integers.  A dual point is held as two integer rows
+over one denominator d >= 1: its values are (re[v] + i*im[v]) / d.  The
+rows stay integral under the dual action h -> h s_v, because every simple
+reflection is an integral transvection, and d > 0 keeps every sign; so
+dominance chasing never leaves the integers and keeps d, and a wall test is
+integer dot products with the hit condition scaled by d.
 
 A dominance result is checked against its word, not against the chase: the
 word is evaluated to its matrix M, and M = I + D, acting on the right over
-the rows where D is nonzero, must take the integer rows of the input point
-to d times the returned values.  The wall scan reads its roots from the
-layered root window of ``weyl.root_orbit``, so probes of one lattice at
-depths d and d + 2 share one closure.
+the rows where D is nonzero, must take the rows of the input point to the
+rows of the returned point, over the same denominator.  The wall scan reads
+its roots from the layered root window of ``weyl.root_orbit``, so probes of
+one lattice at two depths share one closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from math import lcm
 
 from .errors import BudgetExceeded, NotInConeWithinBudget, ValidationError
 from .exact import Vec, dot
 from .lattice import RootLattice
 from .weyl import DEFAULT_ROOT_CAP, Word, enumerate_real_roots, simple_reflection
 
-RationalVec = tuple[Fraction, ...]
-
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Values of h on the simple roots: re[v] + i*im[v], all exact rationals.
+    """Values of h on the simple roots: (re[v] + i*im[v]) / d, with integer
+    rows re and im and one denominator d >= 1."""
 
-    ``scaled`` is the same point as integers over one denominator,
-    ``(d, d*re, d*im)``, with d >= 1 the least common denominator of all
-    the values; it is computed on first use.
-    """
-
-    re: RationalVec
-    im: RationalVec
+    d: int
+    re: Vec
+    im: Vec
 
     def __post_init__(self):
         if len(self.re) != len(self.im):
             raise ValueError("re and im must have equal length")
-        object.__setattr__(self, "re", tuple(Fraction(x) for x in self.re))
-        object.__setattr__(self, "im", tuple(Fraction(x) for x in self.im))
-
-    @property
-    def rank(self) -> int:
-        return len(self.re)
-
-    @cached_property
-    def scaled(self) -> tuple[int, Vec, Vec]:
-        d = lcm(*(x.denominator for x in self.re + self.im))
-        return (
-            d,
-            tuple(x.numerator * (d // x.denominator) for x in self.re),
-            tuple(x.numerator * (d // x.denominator) for x in self.im),
-        )
-
-    def value(self, root: Vec) -> tuple[Fraction, Fraction]:
-        """h(root) as an exact (real, imaginary) pair."""
-        return dot(self.re, root), dot(self.im, root)
+        if self.d < 1:
+            raise ValueError("the denominator d must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -78,11 +52,10 @@ class DominanceResult:
     """A dominant point and the word that reaches it.
 
     The word, evaluated as a matrix M, reproduces the chase exactly: the
-    input's values h, as a row, times M are the returned values.  A check of
-    the word therefore applies M itself, for example through
-    ``evaluate_word(lattice, word).act_right`` on the input's integer rows
-    ``p.scaled``, and compares with d times the returned point; it does not
-    replay the chase.
+    input's rows times M are the returned point's rows, over the same
+    denominator.  A check of the word therefore applies M itself, for
+    example through ``evaluate_word(lattice, word).act_right`` on
+    ``[list(p.re), list(p.im)]``; it does not replay the chase.
     """
 
     point: DualPoint
@@ -97,24 +70,20 @@ def make_dominant(
     """Chase the imaginary part into the dominant chamber, lowest index first.
 
     The returned word, evaluated as a matrix M, reproduces the transformation
-    exactly: the input values h times M are the output values.  Raises
-    NotInConeWithinBudget when the budget runs out, which cannot distinguish
-    a point outside the cone from a short budget.
+    exactly: the input rows times M are the output rows, over the same
+    denominator.  Raises NotInConeWithinBudget when the budget runs out,
+    which cannot distinguish a point outside the cone from a short budget.
     """
     if max_steps < 1:
         raise ValidationError("max_steps must be >= 1")
-    d, re, im = p.scaled
-    rows = [list(re), list(im)]  # d*re and d*im, updated in place
+    rows = [list(p.re), list(p.im)]  # updated in place, over p.d
     re, im = rows
     word: list = []
     for step in range(max_steps + 1):
         neg = next((i for i, x in enumerate(im) if x < 0), None)
         if neg is None:
             return DominanceResult(
-                DualPoint(
-                    tuple(Fraction(x, d) for x in re),
-                    tuple(Fraction(x, d) for x in im),
-                ),
+                DualPoint(p.d, tuple(re), tuple(im)),
                 tuple(word),
                 step,
                 strictly_dominant=all(x > 0 for x in im),
@@ -161,14 +130,16 @@ def is_regular(
     A hit needs the imaginary value to vanish and the real value to be an
     integer within the level bound; "regular" is always relative to the
     bounds used, and a capped enumeration yields "undetermined".  On the
-    scaled rows of the point that is (d*im) . root == 0, (d*re) . root
-    divisible by d and |(d*re) . root| <= n_bound * d.
+    rows of the point that is im . root == 0, re . root divisible by d and
+    |re . root| <= n_bound * d.
     """
+    if n_bound < 0:
+        raise ValidationError("n_bound must be >= 0")
     try:
         roots = enumerate_real_roots(lattice, root_depth, cap)
     except BudgetExceeded:
         return RegularityResult("undetermined", root_depth, n_bound)
-    d, re, im = p.scaled
+    d, re, im = p.d, p.re, p.im
     for root in roots:
         if dot(im, root):
             continue

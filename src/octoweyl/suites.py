@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .cone import DualPoint, is_regular, make_dominant
 from .errors import NotInConeWithinBudget, NotStarVertex, ValidationError
@@ -510,8 +510,12 @@ def suite_twists(run: SuiteRun) -> None:
     run.add_spec(verify(artin_spec(run.w), twist_assignment))
 
 
-def _random_rational_vec(rng, n):
-    return tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n))
+def _random_values(rng, k):
+    """k rationals a/b, drawn as pairs (a, b) with a in -8..8 and b in 1..6:
+    the lcm d of the drawn b, and the numerators over d."""
+    pairs = [(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(k)]
+    d = lcm(*(b for _, b in pairs))
+    return d, tuple(a * (d // b) for a, b in pairs)
 
 
 @_suite("cone")
@@ -522,19 +526,19 @@ def suite_cone(run: SuiteRun) -> dict:
     n = star.rank
 
     def random_point():
-        return DualPoint(_random_rational_vec(rng, n), _random_rational_vec(rng, n))
+        d, values = _random_values(rng, 2 * n)
+        return DualPoint(d, values[:n], values[n:])
 
     def pushed_point():
         """A dominant seed pushed by a random word: a point inside the cone."""
-        seed_im = tuple(Fraction(rng.randint(1, 9)) for _ in range(n))
-        seed_re = _random_rational_vec(rng, n)
+        seed_im = [rng.randint(1, 9) for _ in range(n)]
+        d, re = _random_values(rng, n)
         word = [(star.vertices[rng.randrange(n)], 1) for _ in range(8)]
-        # The seed's integer rows over one denominator d, chased through the
-        # word's transvections: d times the dual values h M of the pushed point.
-        d, re, im = DualPoint(seed_re, seed_im).scaled
-        rows = [list(re), list(im)]
+        # The seed's rows over d, chased through the word's transvections:
+        # the rows of the pushed point h M over the same d.
+        rows = [list(re), [x * d for x in seed_im]]
         evaluate_word(star, word).act_right(rows)
-        return DualPoint(*(tuple(Fraction(x, d) for x in r) for r in rows))
+        return DualPoint(d, *map(tuple, rows))
 
     def steps_to_dominance(p: DualPoint) -> int | None:
         """Steps to a consistent dominant point, or None if none was reached."""
@@ -542,14 +546,13 @@ def suite_cone(run: SuiteRun) -> dict:
             res = make_dominant(star, p, cfg.budget)
         except NotInConeWithinBudget:
             return None
-        # h M on the integer rows of p, for the matrix M of the returned
-        # word, against the returned point times d.
-        d, re, im = p.scaled
-        rows = [list(re), list(im)]
+        # The rows of p times the matrix M of the returned word, against the
+        # rows of the returned point over the same denominator.
+        rows = [list(p.re), list(p.im)]
         evaluate_word(star, res.word).act_right(rows)
-        expected = [[x * d for x in h] for h in (res.point.re, res.point.im)]
-        consistent = rows == expected
-        return res.steps if consistent and all(x >= 0 for x in res.point.im) else None
+        q = res.point
+        consistent = q.d == p.d and rows == [list(q.re), list(q.im)]
+        return res.steps if consistent and all(x >= 0 for x in q.im) else None
 
     def chase(check: str, count: int, draw) -> None:
         """Chase up to count drawn points; stop at the first that fails."""
@@ -569,8 +572,9 @@ def suite_cone(run: SuiteRun) -> dict:
 
     # Planted wall: h vanishes imaginarily on the hub root and hits level 1.
     plant = DualPoint(
-        tuple(Fraction(int(i == 0)) for i in range(n)),
-        tuple(Fraction(int(i != 0)) for i in range(n)),
+        1,
+        tuple(int(i == 0) for i in range(n)),
+        tuple(int(i != 0) for i in range(n)),
     )
     root_depth = 6 if chi <= 0 else 12
     reg = is_regular(star, plant, root_depth, cfg.n_bound + 2, cfg.cap)

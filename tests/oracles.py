@@ -1,8 +1,11 @@
 """Dense matrix predicates and kernels that the tests hold the library's
 sparse kernels to, and the helpers that only the tests need."""
 
+from fractions import Fraction
 from itertools import islice, repeat
+from math import lcm
 
+from octoweyl.cone import DualPoint
 from octoweyl.errors import InvalidQuiver
 from octoweyl.exact import dot, sparse_mat_vec
 from octoweyl.quiver import EXT, HUB
@@ -70,3 +73,22 @@ def draws_below_19(rng, count):
     randrange draws them: 5 random bits at a time until they are below 19.
     The reference stream for ``suites.bulk_draws_below_19``."""
     return islice(filter((19).__gt__, map(rng.getrandbits, repeat(5))), count)
+
+
+def rational_point(re, im) -> DualPoint:
+    """The dual point of the rational values re + i*im, as integer rows over
+    their least common denominator."""
+    re, im = tuple(map(Fraction, re)), tuple(map(Fraction, im))
+    d = lcm(*(x.denominator for x in re + im))
+    return DualPoint(d, tuple(int(x * d) for x in re), tuple(int(x * d) for x in im))
+
+
+def rational_values(p: DualPoint) -> tuple:
+    """The values of a dual point as exact rationals: (re, im)."""
+    return tuple(Fraction(x, p.d) for x in p.re), tuple(Fraction(x, p.d) for x in p.im)
+
+
+def point_value(p: DualPoint, root) -> tuple:
+    """h(root) as an exact (real, imaginary) pair."""
+    re, im = rational_values(p)
+    return dot(re, root), dot(im, root)

@@ -6,28 +6,26 @@ from fractions import Fraction as Q
 import pytest
 
 from octoweyl.cone import DualPoint, is_regular, make_dominant
-from octoweyl.errors import NotInConeWithinBudget
+from octoweyl.errors import NotInConeWithinBudget, ValidationError
 from octoweyl.exact import mat_vec, transpose
 from octoweyl.lattice import star_lattice
 from octoweyl.weyl import evaluate_word
 
-
-def _point(re, im):
-    return DualPoint(tuple(Q(x) for x in re), tuple(Q(x) for x in im))
+from oracles import point_value, rational_point, rational_values
 
 
 def test_already_dominant_empty_word():
     lat = star_lattice((2, 2, 2))
-    res = make_dominant(lat, _point((0, 0, 0, 0), (1, 1, 1, 1)), 10)
+    res = make_dominant(lat, rational_point((0, 0, 0, 0), (1, 1, 1, 1)), 10)
     assert res.word == () and res.steps == 0
     assert res.strictly_dominant
 
 
 def test_single_step_worked_example():
     lat = star_lattice((2, 2, 2))
-    res = make_dominant(lat, _point((1, 1, 1, 1), (-1, 1, 1, 1)), 10)
+    res = make_dominant(lat, rational_point((1, 1, 1, 1), (-1, 1, 1, 1)), 10)
     assert res.word == (("1", 1),)
-    assert res.point.im == (Q(1), Q(0), Q(0), Q(0))
+    assert res.point == DualPoint(1, (-1, 2, 2, 2), (1, 0, 0, 0))
     assert not res.strictly_dominant  # wall values: interiority undetermined
 
 
@@ -35,20 +33,20 @@ def test_finite_group_always_terminates():
     lat = star_lattice((2, 2, 2))
     rng = random.Random(7)
     for _ in range(50):
-        p = _point(
+        p = rational_point(
             [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)],
             [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)],
         )
         res = make_dominant(lat, p, 1000)
         assert all(x >= 0 for x in res.point.im)
         m = transpose(evaluate_word(lat, res.word).matrix)
-        assert mat_vec(m, p.im) == res.point.im
-        assert mat_vec(m, p.re) == res.point.re
+        re, im = rational_values(p)
+        assert (mat_vec(m, re), mat_vec(m, im)) == rational_values(res.point)
 
 
 def test_outside_cone_exhausts_budget():
     lat = star_lattice((3, 3, 3))
-    p = _point([0] * 7, [-1] * 7)
+    p = rational_point([0] * 7, [-1] * 7)
     with pytest.raises(NotInConeWithinBudget):
         make_dominant(lat, p, 500)
 
@@ -56,12 +54,12 @@ def test_outside_cone_exhausts_budget():
 def test_budget_validation():
     lat = star_lattice((2, 2, 2))
     with pytest.raises(ValueError):
-        make_dominant(lat, _point((0,) * 4, (1,) * 4), 0)
+        make_dominant(lat, rational_point((0,) * 4, (1,) * 4), 0)
 
 
 def test_regular_half_integer_point():
     lat = star_lattice((2, 2, 2))
-    p = _point((Q(1, 2), Q(1, 2), Q(1, 2), Q(1, 2)), (1, 2, 3, 4))
+    p = rational_point((Q(1, 2), Q(1, 2), Q(1, 2), Q(1, 2)), (1, 2, 3, 4))
     res = is_regular(lat, p, 10, 10)
     assert res.status == "regular"
     assert res.roots_checked == 24
@@ -70,13 +68,13 @@ def test_regular_half_integer_point():
 def test_nonvanishing_imaginary_part_is_regular():
     # strictly dominant imaginary part: no root evaluates to a real number
     lat = star_lattice((2, 2, 2))
-    p = _point((3, 5, 7, 11), (1, 1, 1, 1))
+    p = rational_point((3, 5, 7, 11), (1, 1, 1, 1))
     assert is_regular(lat, p, 10, 100).status == "regular"
 
 
 def test_planted_wall_detected():
     lat = star_lattice((2, 2, 2))
-    p = _point((1, 0, 0, 0), (0, 1, 1, 1))
+    p = rational_point((1, 0, 0, 0), (0, 1, 1, 1))
     res = is_regular(lat, p, 10, 10)
     assert res.status == "on_wall"
     assert res.wall_root == (1, 0, 0, 0) and res.wall_level == 1
@@ -85,19 +83,19 @@ def test_planted_wall_detected():
 def test_planted_composite_wall():
     lat = star_lattice((2, 2, 2))
     beta = (1, 1, 0, 0)  # hub + first arm, a root
-    p = _point((1, 1, 0, 0), (1, -1, 2, 2))  # im(beta) = 0, re(beta) = 2
+    p = rational_point((1, 1, 0, 0), (1, -1, 2, 2))  # im(beta) = 0, re(beta) = 2
     res = is_regular(lat, p, 10, 10)
     assert res.status == "on_wall"
-    re_val, im_val = p.value(res.wall_root)
+    re_val, im_val = point_value(p, res.wall_root)
     assert im_val == 0 and re_val == res.wall_level
 
 
 def test_regularity_monotone_in_bounds():
     lat = star_lattice((2, 2, 2))
     points = [
-        _point((1, 0, 0, 0), (0, 1, 1, 1)),
-        _point((Q(1, 2),) * 4, (1, 1, 1, 1)),
-        _point((2, 3, 4, 5), (0, 0, 1, 1)),
+        rational_point((1, 0, 0, 0), (0, 1, 1, 1)),
+        rational_point((Q(1, 2),) * 4, (1, 1, 1, 1)),
+        rational_point((2, 3, 4, 5), (0, 0, 1, 1)),
     ]
     for p in points:
         small = is_regular(lat, p, 6, 3)
@@ -108,11 +106,25 @@ def test_regularity_monotone_in_bounds():
 
 def test_undetermined_when_enumeration_capped():
     lat = star_lattice((2, 3, 7))
-    p = _point((0,) * 10, (1,) * 10)
+    p = rational_point((0,) * 10, (1,) * 10)
     res = is_regular(lat, p, 30, 3, cap=50)
     assert res.status == "undetermined"
 
 
 def test_point_rejects_unequal_lengths():
     with pytest.raises(ValueError):
-        DualPoint((Q(1),), (Q(1), Q(2)))
+        DualPoint(1, (1,), (1, 2))
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_point_rejects_denominator_below_one(d):
+    # A negative denominator would flip every sign the chase reads.
+    with pytest.raises(ValueError, match="denominator"):
+        DualPoint(d, (1, 0), (0, 1))
+
+
+def test_negative_n_bound_rejected():
+    lat = star_lattice((2, 2, 2))
+    p = rational_point((1, 0, 0, 0), (0, 1, 1, 1))  # on the wall of the hub root
+    with pytest.raises(ValidationError, match="n_bound"):
+        is_regular(lat, p, 10, -1)

@@ -4,7 +4,8 @@ Reflections, translations and their products are rebuilt in this file as
 dense integer matrices and multiplied with ``mat_mul``/``mat_vec``; the
 library's row-update kernel must agree with them exactly.  The Tits cone
 probes, which run on integer rows over a common denominator, are checked
-against scans and chases in ``Fraction`` arithmetic, and the sparse
+against scans and chases in ``Fraction`` arithmetic and for verdicts that
+do not change when that denominator is scaled, and the sparse
 bilinear forms against the dense x^T M y.  The one action rule of an
 element (a generator acts through its transvection, any other element as
 I + D over the rows it moves) is checked against ``mat_vec`` and
@@ -120,7 +121,15 @@ from octoweyl.weyl import (
     translation_word,
 )
 
-from oracles import determinant, draws_below_19, euler_gram, identity_element
+from oracles import (
+    determinant,
+    draws_below_19,
+    euler_gram,
+    identity_element,
+    point_value,
+    rational_point,
+    rational_values,
+)
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 
@@ -348,17 +357,18 @@ def test_dual_reflect_matches_dense_transposed_action(lat, data):
     vals = data.draw(rational_vecs(lat.rank), label="h")
     v = data.draw(st.integers(0, lat.rank - 1), label="v")
     dense = transpose(dense_reflection(lat, lat.basis_vector(lat.vertices[v])))
-    d, scaled, _ = DualPoint(vals, vals).scaled
-    rows = [list(scaled)]
+    p = rational_point(vals, vals)
+    rows = [list(p.re)]
     simple_reflection(lat, lat.vertices[v]).factors[0].act_right(rows)
     assert all(isinstance(x, int) for x in rows[0])
-    assert tuple(Fraction(x, d) for x in rows[0]) == mat_vec(dense, vals)
+    assert tuple(Fraction(x, p.d) for x in rows[0]) == mat_vec(dense, vals)
 
 
 def fraction_scan(lat, p, depth, n_bound):
-    """is_regular's verdict, recomputed with DualPoint.value on every root."""
+    """is_regular's verdict, recomputed with the rational value h(root) of
+    every root."""
     for root in enumerate_real_roots(lat, depth):
-        re_val, im_val = p.value(root)
+        re_val, im_val = point_value(p, root)
         if im_val == 0 and re_val.denominator == 1 and abs(re_val) <= n_bound:
             level = int(re_val)
             if next(x for x in root if x != 0) < 0:
@@ -375,7 +385,8 @@ def plant_on_wall(p, root, level):
         rest = sum(v * x for i, (v, x) in enumerate(zip(vals, root)) if i != k)
         return vals[:k] + (Fraction(target - rest, root[k]),) + vals[k + 1 :]
 
-    return DualPoint(solve(p.re, level), solve(p.im, 0))
+    re, im = rational_values(p)
+    return rational_point(solve(re, level), solve(im, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -383,7 +394,7 @@ def plant_on_wall(p, root, level):
 def test_integer_is_regular_matches_fraction_scan(lat, data):
     depth = data.draw(st.integers(0, 3), label="depth")
     n_bound = data.draw(st.integers(0, 4), label="n_bound")
-    p = DualPoint(
+    p = rational_point(
         data.draw(rational_vecs(lat.rank), label="re"),
         data.draw(rational_vecs(lat.rank), label="im"),
     )
@@ -394,7 +405,7 @@ def test_integer_is_regular_matches_fraction_scan(lat, data):
             st.fractions(-n_bound - 1, n_bound + 1, max_denominator=3), label="level"
         )
         p = plant_on_wall(p, root, level)
-        assert p.value(root) == (level, 0)
+        assert point_value(p, root) == (level, 0)
     res = is_regular(lat, p, depth, n_bound)
     expected = fraction_scan(lat, p, depth, n_bound)
     assert (res.status, res.wall_root, res.wall_level) == expected
@@ -403,7 +414,7 @@ def test_integer_is_regular_matches_fraction_scan(lat, data):
 
 def fraction_chase(lat, p, max_steps):
     """make_dominant in Fraction arithmetic through dense transposed reflections."""
-    re, im = p.re, p.im
+    re, im = rational_values(p)
     word = []
     for step in range(max_steps + 1):
         neg = next((i for i, x in enumerate(im) if x < 0), None)
@@ -417,29 +428,70 @@ def fraction_chase(lat, p, max_steps):
         word.append((v, 1))
 
 
-@settings(max_examples=40, deadline=None)
-@given(lattices, st.data())
-def test_make_dominant_matches_fraction_chase(lat, data):
+def draw_chase_point(lat, data):
+    """A drawn rational point; when ``pushed``, a dominant point moved by a
+    word, so that the chase terminates."""
     re = data.draw(rational_vecs(lat.rank), label="re")
     if data.draw(st.booleans(), label="pushed"):
-        # A dominant point moved by a word, so that the chase terminates.
         im = data.draw(
             st.lists(st.integers(0, 5), min_size=lat.rank, max_size=lat.rank), label="im"
         )
         letters = data.draw(st.lists(st.sampled_from(lat.vertices), max_size=6), label="w")
         mt = transpose(evaluate_word(lat, [(v, 1) for v in letters]).matrix)
-        p = DualPoint(mat_vec(mt, re), mat_vec(mt, im))
-    else:
-        p = DualPoint(re, data.draw(rational_vecs(lat.rank), label="im"))
+        return rational_point(mat_vec(mt, re), mat_vec(mt, im))
+    return rational_point(re, data.draw(rational_vecs(lat.rank), label="im"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices, st.data())
+def test_make_dominant_matches_fraction_chase(lat, data):
+    p = draw_chase_point(lat, data)
     expected = fraction_chase(lat, p, 40)
     if expected is None:
         with pytest.raises(NotInConeWithinBudget):
             make_dominant(lat, p, 40)
         return
     res = make_dominant(lat, p, 40)
-    assert ((res.point.re, res.point.im), res.word, res.steps, res.strictly_dominant) == (
+    assert res.point.d == p.d
+    assert (rational_values(res.point), res.word, res.steps, res.strictly_dominant) == (
         expected
     )
+
+
+def scale_point(p, k):
+    """The same values as p over the denominator k * p.d."""
+    return DualPoint(k * p.d, tuple(k * x for x in p.re), tuple(k * x for x in p.im))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices, st.data())
+def test_probes_do_not_see_the_denominator_scale(lat, data):
+    # The cone suite does not reduce its denominators: every verdict must
+    # be the same for (d, re, im) and (k d, k re, k im).  The chase reads
+    # the signs of im, the word is linear, and a wall hit is im . root = 0,
+    # re . root divisible by d and |re . root| <= n_bound d.
+    p = draw_chase_point(lat, data)
+    depth = data.draw(st.integers(0, 3), label="depth")
+    n_bound = data.draw(st.integers(0, 4), label="n_bound")
+    if data.draw(st.booleans(), label="plant"):
+        root = data.draw(st.sampled_from(enumerate_real_roots(lat, depth)), label="root")
+        p = plant_on_wall(p, root, data.draw(st.integers(-n_bound, n_bound), label="level"))
+    k = data.draw(st.integers(2, 7), label="k")
+    q = scale_point(p, k)
+    try:
+        res = make_dominant(lat, p, 40)
+    except NotInConeWithinBudget:
+        with pytest.raises(NotInConeWithinBudget):
+            make_dominant(lat, q, 40)
+    else:
+        scaled = make_dominant(lat, q, 40)
+        assert scaled.point == scale_point(res.point, k)
+        assert (scaled.word, scaled.steps, scaled.strictly_dominant) == (
+            res.word,
+            res.steps,
+            res.strictly_dominant,
+        )
+    assert is_regular(lat, q, depth, n_bound) == is_regular(lat, p, depth, n_bound)
 
 
 @settings(max_examples=40, deadline=None)

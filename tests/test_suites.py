@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -211,6 +212,29 @@ def test_long_arm_translation_suites_pass():
 def test_cone_suite_detects_short_budget():
     rep = run_suite("cone", (2, 2, 2), cfg=SuiteConfig(budget=1, samples=10))
     assert not rep["pass"]
+
+
+@pytest.mark.parametrize("defect", ["re-entry-off-by-one", "last-letter-dropped"])
+def test_cone_word_check_sees_a_wrong_result(monkeypatch, defect):
+    # The suite applies the returned word to the input's rows and compares
+    # with the returned point's rows: a point or a word that does not match
+    # the chase must fail both dominance checks of a finite star.
+    real = suites.make_dominant
+
+    def planted(lattice, p, max_steps):
+        res = real(lattice, p, max_steps)
+        if defect == "re-entry-off-by-one":
+            q = res.point
+            return replace(res, point=replace(q, re=q.re[:-1] + (q.re[-1] + 1,)))
+        return replace(res, word=res.word[:-1])
+
+    def holds(rep):
+        return {d["check"]: d["holds"] for d in rep["details"]}
+
+    checks = ("dominance-termination-random", "dominance-termination-pushed")
+    assert all(holds(run_suite("cone", (2, 2, 2)))[c] for c in checks)
+    monkeypatch.setattr(suites, "make_dominant", planted)
+    assert not any(holds(run_suite("cone", (2, 2, 2)))[c] for c in checks)
 
 
 def test_lambda_is_threaded_through_reports():
