@@ -125,7 +125,7 @@ class RootLattice:
     def radical(self) -> tuple[Vec, ...]:
         return radical_basis(self.cartan)
 
-    @property
+    @cached_property
     def delta(self) -> Vec:
         return delta_vector(self)
 

@@ -558,12 +558,37 @@ class _RootLayers:
     the last layer is the frontier of the next round.  Every stored round
     added a root; ``closed`` records that the round after the last one
     added none.
+
+    A round does not apply every reflection to every frontier root.  Each
+    frontier root x carries its pairings c_k = p_k . x with the generators
+    s_k = I - u_k p_k^T and a bitmask of the generators that reached it.
+    The round skips s_k at x when c_k = 0, since s_k then fixes x, and when
+    s_k reached x, since s_k is an involution and sends x back to the root
+    of the previous layer that it came from.  A new root y = s_k x gets its
+    pairings from those of x by one sparse column of G[k][m] = p_m . u_k,
+    as c(y)[m] = c(x)[m] - c_k G[k][m], not by n fresh dot products.
+
+    No reflection that a round applies lands in an earlier layer, so a new
+    root is looked up in the frontier and the round's own finds alone, and
+    no set of all roots is kept.  Were s_k x = z in a layer j below x's
+    layer L, then s_k z = x.  The round after layer j skipped s_k at z, when
+    x = z or x lies in layer j - 1, or applied it and met x, so that x lies
+    in layer j + 1 or below; then j = L - 1, and that round set bit k of x.
+    Each case contradicts that s_k is applied at x.
+
+    ``front`` maps each frontier root to a list of its n pairings followed
+    by its bitmask.  It is replaced when a round is stored, left as it is
+    when a round raises past cap, and emptied once the closure is closed.
     """
 
     def __init__(self, lattice: RootLattice, basis: tuple[Vec, ...]):
-        self.gens = [reflection_transvection(lattice, b) for b in basis]
-        self.seen: set[Vec] = set(basis)
-        self.roots = sorted(self.seen)
+        gens = [reflection_transvection(lattice, b) for b in basis]
+        self.steps = [g.u for g in gens]
+        # The basis roots' pairings; u_k is b_k, so those of b_k are column k of G.
+        pairings = [[sum(b[j] * v for j, v in g.p) for g in gens] for b in basis]
+        self.columns = [sparse(c) for c in pairings]
+        self.front: dict[Vec, list[int]] = {b: c + [0] for b, c in zip(basis, pairings)}
+        self.roots = sorted(self.front)
         self.sizes = [len(self.roots)]
         self.closed = False
 
@@ -571,35 +596,52 @@ class _RootLayers:
     def depth(self) -> int:
         return len(self.sizes) - 1
 
-    def frontier(self) -> list[Vec]:
-        return self.roots[self.sizes[-2] if self.depth else 0 :]
+    def _round(self, room: int) -> dict[Vec, list[int]] | None:
+        """The roots that the next round adds, each mapped to its pairings
+        and bitmask as in ``front``; None as soon as more than ``room`` are
+        found.  Nothing is stored."""
+        front, steps, columns = self.front, self.steps, self.columns
+        n = len(steps)
+        new: dict[Vec, list[int]] = {}
+        for x, c in front.items():
+            reached = c[n]
+            for k in range(n):
+                ck = c[k]
+                if not ck or reached >> k & 1:
+                    continue
+                y = list(x)
+                for i, a in steps[k]:
+                    y[i] -= ck * a
+                y = tuple(y)
+                entry = new.get(y)
+                if entry is not None:
+                    entry[n] |= 1 << k
+                elif y not in front:
+                    if len(new) >= room:
+                        return None
+                    d = c[:]
+                    for m, v in columns[k]:
+                        d[m] -= ck * v
+                    d[n] = 1 << k
+                    new[y] = d
+        return new
 
     def grow(self, cap: int) -> None:
         """Add one round; past cap, raise and leave the layers as they were."""
-        seen, roots = self.seen, self.roots
-        start = len(roots)
-        frontier = self.frontier()
-        for g in self.gens:
-            for x in frontier:
-                y = g.apply(x)
-                if y not in seen:
-                    seen.add(y)
-                    roots.append(y)
-                    if len(seen) > cap:
-                        seen.difference_update(roots[start:])
-                        del roots[start:]
-                        raise _over_cap(cap, self.depth)
-        if len(roots) == start:
+        new = self._round(cap - len(self.roots))
+        if new is None:
+            raise _over_cap(cap, self.depth)
+        if not new:
             self.closed = True
-        else:
-            roots[start:] = sorted(roots[start:])
-            self.sizes.append(len(roots))
+            self.front = {}
+            return
+        self.roots += sorted(new)
+        self.sizes.append(len(self.roots))
+        self.front = new
 
     def probe(self) -> bool:
         """Whether the next round would add nothing; nothing is stored."""
-        seen = self.seen
-        frontier = self.frontier()
-        return all(g.apply(x) in seen for g in self.gens for x in frontier)
+        return self._round(0) is not None
 
 
 @lru_cache(maxsize=ROOT_WINDOW_CACHE)

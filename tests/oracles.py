@@ -6,10 +6,10 @@ from itertools import islice, repeat
 from math import lcm
 
 from octoweyl.cone import DualPoint
-from octoweyl.errors import InvalidQuiver
+from octoweyl.errors import BudgetExceeded, InvalidQuiver
 from octoweyl.exact import dot, sparse_mat_vec
 from octoweyl.quiver import EXT, HUB
-from octoweyl.weyl import WeylElement
+from octoweyl.weyl import WeylElement, reflection_transvection
 
 
 def is_unit_upper_triangular(a) -> bool:
@@ -92,3 +92,51 @@ def point_value(p: DualPoint, root) -> tuple:
     """h(root) as an exact (real, imaginary) pair."""
     re, im = rational_values(p)
     return dot(re, root), dot(im, root)
+
+
+class ReferenceLayers:
+    """The reference for ``weyl._RootLayers``: the same layers, ``sizes``,
+    ``closed``, ``grow`` and ``probe``, with rounds that apply every
+    reflection to every root of the last layer and keep the images not seen
+    before, without pairings and without skipping any reflection."""
+
+    def __init__(self, lattice, basis):
+        self.gens = [reflection_transvection(lattice, b) for b in basis]
+        self.seen = set(basis)
+        self.roots = sorted(self.seen)
+        self.sizes = [len(self.roots)]
+        self.closed = False
+
+    @property
+    def depth(self) -> int:
+        return len(self.sizes) - 1
+
+    def frontier(self) -> list:
+        return self.roots[self.sizes[-2] if self.depth else 0 :]
+
+    def grow(self, cap: int) -> None:
+        """Add one round; past cap, raise and leave the layers as they were."""
+        seen, roots = self.seen, self.roots
+        start = len(roots)
+        frontier = self.frontier()
+        for g in self.gens:
+            for x in frontier:
+                y = g.apply(x)
+                if y not in seen:
+                    seen.add(y)
+                    roots.append(y)
+                    if len(seen) > cap:
+                        seen.difference_update(roots[start:])
+                        del roots[start:]
+                        raise BudgetExceeded(
+                            f"root closure exceeded cap {cap} at depth {self.depth}"
+                        )
+        if len(roots) == start:
+            self.closed = True
+        else:
+            roots[start:] = sorted(roots[start:])
+            self.sizes.append(len(roots))
+
+    def probe(self) -> bool:
+        """Whether the next round would add nothing; nothing is stored."""
+        return all(g.apply(x) in self.seen for g in self.gens for x in self.frontier())

@@ -19,7 +19,11 @@ checked against the flat letters and the dense product, and the
 column-wise closed-form sample check against the sample-by-sample loop it
 replaces.  The layered root window that ``root_orbit`` keeps per lattice
 and basis answers every sequence of requests as a fresh dense closure
-would, and the cone suite, too, runs with the dense kernels disabled.
+would.  Its rounds, which skip the reflections that fix a root or send it
+back a layer, match the reference closure of ``oracles.py``, which applies
+every reflection, round by round at the depths the roots suite uses, on a
+braid-moved basis and past a cap.  The cone suite, too, runs with the dense
+kernels disabled.
 ``product_rows``, which multiplies a word over the rows it moves, is
 checked against the dense product, and the sparse form criterion of a
 transvection against ``preserves_form``.  The presentation suites and the
@@ -76,11 +80,13 @@ from octoweyl.ktheory import (
     simples_collection,
     twist_matrix,
 )
-from octoweyl.lattice import octopus_lattice, star_lattice
+from octoweyl.lattice import euler_characteristic, octopus_lattice, star_lattice
 from octoweyl.presentations import semidirect_assignment, semidirect_spec, verify
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import (
     DEFAULT_CATALOG,
+    SuiteConfig,
+    _auto_depth,
     closed_form_samples,
     bulk_draws_below_19,
     suite_artin,
@@ -122,6 +128,7 @@ from octoweyl.weyl import (
 )
 
 from oracles import (
+    ReferenceLayers,
     determinant,
     draws_below_19,
     euler_gram,
@@ -314,7 +321,7 @@ def test_layered_root_window_request_sequence():
     with pytest.raises(BudgetExceeded, match="exceeded cap 300 at depth 5$"):
         root_orbit(lat, basis, 6, 300)
     assert layers.sizes == [13, 38, 64, 98, 153, 245]
-    assert len(layers.roots) == len(layers.seen) == 245
+    assert len(layers.roots) == 245 and len(layers.front) == 245 - 153
     # Below the built depth the cap is checked against the stored sizes.
     with pytest.raises(BudgetExceeded, match="exceeded cap 100 at depth 3$"):
         root_orbit(lat, basis, 4, 100)
@@ -336,6 +343,69 @@ def test_until_stable_after_a_shallow_window():
     with pytest.raises(BudgetExceeded, match="did not stabilize"):
         enumerate_until_stable(lat, max_depth=full - 1)
     assert enumerate_until_stable(lat, max_depth=full) == roots
+
+
+def assert_rounds_agree(lat, basis, depth):
+    """Grow ``_RootLayers`` and the reference closure side by side to depth,
+    comparing the layers, ``closed`` and the probe after every round."""
+    fast, ref = weyl._RootLayers(lat, basis), ReferenceLayers(lat, basis)
+    while True:
+        assert (fast.sizes, fast.roots, fast.closed) == (ref.sizes, ref.roots, ref.closed)
+        if fast.closed:
+            return
+        assert set(fast.front) == set(ref.frontier())
+        assert fast.probe() == ref.probe()
+        if fast.depth == depth:
+            return
+        fast.grow(DEFAULT_ROOT_CAP)
+        ref.grow(DEFAULT_ROOT_CAP)
+
+
+def suite_roots_depths(a):
+    """The closure depths of ``suite_roots`` at default settings, for the
+    star and the octopus lattice of weights a."""
+    w, cfg = Weights(a), SuiteConfig()
+    depth = _auto_depth(w, cfg)
+    if euler_characteristic(w) <= 0:
+        return depth, depth
+    height = max(map(sum, enumerate_until_stable(star_lattice(w))))
+    # The star system is closed until stable, within enumerate_until_stable's 64 rounds.
+    return 64, max(depth, height + cfg.n_bound)
+
+
+@pytest.mark.parametrize("a", DEFAULT_CATALOG + ((4, 4, 4, 4),), ids=str)
+def test_root_rounds_match_reference_at_suite_depths(a):
+    star_depth, octopus_depth = suite_roots_depths(a)
+    for lat, depth in ((star_lattice(a), star_depth), (_lattice(a, "octopus"), octopus_depth)):
+        assert_rounds_agree(lat, tuple(lat.basis_vector(v) for v in lat.vertices), depth)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lattices, st.data())
+def test_root_rounds_match_reference_on_braid_moved_basis(lat, data):
+    i = data.draw(st.integers(1, lat.rank - 1), label="braid index")
+    assert_rounds_agree(lat, braid_act(simples_collection(lat), ("b", i, 1)).classes, 6)
+
+
+def test_root_rounds_past_cap_match_reference():
+    # Closure sizes after 0..6 rounds: 13, 38, 64, 98, 153, 245, 406.
+    lat = star_lattice((4, 4, 4, 4))
+    basis = tuple(lat.basis_vector(v) for v in lat.vertices)
+    fast, ref = weyl._RootLayers(lat, basis), ReferenceLayers(lat, basis)
+    # A cap below the basis size, round 6 one root past cap and round 6 at
+    # cap: each side raises alike and keeps its layers, or grows alike.
+    for cap in (1, 400, 400, 400, 400, 400, 300, 405, 406, DEFAULT_ROOT_CAP):
+        messages = []
+        for layers in (fast, ref):
+            try:
+                layers.grow(cap)
+            except BudgetExceeded as e:
+                messages.append(str(e))
+        assert len(messages) in (0, 2) and len(set(messages)) <= 1
+        assert (fast.sizes, fast.roots, fast.closed) == (ref.sizes, ref.roots, ref.closed)
+        assert set(fast.front) == set(ref.frontier())
+        assert fast.probe() == ref.probe()
+    assert fast.sizes[:7] == [13, 38, 64, 98, 153, 245, 406] and fast.depth == 7
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)

@@ -129,6 +129,16 @@ def test_delta_examples():
         delta_vector(star_lattice((2, 2, 2)))
 
 
+def test_delta_is_built_once_per_lattice():
+    w = Weights((2, 3, 4))
+    octo = root_lattice(build_octopus(w, default_lambda(3)))
+    first = octo.delta
+    assert first == delta_vector(octo)
+    assert octo.delta is first
+    with pytest.raises(NotOctopus):
+        star_lattice(w).delta
+
+
 def test_radical_basis_rejects_asymmetric():
     with pytest.raises(ValueError):
         radical_basis(((1, 2), (3, 4)))
