@@ -148,6 +148,8 @@ def cmd_roots(args) -> int:
     lat = _pick_lattice(args, w, lam)
     if args.n_bound is not None and args.n_bound < 0:
         raise ValidationError("--n-bound must be >= 0")
+    if args.n_bound is not None and not lat.is_octopus:
+        raise ValidationError("--n-bound needs --kind octopus: a star root has no delta coordinate")
     if args.limit < 0:
         raise ValidationError("--limit must be >= 0")
     roots = enumerate_real_roots(lat, args.depth, args.cap)
@@ -161,7 +163,7 @@ def cmd_roots(args) -> int:
         "roots": [list(r) for r in roots],
     }
     lines = [f"{lat.kind} {w}: {len(roots)} roots within word depth {args.depth}"]
-    if lat.is_octopus and args.n_bound is not None:
+    if args.n_bound is not None:
         window = [r for r in roots if abs(lat.delta_coordinate(r)) <= args.n_bound]
         payload["n_bound"] = args.n_bound
         payload["window_count"] = len(window)

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from operator import add
 
 from .errors import NotOctopus
-from .exact import Mat, Sparse, Vec, integer_kernel, sparse_form, sparse_rows, transpose
+from .exact import Mat, Sparse, Vec, identity, integer_kernel, sparse_form, sparse_rows, transpose
 from .quiver import (
     BoundQuiver,
     LambdaTuple,
@@ -96,8 +96,8 @@ class RootLattice:
         return self._index[v]
 
     def basis_vector(self, v) -> Vec:
-        i = self.index(v)
-        return tuple(int(j == i) for j in range(self.rank))
+        """e_v, the row of v in the cached identity matrix of this rank."""
+        return identity(self.rank)[self.index(v)]
 
     # Sparse rows of the two Gram matrices, built on first use: a pairing
     # then costs a term per nonzero entry, not a dense n x n product.

@@ -238,14 +238,11 @@ def van_der_lek_spec(w: Weights) -> PresentationSpec:
     return _spec("VanDerLekE", star_lattice(w), tags, *_VAN_DER_LEK_LETTERS)
 
 
-def _evaluate(word: GroupWord, assignment: dict, inverses: dict, n: int) -> dict:
-    """Ordered product of the assigned elements, as ``weyl.product_rows``
-    gives it; inverses are filled in on first use."""
+def _evaluate(word: GroupWord, assignment: dict, n: int) -> dict:
+    """Ordered product of the assigned elements, as ``weyl.product_rows`` gives it."""
     steps = []
     for g, e in word:
-        if e < 0 and g not in inverses:
-            inverses[g] = assignment[g].inverse()
-        steps += [assignment[g] if e >= 0 else inverses[g]] * abs(e)
+        steps += [assignment[g] if e >= 0 else assignment[g].inverse()] * abs(e)
     return product_rows(n, steps)
 
 
@@ -258,11 +255,10 @@ def verify(spec: PresentationSpec, assignment: dict) -> VerificationReport:
     if len(sizes) > 1:
         raise DimensionMismatch(f"assignment matrices of mixed sizes {sorted(sizes)}")
     n = sizes.pop()
-    inverses: dict = {}
     outcomes = []
     for rel in spec.relations:
-        lhs = _evaluate(rel.lhs, assignment, inverses, n)
-        rhs = _evaluate(rel.rhs, assignment, inverses, n)
+        lhs = _evaluate(rel.lhs, assignment, n)
+        rhs = _evaluate(rel.rhs, assignment, n)
         if lhs == rhs:
             outcomes.append(RelationOutcome(rel.tag, True))
         else:

@@ -287,7 +287,6 @@ def suite_translations(run: SuiteRun) -> dict:
 
     star_verts = octo.star_vertices()
     translations = {v: translation_element(octo, v) for v in star_verts}
-    inverses = {v: tau.inverse() for v, tau in translations.items()}
     # Subword products of this run's witnesses, shared along each arm.
     memo = {}
     for v in star_verts:
@@ -303,7 +302,7 @@ def suite_translations(run: SuiteRun) -> dict:
     steps = {}
     for v in star_verts:
         steps[g(v), 1] = simple_reflection(octo, v)
-        steps[t(v), 1], steps[t(v), -1] = translations[v], inverses[v]
+        steps[t(v), 1], steps[t(v), -1] = translations[v], translations[v].inverse()
     for v, u, rule, lhs, rhs in adjoint_rules(star, g, t):
         holds = product_rows(n, map(steps.get, lhs)) == product_rows(n, map(steps.get, rhs))
         run.add(ADJOINT_CHECKS[rule], holds, pair=[v, u])
@@ -323,7 +322,7 @@ def suite_translations(run: SuiteRun) -> dict:
     for coeffs in test_vectors:
         steps = []
         for v, m_v in zip(star_verts, coeffs):
-            steps += [translations[v] if m_v > 0 else inverses[v]] * abs(m_v)
+            steps += [translations[v] if m_v > 0 else translations[v].inverse()] * abs(m_v)
         in_radical = all(x == 0 for x in sparse_mat_vec(star.cartan_rows, coeffs))
         # The product is the identity when no row differs from a unit row.
         holds = (not product_rows(n, steps)) == in_radical
@@ -345,31 +344,23 @@ def _auto_depth(w: Weights, cfg: SuiteConfig) -> int:
 def witness_root(octo: RootLattice, v, n: int):
     """A root equal to the simple root at v shifted n levels along delta.
 
-    Performed with actual translation powers: first arm slots ride the hub
-    translation, deeper slots the translation at their predecessor, and the
-    hub vertex starts from its own simple root (even shifts) or from the
-    extension root (odd shifts), where one hub translation moves two levels.
-    Any other vertex raises NotStarVertex.
+    Performed with actual translation powers at a star neighbour u of v: the
+    hub uses (1, 1), a first arm slot the hub and a deeper slot its
+    predecessor.  The translation at u maps x to x - I(x, e_u) delta, and
+    I(e_v, e_u) = -1, so each power moves e_v by exactly delta.  Any other
+    vertex raises NotStarVertex.
     """
-    if isinstance(v, tuple):
+    if v == "1":
+        carrier = (1, 1)
+    elif isinstance(v, tuple):
         i, j = v
-        base = octo.basis_vector(v)
         carrier = "1" if j == 1 else (i, j - 1)
-        power = n
-    elif v == "1":
-        if n % 2 == 0:
-            base = octo.basis_vector("1")
-            power = -n // 2
-        else:
-            base = octo.basis_vector("1*")
-            power = -(n - 1) // 2
-        carrier = "1"
     else:
         raise NotStarVertex(f"no witness recipe for vertex {v!r}")
     tau = translation_element(octo, carrier)
-    step = tau if power >= 0 else tau.inverse()
-    out = base
-    for _ in range(abs(power)):
+    step = tau if n >= 0 else tau.inverse()
+    out = octo.basis_vector(v)
+    for _ in range(abs(n)):
         out = step.apply(out)
     return out
 
@@ -401,24 +392,24 @@ def suite_roots(run: SuiteRun) -> dict:
         run.add("star-count-bounded", ok, count=len(star_roots), depth=depth)
 
     octo_roots = enumerate_real_roots(octo, depth, cfg.cap)
-    window = [x for x in octo_roots if abs(octo.delta_coordinate(x)) <= cfg.n_bound]
-    in_star = all(octo.star_part(x) in star_roots for x in window)
+    # The window in split coordinates: star part first, delta coordinate j last.
+    j = octo.split_indices[1]
+    window = {octo.to_split(x) for x in octo_roots if abs(x[j]) <= cfg.n_bound}
+    in_star = all(y[:j] in star_roots for y in window)
     run.add("star-part-membership", in_star, window=len(window))
     if chi > 0:
         count, expected = len(window), len(star_roots) * len(shifts)
         run.add("window-count", count == expected, count=count, expected=expected)
-        expected_window = {
-            octo.from_split(beta + (m,)) for beta in star_roots for m in shifts
-        }
-        run.add("window-set-equality", set(window) == expected_window)
+        shifted = {beta + (m,) for beta in star_roots for m in shifts}
+        run.add("window-set-equality", window == shifted)
 
-    window_set = set(window)
     for v in octo.star_vertices():
+        # e_v + n delta has split coordinates (e_v, n).
+        e_v = octo.basis_vector(v)[:j]
         ok = True
         for n in shifts:
-            built = witness_root(octo, v, n)
-            target = tuple(b + n * d for b, d in zip(octo.basis_vector(v), octo.delta))
-            if built != target or (chi > 0 and built not in window_set):
+            built = octo.to_split(witness_root(octo, v, n))
+            if built != e_v + (n,) or (chi > 0 and built not in window):
                 ok = False
                 break
         run.add("witness", ok, vertex=vertex_str(v))

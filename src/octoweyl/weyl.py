@@ -346,6 +346,11 @@ class WeylElement:
         return multiply(self.rank, (self, other), factors=factors)
 
     def inverse(self) -> "WeylElement":
+        """The inverse, built on the first call and kept on the element."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "WeylElement":
         if self.factors is not None:
             factors = (f.inverse() for f in reversed(self.factors))
             return WeylElement.from_factors(self.rank, factors)

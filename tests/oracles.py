@@ -9,7 +9,7 @@ from octoweyl.cone import DualPoint
 from octoweyl.errors import BudgetExceeded, InvalidQuiver
 from octoweyl.exact import dot, sparse_mat_vec
 from octoweyl.quiver import EXT, HUB
-from octoweyl.weyl import WeylElement, reflection_transvection
+from octoweyl.weyl import WeylElement, reflection_transvection, translation_element
 
 
 def is_unit_upper_triangular(a) -> bool:
@@ -140,3 +140,41 @@ class ReferenceLayers:
     def probe(self) -> bool:
         """Whether the next round would add nothing; nothing is stored."""
         return all(g.apply(x) in self.seen for g in self.gens for x in self.frontier())
+
+
+def reference_window_entries(octo, star_roots, octo_roots, n_bound, finite) -> list:
+    """The window entries of ``roots-decomposition``, checked in octopus
+    coordinates: the window is filtered by ``delta_coordinate``, each root's
+    ``star_part`` is looked up, and the expected window is built back with
+    ``from_split``.  The count and set entries are made for a finite star."""
+    window = [x for x in octo_roots if abs(octo.delta_coordinate(x)) <= n_bound]
+    shifts = range(-n_bound, n_bound + 1)
+    in_star = all(octo.star_part(x) in star_roots for x in window)
+    out = [dict(check="star-part-membership", window=len(window), holds=in_star)]
+    if finite:
+        count, expected = len(window), len(star_roots) * len(shifts)
+        holds = count == expected
+        out.append(dict(check="window-count", count=count, expected=expected, holds=holds))
+        expected_window = {octo.from_split(beta + (m,)) for beta in star_roots for m in shifts}
+        out.append(dict(check="window-set-equality", holds=set(window) == expected_window))
+    return out
+
+
+def reference_witness_root(octo, v, n: int):
+    """e_v + n delta by the parity recipe: an arm slot rides the translation
+    at its predecessor (the hub for a first slot), and the hub starts from
+    its own simple root (even n) or from e_{1*} (odd n) and rides its own
+    translation, which moves it two levels per power."""
+    if isinstance(v, tuple):
+        i, j = v
+        base, carrier, power = octo.basis_vector(v), "1" if j == 1 else (i, j - 1), n
+    elif n % 2 == 0:
+        base, carrier, power = octo.basis_vector("1"), "1", -n // 2
+    else:
+        base, carrier, power = octo.basis_vector("1*"), "1", -(n - 1) // 2
+    tau = translation_element(octo, carrier)
+    step = tau if power >= 0 else tau.inverse()
+    out = base
+    for _ in range(abs(power)):
+        out = step.apply(out)
+    return out

@@ -194,6 +194,7 @@ def test_catalog_run_single_suite(capsys):
         ("coxeter", "--weights", "2,2,2", "--cap", "0"),
         ("roots", "--weights", "2,2,2", "--kind", "octopus", "--n-bound", "-1"),
         ("roots", "--weights", "2,2,2", "--limit", "-3"),
+        ("roots", "--weights", "2,2,2", "--n-bound", "3"),
     ],
     ids=[
         "roots-negative-depth",
@@ -209,6 +210,7 @@ def test_catalog_run_single_suite(capsys):
         "coxeter-zero-cap",
         "roots-negative-n-bound",
         "roots-negative-limit",
+        "roots-n-bound-on-star",
     ],
 )
 def test_invalid_bound_is_one_line_exit_2(capsys, argv):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from octoweyl import lattice
 from octoweyl.errors import NotOctopus
-from octoweyl.exact import mat_vec, transpose
+from octoweyl.exact import identity, mat_vec, transpose
 from octoweyl.lattice import (
     RootLattice,
     cartan_matrix,
@@ -177,6 +177,16 @@ def test_star_part_and_delta_coordinate():
     x = (5, 1, -2, 0, 3)  # = (5 + 3) alpha_1 + ... + 3 delta in split form
     assert lat.star_part(x) == (8, 1, -2, 0)
     assert lat.delta_coordinate(x) == 3
+
+
+def test_basis_vector_is_the_shared_identity_row():
+    for a in DEFAULT_CATALOG:
+        w = Weights(a)
+        for lat in (star_lattice(w), octopus_lattice(w, default_lambda(w.r))):
+            for i, v in enumerate(lat.vertices):
+                e = lat.basis_vector(v)
+                assert e == tuple(int(k == i) for k in range(lat.rank))
+                assert e is identity(lat.rank)[i]
 
 
 def test_lattice_matrices_independent_of_marked_points():

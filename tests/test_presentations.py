@@ -1,6 +1,7 @@
 """Relation lists as data, and exact verification under matrix assignments."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from octoweyl.presentations import (
 )
 from octoweyl.quiver import Weights, default_lambda, vertex_str
 from octoweyl.suites import DEFAULT_CATALOG
-from octoweyl.weyl import evaluate_word, translation_element
+from octoweyl.weyl import Transvection, evaluate_word, simple_reflection, translation_element
 
 from oracles import identity_element, parse_vertex
 
@@ -256,3 +257,24 @@ def test_relation_lists_are_pinned():
             h.update(repr(blob).encode())
         h.update(repr(check_coxeter_power_equivalences(w)).encode())
     assert h.hexdigest() == RELATIONS_DIGEST
+
+
+def test_verify_builds_each_translation_inverse_once(monkeypatch):
+    # Each element keeps its inverse, so two runs of verify over the same
+    # cold generators invert each translation's transvection once.
+    w = Weights((2, 3, 4))
+    octo = octopus_lattice(w, default_lambda(w.r))
+    simple_reflection.cache_clear()
+    translation_element.cache_clear()
+    built = Counter()
+    invert = Transvection.inverse
+
+    def counted(t):
+        built[t] += 1
+        return invert(t)
+
+    monkeypatch.setattr(Transvection, "inverse", counted)
+    for _ in range(2):
+        assert verify(semidirect_spec(w), semidirect_assignment(octo)).passed
+    for v in octo.star_vertices():
+        assert built[translation_element(octo, v).factors[0]] == 1, v

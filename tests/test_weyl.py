@@ -16,7 +16,7 @@ from octoweyl.errors import (
 )
 from octoweyl.exact import identity, mat_mul
 from octoweyl import lattice
-from octoweyl.ktheory import braid_act, simples_collection
+from octoweyl.ktheory import braid_act, simples_collection, twist_matrix
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
@@ -326,3 +326,13 @@ def test_translations_commute(a, data):
     u = data.draw(st.sampled_from(verts), label="u")
     tv, tu = translation_element(lat, v), translation_element(lat, u)
     assert (tv * tu).matrix == (tu * tv).matrix
+
+
+def test_inverse_is_built_once_per_element():
+    lat = octopus_lattice((2, 3, 4))
+    s, tau = simple_reflection(lat, "1"), translation_element(lat, (2, 1))
+    twist = WeylElement.from_matrix(twist_matrix(lat, lat.basis_vector((3, 2))))
+    bare_translation = WeylElement.from_matrix(tau.matrix)
+    for x in (s, tau, s * tau, twist, bare_translation):
+        assert x.inverse() is x.inverse()
+        assert (x * x.inverse()).is_identity()
