@@ -16,7 +16,7 @@ from octoweyl.lattice import (
     star_lattice,
 )
 from octoweyl.quiver import default_lambda, parse_weights
-from octoweyl.weyl import enumerate_real_roots, enumerate_until_stable
+from octoweyl.weyl import DEFAULT_ROOT_CAP, enumerate_real_roots, enumerate_until_stable
 
 
 def main() -> int:
@@ -24,7 +24,7 @@ def main() -> int:
     parser.add_argument("--weights", default="2,2,2")
     parser.add_argument("--max-depth", type=int, default=24)
     parser.add_argument("--step", type=int, default=4)
-    parser.add_argument("--cap", type=int, default=500_000)
+    parser.add_argument("--cap", type=int, default=DEFAULT_ROOT_CAP)
     args = parser.parse_args()
 
     w = parse_weights(args.weights)

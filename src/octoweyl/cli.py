@@ -42,6 +42,7 @@ from .quiver import (
 )
 from .suites import DEFAULT_CATALOG, DEFAULT_SEED, SUITE_NAMES, SuiteConfig, run_suite
 from .weyl import (
+    DEFAULT_ROOT_CAP,
     Finite,
     coxeter_element,
     enumerate_real_roots,
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--kind", choices=("star", "octopus"), default="star")
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--cap", type=int, default=500_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ROOT_CAP)
     p.add_argument("--n-bound", type=int, default=None)
     p.add_argument("--limit", type=int, default=24, help="roots to print in text mode")
     p.set_defaults(fn=cmd_roots)
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SUITE_NAMES + ("all",),
     )
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--cap", type=int, default=500_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_ROOT_CAP)
     p.add_argument("--n-bound", type=int, default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=1_000)

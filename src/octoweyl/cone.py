@@ -91,7 +91,7 @@ def make_dominant(
         if step == max_steps:
             break
         v = lattice.vertices[neg]
-        simple_reflection(lattice, v).factors[0].act_right(rows)
+        simple_reflection(lattice, v).step.act_right(rows)
         word.append((v, 1))
     raise NotInConeWithinBudget(max_steps)
 

@@ -104,9 +104,10 @@ def mat_inv(a: Mat) -> Mat:
 
     Gaussian elimination over the rationals; raises ValueError if the matrix
     is singular or the inverse has a non-integer entry (determinant not ±1).
-    Its one library caller is ``WeylElement.inverse``, for a bare element (no
-    factors) that is not an involution.  No suite reaches that, but the public
-    API does: the product of a twist and a reflection has no factors.
+    Its one library caller is ``WeylElement.inverse``, for an element that is
+    neither a generator nor an involution.  No library path reaches that, but
+    the public API does: the inverse of any product, such as a Coxeter
+    element.
     """
     n = len(a)
     work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]

@@ -39,7 +39,7 @@ from .exact import (
     vec_neg,
 )
 from .lattice import RootLattice
-from .weyl import WeylElement, reflection_transvection
+from .weyl import WeylElement, multiply, reflection_transvection
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def braid_word_act(k: KCollection, moves) -> KCollection:
 
 def coxeter_from_collection(k: KCollection) -> WeylElement:
     """Ordered product of the reflections at the classes of the collection."""
-    return WeylElement.from_factors(
+    return multiply(
         k.lattice.rank, (reflection_transvection(k.lattice, x) for x in k.classes)
     )
 

@@ -63,6 +63,7 @@ from .presentations import (
 )
 from .quiver import LambdaTuple, Weights, as_weights, default_lambda, vertex_str
 from .weyl import (
+    DEFAULT_ROOT_CAP,
     WeylElement,
     enumerate_real_roots,
     enumerate_until_stable,
@@ -106,7 +107,7 @@ def finite_star_root_count(w: Weights) -> int:
 class SuiteConfig:
     seed: int = DEFAULT_SEED
     depth: int | None = None  # None picks a per-class default
-    cap: int = 500_000
+    cap: int = DEFAULT_ROOT_CAP
     n_bound: int = 3
     budget: int = 1_000
     samples: int = 100

@@ -8,10 +8,11 @@ with sparse u and p: the simple reflection s_v is (e_v, C e_v), the
 reflection at a norm-two vector alpha is (alpha, C alpha), and the
 translation tau_v is (delta, C e_v).  Each has a closed-form inverse.
 
-Every element acts by one rule.  A generator acts through its
-transvection, touching only the coordinates in the support of u or p:
-x - (p . x) u on vectors, M - (M u) p^T on matrices from the right and
-h - (h . u) p on dual points.  Any other element is M = I + D, where D is
+Every element acts by one rule.  A generator keeps its transvection as
+``WeylElement.step`` and acts through it, touching only the coordinates in
+the support of u or p: x - (p . x) u on vectors, M - (M u) p^T on matrices
+from the right and h - (h . u) p on dual points.  Any other element, a
+word, a product or a Coxeter element among them, is M = I + D, where D is
 nonzero only in the rows in which M differs from the identity, its moved
 rows, and acts over those rows alone: x -> x + D x on vectors and
 r -> r + sum_k r[k] D_k on rows.  Since every step names the rows it
@@ -64,6 +65,7 @@ from functools import cached_property, lru_cache
 from .errors import (
     BudgetExceeded,
     DeltaNotPreserved,
+    DimensionMismatch,
     NotNormTwo,
     NotStarVertex,
     UnknownGenerator,
@@ -84,7 +86,7 @@ from .quiver import EXT
 
 Word = tuple[tuple[object, int], ...]
 
-DEFAULT_ROOT_CAP = 200_000
+DEFAULT_ROOT_CAP = 500_000
 GENERATOR_CACHE = 4096  # entries per generator cache, over all lattices
 ROOT_WINDOW_CACHE = 2  # (lattice, basis) pairs whose root layers are kept
 
@@ -177,16 +179,11 @@ def expand_rows(n: int, rows: dict[int, Vec]) -> Mat:
     return tuple(map(rows.get, range(n), identity(n)))
 
 
-def multiply(
-    n: int,
-    steps,
-    word: Witness | None = None,
-    factors: tuple[Transvection, ...] | None = None,
-) -> WeylElement:
+def multiply(n: int, steps, word: Witness | None = None) -> WeylElement:
     """The element of the ordered product of the steps, by ``product_rows``,
-    with the given witness and factors."""
+    with the given witness."""
     rows = product_rows(n, steps)
-    return WeylElement(n, tuple(sorted(rows.items())), word, factors)
+    return WeylElement(n, tuple(sorted(rows.items())), word)
 
 
 class WordProgram:
@@ -244,7 +241,7 @@ Witness = Word | WordProgram
 @dataclass(frozen=True)
 class WeylElement:
     """An element of rank n as its moved rows, with an optional word witness
-    and factorisation.
+    and, for a generator, its transvection.
 
     ``rows`` holds (k, M_k) for each row k in which the matrix M differs
     from e_k, sorted by k; ``matrix`` is built from them on request.  An
@@ -253,32 +250,31 @@ class WeylElement:
     translation, a ``WordProgram``, set by the functions that build an
     element from a word; products, inverses and projections carry none.
 
-    An element acts by one rule.  A generator, an element whose ``factors``
-    is exactly one transvection, acts through that transvection, and its
-    moved rows are the support of u.  Every other element is M = I + D, its
-    moved rows are the rows in which D is nonzero, and it acts over them
-    alone: x -> x + D x on vectors and r -> r + sum_k r[k] D_k on rows.  A
-    translation word's matrix I - delta (C e_v)^T has about n + 6 nonzero
-    entries in D, so it acts in O(n) steps, not O(n^2).
+    An element acts by one rule.  A generator, an element built by
+    ``from_step``, keeps its transvection in ``step``, acts through it, and
+    its moved rows are the support of u.  Every other element, with ``step``
+    None, is M = I + D: its moved rows are the rows in which D is nonzero,
+    and it acts over them alone: x -> x + D x on vectors and
+    r -> r + sum_k r[k] D_k on rows.  A translation word's matrix
+    I - delta (C e_v)^T has about n + 6 nonzero entries in D, so it acts in
+    O(n) steps, not O(n^2).
 
-    ``factors``, when known, writes the element as the ordered product of
-    transvections; beyond marking a generator it gives the inverse in closed
-    form, and ``*`` concatenates it.  An element without factors is taken
-    as given: it is its own inverse when its square is the identity, and is
-    inverted with ``mat_inv`` otherwise.
+    A generator's inverse is the generator of the transvection's closed-form
+    inverse.  Any other element is its own inverse when its square is the
+    identity, and is inverted with ``mat_inv`` otherwise; no library path
+    inverts such an element.
     """
 
     rank: int
     rows: tuple[tuple[int, Vec], ...]
     word: Witness | None = field(default=None, compare=False)
-    factors: tuple[Transvection, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
+    step: Transvection | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_factors(cls, n: int, factors, word: Witness | None = None) -> "WeylElement":
-        factors = tuple(factors)
-        return multiply(n, factors, word, factors)
+    def from_step(cls, n: int, step: Transvection, word: Witness | None = None) -> "WeylElement":
+        """The generator of rank n whose transvection is ``step``."""
+        rows = product_rows(n, (step,))
+        return cls(n, tuple(sorted(rows.items())), word, step)
 
     @classmethod
     def from_matrix(cls, m: Mat) -> "WeylElement":
@@ -293,13 +289,6 @@ class WeylElement:
         return expand_rows(self.rank, dict(self.rows))
 
     @cached_property
-    def _generator(self) -> Transvection | None:
-        """The transvection of a generator; None for any other element."""
-        if self.factors is not None and len(self.factors) == 1:
-            return self.factors[0]
-        return None
-
-    @cached_property
     def _delta(self) -> tuple[tuple[int, Sparse], ...]:
         """(k, D_k) for each moved row k, D_k = M_k - e_k."""
         delta = []
@@ -312,14 +301,14 @@ class WeylElement:
     @cached_property
     def moved(self) -> tuple[int, ...]:
         """The rows in which the matrix can differ from the identity's."""
-        if self._generator is not None:
-            return self._generator.moved
+        if self.step is not None:
+            return self.step.moved
         return tuple(k for k, _row in self.rows)
 
     def apply(self, x: Vec) -> Vec:
         """M x, as x + D x over the moved rows unless M is a generator."""
-        if self._generator is not None:
-            return self._generator.apply(x)
+        if self.step is not None:
+            return self.step.apply(x)
         y = list(x)
         for k, d in self._delta:
             for j, b in d:
@@ -329,8 +318,8 @@ class WeylElement:
     def act_right(self, rows) -> None:
         """rows <- rows M in place, as r <- r + sum_k r[k] D_k over the moved
         rows k of M = I + D unless M is a generator."""
-        if self._generator is not None:
-            self._generator.act_right(rows)
+        if self.step is not None:
+            self.step.act_right(rows)
             return
         delta = self._delta
         for r in rows:
@@ -340,10 +329,9 @@ class WeylElement:
                     r[j] += c * b
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        factors = None
-        if self.factors is not None and other.factors is not None:
-            factors = self.factors + other.factors
-        return multiply(self.rank, (self, other), factors=factors)
+        if self.rank != other.rank:
+            raise DimensionMismatch(f"cannot multiply ranks {self.rank} and {other.rank}")
+        return multiply(self.rank, (self, other))
 
     def inverse(self) -> "WeylElement":
         """The inverse, built on the first call and kept on the element."""
@@ -351,9 +339,8 @@ class WeylElement:
 
     @cached_property
     def _inverse(self) -> "WeylElement":
-        if self.factors is not None:
-            factors = (f.inverse() for f in reversed(self.factors))
-            return WeylElement.from_factors(self.rank, factors)
+        if self.step is not None:
+            return WeylElement.from_step(self.rank, self.step.inverse())
         if not product_rows(self.rank, (self, self)):
             return WeylElement(self.rank, self.rows)
         return WeylElement.from_matrix(mat_inv(self.matrix))
@@ -400,7 +387,7 @@ def transvection_preserves_form(lattice: RootLattice, t: Transvection) -> bool:
 
 def _checked(lattice: RootLattice, g: WeylElement) -> WeylElement:
     """g, a single generator, once its transvection is found to be an isometry."""
-    if not transvection_preserves_form(lattice, g.factors[0]):
+    if not transvection_preserves_form(lattice, g.step):
         raise ValueError("matrix does not preserve the Cartan form")
     return g
 
@@ -424,9 +411,7 @@ def reflection_transvection(lattice: RootLattice, alpha: Vec) -> Transvection:
 
 def reflection(lattice: RootLattice, alpha: Vec, word: Word | None = None) -> WeylElement:
     """Reflection x -> x - I(x, alpha) alpha at a norm-two vector."""
-    return WeylElement.from_factors(
-        lattice.rank, (reflection_transvection(lattice, alpha),), word
-    )
+    return WeylElement.from_step(lattice.rank, reflection_transvection(lattice, alpha), word)
 
 
 @lru_cache(maxsize=GENERATOR_CACHE)
@@ -446,10 +431,10 @@ def evaluate_word(lattice: RootLattice, word) -> WeylElement:
     """
     word = tuple((v, e) for v, e in word)
     steps = {
-        v: simple_reflection(lattice, v).factors[0]
+        v: simple_reflection(lattice, v).step
         for v in dict.fromkeys(v for v, _e in word)
     }
-    return WeylElement.from_factors(lattice.rank, (steps[v] for v, _e in word), word)
+    return multiply(lattice.rank, (steps[v] for v, _e in word), word)
 
 
 def evaluate_program(lattice: RootLattice, word: WordProgram, memo: dict) -> WeylElement:
@@ -460,7 +445,7 @@ def evaluate_program(lattice: RootLattice, word: WordProgram, memo: dict) -> Wey
     of the inverse word, each the product of simple reflections and of the
     memoised elements of its subprograms, multiplied by ``product_rows``
     over the rows they move; a memoised element is kept bare, as its moved
-    rows without factors, and acts as I + D over them.  Pass one dict per
+    rows without a step, and acts as I + D over them.  Pass one dict per
     run of a check, so that each run multiplies its reflections itself.  The
     result is such a bare element too, and its word is ``word``.
     """
@@ -481,7 +466,7 @@ def _evaluate_parts(
                 backward.append(m if p.inverted else m_inv)
             else:
                 # A reflection is its own inverse, whatever the exponent.
-                step = simple_reflection(lattice, p[0]).factors[0]
+                step = simple_reflection(lattice, p[0]).step
                 forward.append(step)
                 backward.append(step)
         n = lattice.rank
@@ -516,9 +501,7 @@ def translation_element(lattice: RootLattice, v) -> WeylElement:
     if v == EXT or v not in lattice.vertices:
         raise NotStarVertex(f"{v!r} is not a star vertex of this lattice")
     step = Transvection(sparse(lattice.delta), lattice.cartan_rows[lattice.index(v)])
-    return _checked(
-        lattice, WeylElement.from_factors(lattice.rank, (step,), translation_word(v))
-    )
+    return _checked(lattice, WeylElement.from_step(lattice.rank, step, translation_word(v)))
 
 
 def project_p(lattice: RootLattice, w: WeylElement) -> WeylElement:
@@ -772,14 +755,16 @@ def serre_coxeter_matrix(lattice: RootLattice) -> Mat:
 
 
 def order_of(w: WeylElement, cap: int) -> Finite | Truncated:
-    """Multiplicative order of an element, probed up to cap."""
+    """Multiplicative order of an element, probed up to cap.
+
+    Each power is held as its moved rows and multiplied by w through w's
+    own action: its transvection for a generator, I + D otherwise.
+    """
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    # The moved rows of the power, times the factors of w when they are known.
-    steps = w.factors if w.factors is not None else (w,)
     power = dict(w.rows)
     for k in range(1, cap + 1):
         if not power:
             return Finite(order=k)
-        power = product_rows(w.rank, steps, power)
+        power = product_rows(w.rank, (w,), power)
     return Truncated(explored=cap)

@@ -429,7 +429,7 @@ def test_dual_reflect_matches_dense_transposed_action(lat, data):
     dense = transpose(dense_reflection(lat, lat.basis_vector(lat.vertices[v])))
     p = rational_point(vals, vals)
     rows = [list(p.re)]
-    simple_reflection(lat, lat.vertices[v]).factors[0].act_right(rows)
+    simple_reflection(lat, lat.vertices[v]).step.act_right(rows)
     assert all(isinstance(x, int) for x in rows[0])
     assert tuple(Fraction(x, p.d) for x in rows[0]) == mat_vec(dense, vals)
 
@@ -591,9 +591,9 @@ def near_identity_matrices(n):
 
 def acting_elements(lat, data):
     """One element of each kind the action rule covers: a simple reflection,
-    a word of several letters built from factors, a product by ``*`` and a
-    program node, and on an octopus lattice a translation, its inverse, a
-    product with it and its witness evaluated as a program."""
+    a word of several letters, a product by ``*`` and a program node, and on
+    an octopus lattice a translation, its inverse, a product with it and its
+    witness evaluated as a program."""
     letters = data.draw(
         st.lists(st.sampled_from(lat.vertices), min_size=2, max_size=6), label="w"
     )
@@ -676,6 +676,17 @@ def test_order_of_coxeter_elements_matches_dense_powers():
     # Both kinds of answer occur, and finite orders above 2.
     assert any(isinstance(x, Truncated) for x in answers)
     assert any(isinstance(x, Finite) and x.order > 2 for x in answers)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattices, st.data())
+def test_order_of_matches_dense_powers_on_every_kind_of_element(lat, data):
+    # order_of multiplies every element by itself alone: a generator
+    # through its transvection, any other element as I + D.  Cap 32 is above
+    # 30, the order of the Coxeter element of E8, the star (2,3,5).
+    cox = WeylElement.from_matrix(coxeter_element(lat).matrix)
+    for element in acting_elements(lat, data) + [cox, identity_element(lat)]:
+        assert order_of(element, 32) == dense_order(element.matrix, 32)
 
 
 def dense_split_matrix(lat, m):
@@ -1035,7 +1046,7 @@ def word_steps(lat, data):
     n = lat.rank
     star_verts = lat.star_vertices()
     gens = [simple_reflection(lat, v) for v in lat.vertices]
-    gens += [g.factors[0] for g in gens]
+    gens += [g.step for g in gens]
     gens += [translation_element(lat, v) for v in star_verts]
     gens += [translation_element(lat, v).inverse() for v in star_verts]
     v = data.draw(st.sampled_from(lat.vertices), label="twist vertex")
@@ -1118,8 +1129,8 @@ def test_sparse_form_criterion_matches_preserves_form(lat, data):
 def test_sparse_form_criterion_holds_and_fails():
     lat = octopus_lattice((2, 3, 4))
     n = lat.rank
-    gens = [simple_reflection(lat, v).factors[0] for v in lat.vertices]
-    gens += [translation_element(lat, v).factors[0] for v in lat.star_vertices()]
+    gens = [simple_reflection(lat, v).step for v in lat.vertices]
+    gens += [translation_element(lat, v).step for v in lat.star_vertices()]
     for t in gens:
         assert transvection_preserves_form(lat, t)
         assert preserves_form(lat, step_matrix(lat, t))
@@ -1137,7 +1148,7 @@ def test_sparse_form_criterion_holds_and_fails():
         assert not transvection_preserves_form(lat, t)
         assert not preserves_form(lat, step_matrix(lat, t))
     with pytest.raises(ValueError, match="does not preserve"):
-        weyl._checked(lat, WeylElement.from_factors(n, (transvection(*bad[0]),)))
+        weyl._checked(lat, WeylElement.from_step(n, transvection(*bad[0])))
 
 
 def dense_side(word, matrices):

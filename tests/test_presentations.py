@@ -277,4 +277,4 @@ def test_verify_builds_each_translation_inverse_once(monkeypatch):
     for _ in range(2):
         assert verify(semidirect_spec(w), semidirect_assignment(octo)).passed
     for v in octo.star_vertices():
-        assert built[translation_element(octo, v).factors[0]] == 1, v
+        assert built[translation_element(octo, v).step] == 1, v

@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 from octoweyl.errors import (
     BudgetExceeded,
     DeltaNotPreserved,
+    DimensionMismatch,
     NotOctopus,
     NotNormTwo,
     NotStarVertex,
     UnknownGenerator,
 )
-from octoweyl.exact import identity, mat_mul
+from octoweyl.exact import identity, mat_mul, sparse
 from octoweyl import lattice
-from octoweyl.ktheory import braid_act, simples_collection, twist_matrix
+from octoweyl.ktheory import braid_act, coxeter_from_collection, simples_collection, twist_matrix
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
 from octoweyl.weyl import (
     Finite,
+    Transvection,
     Truncated,
     WeylElement,
     coxeter_element,
@@ -35,6 +37,7 @@ from octoweyl.weyl import (
     preserves_form,
     project_p,
     reflection,
+    reflection_transvection,
     root_orbit,
     serre_coxeter_matrix,
     simple_reflection,
@@ -336,3 +339,41 @@ def test_inverse_is_built_once_per_element():
     for x in (s, tau, s * tau, twist, bare_translation):
         assert x.inverse() is x.inverse()
         assert (x * x.inverse()).is_identity()
+
+
+def test_only_generators_keep_their_transvection():
+    octo = octopus_lattice((2, 3, 4))
+    n = octo.rank
+    s = simple_reflection(octo, "1")
+    alpha = tuple(map(sum, zip(octo.basis_vector("1"), octo.basis_vector((1, 1)))))
+    tau = translation_element(octo, (2, 1))
+    tau_step = Transvection(sparse(octo.delta), octo.cartan_rows[octo.index((2, 1))])
+    steps = {
+        s: reflection_transvection(octo, octo.basis_vector("1")),
+        reflection(octo, alpha): reflection_transvection(octo, alpha),
+        tau: tau_step,
+        tau.inverse(): tau_step.inverse(),
+        s.inverse(): s.step,
+    }
+    for g, step in steps.items():
+        assert g.step == step
+        assert g == WeylElement.from_step(n, step)
+    bare = [
+        evaluate_word(octo, (("1", 1), ((1, 1), 1))),
+        evaluate_word(octo, (("1", 1), ("1", -1))),
+        s * tau,
+        s * s,
+        coxeter_element(octo),
+        coxeter_from_collection(simples_collection(octo)),
+        WeylElement.from_matrix(s.matrix),
+        WeylElement.from_matrix(tau.matrix),
+    ]
+    assert all(x.step is None for x in bare)
+
+
+def test_product_of_mixed_ranks_raises():
+    octo_s = simple_reflection(octopus_lattice((2, 2, 2)), "1")
+    star_s = simple_reflection(star_lattice((2, 2, 2)), "1")
+    for a, b in ((octo_s, star_s), (star_s, octo_s)):
+        with pytest.raises(DimensionMismatch):
+            a * b
