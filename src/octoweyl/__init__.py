@@ -21,12 +21,9 @@ from .ktheory import (
 )
 from .lattice import (
     RootLattice,
-    cartan_matrix,
     delta_vector,
     euler_characteristic,
-    euler_matrix,
     octopus_lattice,
-    radical_basis,
     root_lattice,
     star_lattice,
     weyl_class,

@@ -68,8 +68,15 @@ def sparse(x: Vec) -> Sparse:
     return tuple(zip(compress(count(), x), filter(None, x)))
 
 
-def sparse_rows(a: Mat) -> tuple[Sparse, ...]:
-    return tuple(sparse(row) for row in a)
+def dense_rows(rows: tuple[Sparse, ...], n: int) -> Mat:
+    """The matrix of n columns with the given sparse rows."""
+    out = []
+    for row in rows:
+        x = [0] * n
+        for j, a in row:
+            x[j] = a
+        out.append(tuple(x))
+    return tuple(out)
 
 
 def sparse_mat_vec(rows: tuple[Sparse, ...], x) -> tuple:
@@ -132,50 +139,6 @@ def mat_inv(a: Mat) -> Mat:
             ints.append(v.numerator)
         out.append(tuple(ints))
     return tuple(out)
-
-
-def _sign_normalize(v: Vec) -> Vec:
-    for a in v:
-        if a != 0:
-            return v if a > 0 else tuple(-x for x in v)
-    return v
-
-
-def integer_kernel(a: Mat) -> tuple[Vec, ...]:
-    """Basis of the saturated integer kernel {x : a @ x = 0}.
-
-    Unimodular row reduction is applied to the transpose while tracking the
-    transform; transform rows matched to zero rows form a basis of the full
-    kernel lattice, so every integer solution is an integer combination of
-    the returned vectors and each vector is primitive.
-    """
-    rows = len(a)
-    n = len(a[0]) if rows else 0
-    b = [list(col) for col in zip(*a)]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pivot_row = 0
-    for c in range(rows):
-        while True:
-            live = [r for r in range(pivot_row, n) if b[r][c] != 0]
-            if not live:
-                break
-            best = min(live, key=lambda r: abs(b[r][c]))
-            b[pivot_row], b[best] = b[best], b[pivot_row]
-            u[pivot_row], u[best] = u[best], u[pivot_row]
-            done = True
-            for r in range(pivot_row + 1, n):
-                if b[r][c] != 0:
-                    q = b[r][c] // b[pivot_row][c]
-                    b[r] = [x - q * y for x, y in zip(b[r], b[pivot_row])]
-                    u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
-                    if b[r][c] != 0:
-                        done = False
-            if done:
-                pivot_row += 1
-                break
-    # Rows at and below pivot_row are the zero rows of the reduced transpose.
-    kernel = [_sign_normalize(tuple(u[r])) for r in range(pivot_row, n)]
-    return tuple(sorted(kernel))
 
 
 def sparse_determinant(rows: tuple[Sparse, ...]) -> int:

@@ -29,13 +29,12 @@ from .errors import (
     ValidationError,
 )
 from .exact import (
-    Mat,
     Sparse,
     Vec,
     identity,
     sparse,
     sparse_determinant,
-    transpose,
+    sparse_mat_vec,
     vec_neg,
 )
 from .lattice import RootLattice
@@ -179,14 +178,29 @@ def coxeter_from_collection(k: KCollection) -> WeylElement:
 
 def spherical_twist_K(lattice: RootLattice, s: Vec, x: Vec) -> Vec:
     """Twist action on a class: x - I(s, x) s at a norm-two class s."""
-    norm = lattice.form(s, s)
-    if norm != 2:
-        raise NotNormTwo(f"I(s, s) = {norm} != 2, not a spherical class")
+    _require_spherical(lattice, s)
     coeff = lattice.form(s, x)
     return tuple(a - coeff * b for a, b in zip(x, s))
 
 
-def twist_matrix(lattice: RootLattice, s: Vec) -> Mat:
-    """Matrix of the twist at s, assembled column by column from its action."""
-    cols = [spherical_twist_K(lattice, s, unit) for unit in identity(lattice.rank)]
-    return transpose(cols)
+def _require_spherical(lattice: RootLattice, s: Vec) -> None:
+    norm = lattice.form(s, s)
+    if norm != 2:
+        raise NotNormTwo(f"I(s, s) = {norm} != 2, not a spherical class")
+
+
+def twist_rows(lattice: RootLattice, s: Vec) -> tuple[tuple[int, Vec], ...]:
+    """The moved rows of the twist at s, read off its action on unit vectors.
+
+    The twist fixes e_k unless I(s, e_k) != 0, that is unless k is in the
+    support of C s, so only those images are read; the rows that differ
+    from the identity are those in the support of s.
+    """
+    _require_spherical(lattice, s)
+    unit = identity(lattice.rank)
+    rows = {i: list(unit[i]) for i, _a in sparse(s)}
+    for k, _c in sparse(sparse_mat_vec(lattice.cartan_rows, s)):
+        image = spherical_twist_K(lattice, s, unit[k])
+        for i, row in rows.items():
+            row[k] = image[i]
+    return tuple((i, tuple(row)) for i, row in rows.items())

@@ -1,10 +1,19 @@
 """Grothendieck lattice data of a bound quiver: Euler and Cartan forms.
 
-The Euler matrix of a star or octopus quiver, taken on the simple classes in
-canonical vertex order, is unit upper triangular; the Cartan matrix is its
-symmetrization.  The octopus Cartan form is degenerate: it kills the vector
+The Euler form of a star or octopus quiver, taken on the simple classes in
+canonical vertex order, is unit upper triangular; the Cartan form is its
+symmetrization.  A lattice stores the Euler form as its sparse rows, built
+straight from the quiver's arrows and relations, and merges E + E^T over
+them for the Cartan rows; the dense matrices are built only on request.
+
+The octopus Cartan form is degenerate: it kills the vector
 ``delta = e_{1*} - e_1``, which splits the octopus lattice as the star
-lattice plus an integer multiple of delta.
+lattice plus an integer multiple of delta.  The radical has a closed form.
+The star form is nondegenerate unless chi = 0, the four tubular types, where
+it kills the null root h (V. Kac, "Infinite dimensional Lie algebras",
+ch. 4; W. Geigle and H. Lenzing, "A class of weighted projective curves
+arising in representation theory of finite dimensional algebras", 1987);
+the octopus radical is spanned by delta and, when chi = 0, by h.
 """
 
 from __future__ import annotations
@@ -12,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add
+from math import lcm
 
 from .errors import NotOctopus
-from .exact import Mat, Sparse, Vec, identity, integer_kernel, sparse_form, sparse_rows, transpose
+from .exact import Mat, Sparse, Vec, dense_rows, identity, sparse_form, vec_neg
 from .quiver import (
     BoundQuiver,
     LambdaTuple,
@@ -24,23 +33,6 @@ from .quiver import (
     build_octopus,
     build_star,
 )
-
-
-def euler_matrix(q: BoundQuiver) -> Mat:
-    """Euler form Gram matrix on simples: delta_vw - arrows(v,w) + relations(v,w)."""
-    q.validate()
-    n = q.rank
-    idx = {v: i for i, v in enumerate(q.vertices)}
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for src, dst in q.arrows:
-        m[idx[src]][idx[dst]] -= 1
-    for (src, dst), mult in q.relations:
-        m[idx[src]][idx[dst]] += mult
-    return tuple(tuple(row) for row in m)
-
-
-def cartan_matrix(q: BoundQuiver) -> Mat:
-    return root_lattice(q).cartan
 
 
 def euler_characteristic(w: Weights) -> Fraction:
@@ -58,31 +50,37 @@ def weyl_class(w: Weights) -> str:
     return "cuspidal"
 
 
-def radical_basis(cartan: Mat) -> tuple[Vec, ...]:
-    """Primitive basis of the radical {x : cartan @ x = 0} of a symmetric form."""
-    if cartan != transpose(cartan):
-        raise ValueError("radical_basis expects a symmetric matrix")
-    return integer_kernel(cartan)
+def null_root(w: Weights) -> Vec:
+    """h on the star simples: m = lcm(a_i) at the hub and m(a_i - j)/a_i at
+    arm slot (i, j).  It pairs to 0 with every arm slot, and to m chi with
+    the hub, so it spans the star radical when chi = 0."""
+    m = lcm(*w.a)
+    return (m,) + tuple(m // ai * (ai - j) for ai in w.a for j in range(1, ai))
 
 
 @dataclass(frozen=True)
 class RootLattice:
-    """Based integer lattice with the Euler and Cartan forms of a bound quiver."""
+    """Based integer lattice with the Euler and Cartan forms of a bound quiver.
+
+    The sparse Euler rows are the stored form; the Cartan rows are merged
+    from them on first use, and the dense ``euler`` and ``cartan`` matrices
+    are built only when something reads them.  The radical is in closed
+    form (see the module docstring).
+    """
 
     kind: str
     weights: Weights
     vertices: tuple
-    euler: Mat
-    cartan: Mat
+    euler_rows: tuple[Sparse, ...]
 
     # The caches keyed by a lattice hash it on every lookup, and its fields
-    # hold two n x n matrices: hash them once.  Equality stays field-wise.
+    # hold a row per vertex: hash them once.  Equality stays field-wise.
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.kind, self.weights, self.vertices, self.euler, self.cartan))
+        return hash((self.kind, self.weights, self.vertices, self.euler_rows))
 
     @property
     def rank(self) -> int:
@@ -99,15 +97,26 @@ class RootLattice:
         """e_v, the row of v in the cached identity matrix of this rank."""
         return identity(self.rank)[self.index(v)]
 
-    # Sparse rows of the two Gram matrices, built on first use: a pairing
-    # then costs a term per nonzero entry, not a dense n x n product.
+    # A pairing costs a term per nonzero entry of the sparse rows, not a
+    # dense n x n product.
     @cached_property
     def cartan_rows(self) -> tuple[Sparse, ...]:
-        return sparse_rows(self.cartan)
+        """E + E^T, merged over the Euler rows."""
+        rows = [dict(row) for row in self.euler_rows]
+        for i, row in enumerate(self.euler_rows):
+            for j, a in row:
+                rows[j][i] = rows[j].get(i, 0) + a
+        return tuple(tuple(sorted((j, a) for j, a in row.items() if a)) for row in rows)
 
     @cached_property
-    def euler_rows(self) -> tuple[Sparse, ...]:
-        return sparse_rows(self.euler)
+    def euler(self) -> Mat:
+        """The dense Euler matrix."""
+        return dense_rows(self.euler_rows, self.rank)
+
+    @cached_property
+    def cartan(self) -> Mat:
+        """The dense Cartan matrix."""
+        return dense_rows(self.cartan_rows, self.rank)
 
     def form(self, x: Vec, y: Vec) -> int:
         """Cartan form I(x, y) = x^T I y."""
@@ -123,7 +132,12 @@ class RootLattice:
 
     @cached_property
     def radical(self) -> tuple[Vec, ...]:
-        return radical_basis(self.cartan)
+        """A primitive basis of {x : I x = 0}, sorted: (h,) for a star when
+        chi = 0, else (); for an octopus -delta, then (h, 0) when chi = 0."""
+        star = () if euler_characteristic(self.weights) else (null_root(self.weights),)
+        if not self.is_octopus:
+            return star
+        return (vec_neg(self.delta),) + tuple(h + (0,) for h in star)
 
     @cached_property
     def delta(self) -> Vec:
@@ -137,8 +151,9 @@ class RootLattice:
         """The star lattice of an octopus, checked once to carry the quotient form."""
         if not self.is_octopus:
             raise NotOctopus("only an octopus lattice has a star quotient")
-        star = star_lattice(self.weights)
-        if star.cartan != tuple(row[:-1] for row in self.cartan[:-1]):
+        star, n = star_lattice(self.weights), self.rank - 1
+        induced = tuple(tuple((j, a) for j, a in row if j < n) for row in self.cartan_rows[:n])
+        if star.cartan_rows != induced:
             raise ValueError("the star form is not the form induced on the quotient by delta")
         return star
 
@@ -174,16 +189,8 @@ def delta_vector(lattice: RootLattice) -> Vec:
 
 
 def root_lattice(q: BoundQuiver) -> RootLattice:
-    """The lattice of q, whose Cartan matrix is E + E^T for its one Euler
-    matrix E."""
-    e = euler_matrix(q)
-    return RootLattice(
-        kind=q.kind,
-        weights=q.weights,
-        vertices=q.vertices,
-        euler=e,
-        cartan=tuple(tuple(map(add, row, col)) for row, col in zip(e, transpose(e))),
-    )
+    """The lattice of q, built from its sparse Euler rows."""
+    return RootLattice(q.kind, q.weights, q.vertices, q.euler_rows())
 
 
 @lru_cache(maxsize=256)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidLambda, InvalidQuiver, InvalidWeights
-from .exact import parse_rational
+from .exact import Sparse, parse_rational
 
 Vertex = str | tuple[int, int]
 
@@ -166,6 +166,18 @@ class BoundQuiver:
             expected.vertices, expected.arrows, expected.relations
         ):
             raise InvalidQuiver(f"not a valid {self.kind} quiver for weights {self.weights}")
+
+    def euler_rows(self) -> tuple[Sparse, ...]:
+        """Sparse rows of the Euler form on simples, validated first:
+        delta_vw - arrows(v, w) + relations(v, w)."""
+        self.validate()
+        idx = {v: i for i, v in enumerate(self.vertices)}
+        rows = [{i: 1} for i in range(self.rank)]
+        terms = [(arrow, -1) for arrow in self.arrows] + list(self.relations)
+        for (src, dst), mult in terms:
+            row, j = rows[idx[src]], idx[dst]
+            row[j] = row.get(j, 0) + mult
+        return tuple(tuple(sorted((j, a) for j, a in row.items() if a)) for row in rows)
 
 
 def star_vertices(w: Weights) -> tuple[Vertex, ...]:

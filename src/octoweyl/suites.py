@@ -39,7 +39,7 @@ from .ktheory import (
     numerically_exceptional,
     simples_collection,
     spherical_twist_K,
-    twist_matrix,
+    twist_rows,
 )
 from .lattice import (
     RootLattice,
@@ -489,12 +489,12 @@ def suite_mutations(run: SuiteRun) -> dict:
 
 @_suite("twists")
 def suite_twists(run: SuiteRun) -> None:
-    """Twist matrices against reflections, and the Artin relations for twists."""
+    """Twists against reflections, and the Artin relations for twists."""
     octo = run.octo
     twist_assignment = {}
     for v in octo.vertices:
         s, vx = octo.basis_vector(v), vertex_str(v)
-        twist = twist_assignment[vx] = WeylElement.from_matrix(twist_matrix(octo, s))
+        twist = twist_assignment[vx] = WeylElement(octo.rank, twist_rows(octo, s))
         reflects = twist.rows == simple_reflection(octo, v).rows
         run.add("twist-equals-reflection", reflects, vertex=vx)
         negates = spherical_twist_K(octo, s, s) == vec_neg(s)

@@ -742,11 +742,11 @@ def serre_coxeter_matrix(lattice: RootLattice) -> Mat:
     The Euler matrix E is unit upper triangular, so X = E^{-1} E^T solves
     E X = E^T in integers, row by row from the bottom.
     """
-    e = lattice.euler
-    if any(e[i][j] != (i == j) for i in range(len(e)) for j in range(i + 1)):
+    # Row i of a unit upper triangular E starts with the entry (i, 1).
+    if any(row[:1] != ((i, 1),) for i, row in enumerate(lattice.euler_rows)):
         raise ValueError("the Euler matrix is not unit upper triangular")
     x = {}
-    for i, row in reversed(list(enumerate(transpose(e)))):
+    for i, row in reversed(list(enumerate(transpose(lattice.euler)))):
         for j, a in lattice.euler_rows[i]:
             if j > i:
                 row = [r - a * y for r, y in zip(row, x[j])]

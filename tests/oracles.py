@@ -7,7 +7,8 @@ from math import lcm
 
 from octoweyl.cone import DualPoint
 from octoweyl.errors import BudgetExceeded, InvalidQuiver
-from octoweyl.exact import dot, sparse_mat_vec
+from octoweyl.exact import dot, identity, sparse, sparse_mat_vec, transpose
+from octoweyl.ktheory import spherical_twist_K
 from octoweyl.quiver import EXT, HUB
 from octoweyl.weyl import WeylElement, reflection_transvection, translation_element
 
@@ -47,6 +48,85 @@ def determinant(a) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def sparse_rows(a) -> tuple:
+    """The sparse rows of a dense matrix."""
+    return tuple(sparse(row) for row in a)
+
+
+def euler_matrix(q) -> tuple:
+    """The dense Euler Gram matrix on simples of a bound quiver:
+    delta_vw - arrows(v,w) + relations(v,w)."""
+    q.validate()
+    n = q.rank
+    idx = {v: i for i, v in enumerate(q.vertices)}
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for src, dst in q.arrows:
+        m[idx[src]][idx[dst]] -= 1
+    for (src, dst), mult in q.relations:
+        m[idx[src]][idx[dst]] += mult
+    return tuple(tuple(row) for row in m)
+
+
+def _sign_normalize(v):
+    for a in v:
+        if a != 0:
+            return v if a > 0 else tuple(-x for x in v)
+    return v
+
+
+def integer_kernel(a) -> tuple:
+    """Basis of the saturated integer kernel {x : a @ x = 0}.
+
+    Unimodular row reduction is applied to the transpose while tracking the
+    transform; transform rows matched to zero rows form a basis of the full
+    kernel lattice, so every integer solution is an integer combination of
+    the returned vectors and each vector is primitive.  Sorted, each vector
+    with a positive leading entry.
+    """
+    rows = len(a)
+    n = len(a[0]) if rows else 0
+    b = [list(col) for col in zip(*a)]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pivot_row = 0
+    for c in range(rows):
+        while True:
+            live = [r for r in range(pivot_row, n) if b[r][c] != 0]
+            if not live:
+                break
+            best = min(live, key=lambda r: abs(b[r][c]))
+            b[pivot_row], b[best] = b[best], b[pivot_row]
+            u[pivot_row], u[best] = u[best], u[pivot_row]
+            done = True
+            for r in range(pivot_row + 1, n):
+                if b[r][c] != 0:
+                    q = b[r][c] // b[pivot_row][c]
+                    b[r] = [x - q * y for x, y in zip(b[r], b[pivot_row])]
+                    u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
+                    if b[r][c] != 0:
+                        done = False
+            if done:
+                pivot_row += 1
+                break
+    # Rows at and below pivot_row are the zero rows of the reduced transpose.
+    kernel = [_sign_normalize(tuple(u[r])) for r in range(pivot_row, n)]
+    return tuple(sorted(kernel))
+
+
+def radical_basis(cartan) -> tuple:
+    """Primitive basis of the radical {x : cartan @ x = 0} of a symmetric
+    form, by ``integer_kernel``: the oracle of ``RootLattice.radical``."""
+    if cartan != transpose(cartan):
+        raise ValueError("radical_basis expects a symmetric matrix")
+    return integer_kernel(cartan)
+
+
+def twist_matrix(lattice, s) -> tuple:
+    """Matrix of the twist at s, assembled column by column from its action
+    on every unit vector: the oracle of ``ktheory.twist_rows``."""
+    cols = [spherical_twist_K(lattice, s, unit) for unit in identity(lattice.rank)]
+    return transpose(cols)
 
 
 def euler_gram(k) -> tuple:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from octoweyl.exact import (
     format_rational,
     identity,
-    integer_kernel,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -18,7 +17,7 @@ from octoweyl.exact import (
     transpose,
 )
 
-from oracles import determinant, is_unit_upper_triangular
+from oracles import determinant, integer_kernel, is_unit_upper_triangular
 
 small_matrices = st.integers(2, 4).flatmap(
     lambda n: st.lists(

@@ -68,7 +68,6 @@ from octoweyl.exact import (
     sparse,
     sparse_determinant,
     sparse_mat_vec,
-    sparse_rows,
     transpose,
 )
 from octoweyl.ktheory import (
@@ -78,7 +77,6 @@ from octoweyl.ktheory import (
     is_full,
     numerically_exceptional,
     simples_collection,
-    twist_matrix,
 )
 from octoweyl.lattice import euler_characteristic, octopus_lattice, star_lattice
 from octoweyl.presentations import semidirect_assignment, semidirect_spec, verify
@@ -136,6 +134,8 @@ from oracles import (
     point_value,
     rational_point,
     rational_values,
+    sparse_rows,
+    twist_matrix,
 )
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)

@@ -16,13 +16,14 @@ from octoweyl.ktheory import (
     parse_move,
     simples_collection,
     spherical_twist_K,
-    twist_matrix,
+    twist_rows,
 )
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
-from octoweyl.weyl import coxeter_element, simple_reflection
+from octoweyl.suites import DEFAULT_CATALOG
+from octoweyl.weyl import WeylElement, coxeter_element, evaluate_word, simple_reflection
 
-from oracles import euler_gram
+from oracles import euler_gram, twist_matrix
 
 weight_tuples = st.lists(st.integers(2, 4), min_size=3, max_size=4).map(tuple)
 
@@ -162,6 +163,10 @@ def test_spherical_twist_examples():
     assert spherical_twist_K(lat, ext, a1) == (1, 0, 0, 0, -2)
     with pytest.raises(NotNormTwo):
         spherical_twist_K(lat, lat.delta, a1)
+    # delta pairs to 0 with every unit vector, so no image is read for it.
+    for s in (lat.delta, (2, 0, 0, 0, 0)):
+        with pytest.raises(NotNormTwo):
+            twist_rows(lat, s)
 
 
 def test_twist_matrix_equals_reflection():
@@ -172,6 +177,37 @@ def test_twist_matrix_equals_reflection():
                 twist_matrix(lat, lat.basis_vector(v))
                 == simple_reflection(lat, v).matrix
             )
+
+
+def dense_twist_rows(lat, s):
+    """The moved rows of the dense twist matrix."""
+    return WeylElement.from_matrix(twist_matrix(lat, s)).rows
+
+
+def test_twist_rows_match_the_dense_twist_at_every_catalog_simple():
+    for a in DEFAULT_CATALOG:
+        w = Weights(a)
+        for lat in (star_lattice(w), octopus_lattice(w, default_lambda(w.r))):
+            for v in lat.vertices:
+                s = lat.basis_vector(v)
+                assert twist_rows(lat, s) == dense_twist_rows(lat, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_tuples, st.sampled_from(("star", "octopus")), st.data())
+def test_twist_rows_match_the_dense_twist_at_norm_two_classes(a, kind, data):
+    # A real root, the image of a simple under a drawn word, shifted by a
+    # multiple of delta on an octopus.
+    w = Weights(a)
+    lat = star_lattice(w) if kind == "star" else octopus_lattice(w, default_lambda(w.r))
+    word = data.draw(st.lists(st.sampled_from(lat.vertices), max_size=8), label="word")
+    v = data.draw(st.sampled_from(lat.vertices), label="v")
+    s = evaluate_word(lat, [(u, 1) for u in word]).apply(lat.basis_vector(v))
+    if lat.is_octopus:
+        n = data.draw(st.integers(-3, 3), label="n")
+        s = tuple(x + n * d for x, d in zip(s, lat.delta))
+    assert lat.form(s, s) == 2
+    assert twist_rows(lat, s) == dense_twist_rows(lat, s)
 
 
 def test_move_parsing():

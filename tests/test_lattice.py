@@ -1,27 +1,25 @@
-"""Euler/Cartan matrices, characteristic, radical: frozen values and laws.
+"""Euler/Cartan forms, characteristic, radical: frozen values and laws.
 
 The frozen radical vectors for the vanishing-characteristic tuples are the
 null-root coefficient vectors, recomputed by hand from I @ x = 0 before
-being pinned here.
+being pinned here.  The sparse rows and the closed-form radical are held to
+the dense Euler matrix and ``integer_kernel`` of ``oracles``.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octoweyl import lattice
-from octoweyl.errors import NotOctopus
+from octoweyl.errors import InvalidQuiver, NotOctopus
 from octoweyl.exact import identity, mat_vec, transpose
 from octoweyl.lattice import (
     RootLattice,
-    cartan_matrix,
     delta_vector,
     euler_characteristic,
-    euler_matrix,
     octopus_lattice,
-    radical_basis,
     root_lattice,
     star_lattice,
     weyl_class,
@@ -29,15 +27,27 @@ from octoweyl.lattice import (
 from octoweyl.quiver import BoundQuiver, Weights, build_octopus, build_star, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
 
-from oracles import is_unit_upper_triangular
+from oracles import euler_matrix, is_unit_upper_triangular, radical_basis, sparse_rows
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
+wide_weight_tuples = st.lists(st.integers(2, 7), min_size=3, max_size=5).map(tuple)
+
+
+def _quiver(a, kind):
+    w = Weights(a)
+    return build_star(w) if kind == "star" else build_octopus(w, default_lambda(w.r))
+
+
+def _dense_cartan(q):
+    """E + E^T of the dense Euler oracle."""
+    e = euler_matrix(q)
+    return tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(e, transpose(e)))
 
 
 def test_octopus_euler_222_frozen():
     # Hand count: three hub arrows, three arrows into 1*, two relations 1 -> 1*.
     q = build_octopus(Weights((2, 2, 2)))
-    assert euler_matrix(q) == (
+    assert root_lattice(q).euler == (
         (1, -1, -1, -1, 2),
         (0, 1, 0, 0, -1),
         (0, 0, 1, 0, -1),
@@ -47,14 +57,14 @@ def test_octopus_euler_222_frozen():
 
 
 def test_star_euler_and_cartan_222():
-    q = build_star(Weights((2, 2, 2)))
-    assert euler_matrix(q) == (
+    lat = root_lattice(build_star(Weights((2, 2, 2))))
+    assert lat.euler == (
         (1, -1, -1, -1),
         (0, 1, 0, 0),
         (0, 0, 1, 0),
         (0, 0, 0, 1),
     )
-    assert cartan_matrix(q) == (
+    assert lat.cartan == (
         (2, -1, -1, -1),
         (-1, 2, 0, 0),
         (-1, 0, 2, 0),
@@ -99,8 +109,7 @@ ELLIPTIC_RADICALS = {
 @pytest.mark.parametrize("a", DEFAULT_CATALOG)
 def test_radical_rank_dichotomy(a):
     w = Weights(a)
-    lat = star_lattice(w)
-    rad = radical_basis(lat.cartan)
+    rad = star_lattice(w).radical
     if euler_characteristic(w) == 0:
         assert len(rad) == 1
         assert rad[0] == ELLIPTIC_RADICALS[a]
@@ -142,6 +151,33 @@ def test_delta_is_built_once_per_lattice():
 def test_radical_basis_rejects_asymmetric():
     with pytest.raises(ValueError):
         radical_basis(((1, 2), (3, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_weight_tuples, st.sampled_from(("star", "octopus")))
+@example((2, 2, 2, 2), "star")
+@example((2, 2, 2, 2), "octopus")
+@example((3, 3, 3), "star")
+@example((3, 3, 3), "octopus")
+@example((2, 4, 4), "star")
+@example((2, 4, 4), "octopus")
+@example((2, 3, 6), "star")
+@example((2, 3, 6), "octopus")
+def test_closed_form_radical_matches_integer_kernel(a, kind):
+    # In order and sign: -delta first, then the null root, each with a
+    # positive leading entry.
+    q = _quiver(a, kind)
+    assert root_lattice(q).radical == radical_basis(_dense_cartan(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_weight_tuples, st.sampled_from(("star", "octopus")))
+def test_rows_match_the_dense_euler_oracle(a, kind):
+    q = _quiver(a, kind)
+    lat = root_lattice(q)
+    assert lat.euler_rows == sparse_rows(euler_matrix(q))
+    assert lat.cartan_rows == sparse_rows(_dense_cartan(q))
+    assert lat.euler == euler_matrix(q) and lat.cartan == _dense_cartan(q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,11 +235,6 @@ def test_lattice_matrices_independent_of_marked_points():
 
 
 def test_tampered_quiver_rejected_at_validation():
-    import pytest as _pytest
-
-    from octoweyl.errors import InvalidQuiver
-    from octoweyl.quiver import BoundQuiver
-
     good = build_star(Weights((2, 2, 2)))
     missing_arrow = BoundQuiver(
         kind="star",
@@ -212,8 +243,8 @@ def test_tampered_quiver_rejected_at_validation():
         arrows=good.arrows[:-1],
         relations=(),
     )
-    with _pytest.raises(InvalidQuiver):
-        euler_matrix(missing_arrow)
+    with pytest.raises(InvalidQuiver):
+        root_lattice(missing_arrow)
     extra_relation = BoundQuiver(
         kind="star",
         weights=good.weights,
@@ -221,8 +252,8 @@ def test_tampered_quiver_rejected_at_validation():
         arrows=good.arrows,
         relations=((("1", (1, 1)), 1),),
     )
-    with _pytest.raises(InvalidQuiver):
-        euler_matrix(extra_relation)
+    with pytest.raises(InvalidQuiver):
+        root_lattice(extra_relation)
 
 
 class CountedVertices(tuple):
@@ -241,7 +272,7 @@ def test_lattice_hash_is_computed_once_and_follows_equality():
     b = root_lattice(build_octopus(w, default_lambda(3)))
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != star_lattice(w)
-    counted = RootLattice(a.kind, a.weights, CountedVertices(a.vertices), a.euler, a.cartan)
+    counted = RootLattice(a.kind, a.weights, CountedVertices(a.vertices), a.euler_rows)
     for _ in range(3):
         assert hash(counted) == hash(a)
     assert counted == a
@@ -249,7 +280,8 @@ def test_lattice_hash_is_computed_once_and_follows_equality():
 
 
 def test_lattice_build_makes_one_euler_matrix(monkeypatch):
-    calls = {"euler_matrix": 0, "validate": 0}
+    # The one Euler matrix is its sparse rows; no dense matrix is built.
+    calls = {"euler_rows": 0, "validate": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -258,10 +290,12 @@ def test_lattice_build_makes_one_euler_matrix(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(lattice, "euler_matrix", counted("euler_matrix", lattice.euler_matrix))
+    monkeypatch.setattr(BoundQuiver, "euler_rows", counted("euler_rows", BoundQuiver.euler_rows))
     monkeypatch.setattr(BoundQuiver, "validate", counted("validate", BoundQuiver.validate))
     w = Weights((2, 3, 150))
     # Past the lattice cache, so the lattice is really built.
     lat = lattice._cached_lattice.__wrapped__("octopus", w, default_lambda(3))
-    assert calls == {"euler_matrix": 1, "validate": 1}
-    assert lat.cartan == cartan_matrix(build_octopus(w, default_lambda(3)))
+    assert calls == {"euler_rows": 1, "validate": 1}
+    assert "euler" not in lat.__dict__ and "cartan" not in lat.__dict__
+    monkeypatch.undo()
+    assert lat.euler_rows == sparse_rows(euler_matrix(build_octopus(w, default_lambda(3))))

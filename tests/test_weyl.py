@@ -17,7 +17,7 @@ from octoweyl.errors import (
 )
 from octoweyl.exact import identity, mat_mul, sparse
 from octoweyl import lattice
-from octoweyl.ktheory import braid_act, coxeter_from_collection, simples_collection, twist_matrix
+from octoweyl.ktheory import braid_act, coxeter_from_collection, simples_collection
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
@@ -45,7 +45,7 @@ from octoweyl.weyl import (
     translation_word,
 )
 
-from oracles import identity_element
+from oracles import identity_element, twist_matrix
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 
@@ -214,9 +214,12 @@ def test_projection_checks_quotient_form_once_per_lattice(monkeypatch):
         project_p(fresh, simple_reflection(fresh, v))
     assert looked_up == [octo.weights]
     # A lattice whose star block differs from the star form is refused.
-    cartan = [list(row) for row in octo.cartan]
-    cartan[1][2] = cartan[2][1] = -1
-    bad = dataclasses.replace(octo, cartan=tuple(map(tuple, cartan)))
+    # An Euler entry -1 at (1, 2) makes the Cartan entries (1, 2) and (2, 1)
+    # -1 where the star form has 0.
+    rows = list(octo.euler_rows)
+    rows[1] = tuple(sorted(rows[1] + ((2, -1),)))
+    bad = dataclasses.replace(octo, euler_rows=tuple(rows))
+    assert bad.cartan[1][2] == bad.cartan[2][1] == -1 and octo.cartan[1][2] == 0
     with pytest.raises(ValueError, match="induced on the quotient"):
         project_p(bad, translation_element(octo, "1"))
 
@@ -270,6 +273,19 @@ def test_coxeter_equals_serre_shadow(a):
         assert c.matrix == serre_coxeter_matrix(lat)
         if lat.is_octopus:
             assert c.apply(lat.delta) == lat.delta
+
+
+def test_serre_coxeter_matrix_refuses_a_non_triangular_euler_form():
+    lat = star_lattice((2, 2, 2))
+    rows = lat.euler_rows
+    tampered = [
+        rows[:1] + (((0, -1), (1, 1)),) + rows[2:],  # an entry below the diagonal
+        rows[:1] + (((1, 2),),) + rows[2:],  # a diagonal entry 2
+        rows[:3] + ((),),  # a zero diagonal entry
+    ]
+    for bad in tampered:
+        with pytest.raises(ValueError, match="unit upper triangular"):
+            serre_coxeter_matrix(dataclasses.replace(lat, euler_rows=bad))
 
 
 def test_reflection_conjugation_law():
