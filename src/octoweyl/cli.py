@@ -77,6 +77,8 @@ def _lattices(args):
 
 
 def _emit(args, payload: dict, text_lines):
+    """Print the payload as JSON, or the text lines; text_lines may be a
+    generator, which then runs only for ``--format text``."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -85,9 +87,9 @@ def _emit(args, payload: dict, text_lines):
 
 
 def _matrix_lines(label, m):
-    out = [f"{label}:"]
-    out += ["  [" + " ".join(f"{x:3d}" for x in row) + "]" for row in m]
-    return out
+    yield f"{label}:"
+    for row in m:
+        yield "  [" + " ".join(f"{x:3d}" for x in row) + "]"
 
 
 def cmd_describe(args) -> int:
@@ -120,23 +122,24 @@ def cmd_describe(args) -> int:
             "delta": list(octo.delta),
         },
     }
-    lines = [
-        f"weights {w}  chi_A = {format_rational(chi)}  class: {weyl_class(w)}",
-        f"lambda: {lam}",
-        f"star: {len(star_q.vertices)} vertices, {len(star_q.arrows)} arrows",
-        f"octopus: {len(octo_q.vertices)} vertices, {len(octo_q.arrows)} arrows, "
-        "relation multiplicity 2 on (1, 1*)",
-    ]
-    lines += _matrix_lines("star Euler matrix", star.euler)
-    lines += _matrix_lines("star Cartan matrix", star.cartan)
-    lines += _matrix_lines("octopus Euler matrix", octo.euler)
-    lines += _matrix_lines("octopus Cartan matrix", octo.cartan)
-    lines.append(f"star radical rank {len(star.radical)}: {[list(b) for b in star.radical]}")
-    lines.append(
-        f"octopus radical rank {len(octo.radical)}: {[list(b) for b in octo.radical]}"
-    )
-    lines.append(f"delta = {list(octo.delta)}")
-    _emit(args, payload, lines)
+
+    def lines():
+        yield f"weights {w}  chi_A = {format_rational(chi)}  class: {weyl_class(w)}"
+        yield f"lambda: {lam}"
+        yield f"star: {len(star_q.vertices)} vertices, {len(star_q.arrows)} arrows"
+        yield (
+            f"octopus: {len(octo_q.vertices)} vertices, {len(octo_q.arrows)} arrows, "
+            "relation multiplicity 2 on (1, 1*)"
+        )
+        yield from _matrix_lines("star Euler matrix", star.euler)
+        yield from _matrix_lines("star Cartan matrix", star.cartan)
+        yield from _matrix_lines("octopus Euler matrix", octo.euler)
+        yield from _matrix_lines("octopus Cartan matrix", octo.cartan)
+        yield f"star radical rank {len(star.radical)}: {[list(b) for b in star.radical]}"
+        yield f"octopus radical rank {len(octo.radical)}: {[list(b) for b in octo.radical]}"
+        yield f"delta = {list(octo.delta)}"
+
+    _emit(args, payload, lines())
     return 0
 
 
@@ -198,14 +201,16 @@ def cmd_coxeter(args) -> int:
         "fixes_delta": delta_ok,
         "pass": serre_ok and delta_ok,
     }
-    lines = _matrix_lines(f"coxeter element of the {lat.kind} {w}", c.matrix)
-    lines.append(
-        f"order: {probe.order if isinstance(probe, Finite) else f'> {args.cap} (truncated)'}"
-    )
-    lines.append(f"matches -C^-1 C^T: {serre_ok}")
-    if lat.is_octopus:
-        lines.append(f"fixes delta: {delta_ok}")
-    _emit(args, payload, lines)
+
+    def lines():
+        yield from _matrix_lines(f"coxeter element of the {lat.kind} {w}", c.matrix)
+        order = probe.order if isinstance(probe, Finite) else f"> {args.cap} (truncated)"
+        yield f"order: {order}"
+        yield f"matches -C^-1 C^T: {serre_ok}"
+        if lat.is_octopus:
+            yield f"fixes delta: {delta_ok}"
+
+    _emit(args, payload, lines())
     return 0 if (serre_ok and delta_ok) else 1
 
 

@@ -13,20 +13,28 @@ reflection is an integral transvection, and d > 0 keeps every sign; so
 dominance chasing never leaves the integers and keeps d, and a wall test is
 integer dot products with the hit condition scaled by d.
 
+The chase reads the pairings p_v = C e_v of the simple transvections
+s_v = I - e_v p_v^T once, by vertex position, and a step is
+h -> h - h[v] p_v on both rows, over the support of p_v.  Only that support
+changes, so the search for the next negative imaginary entry starts at its
+lowest index.
+
 A dominance result is checked against its word, not against the chase: the
 word is evaluated to its matrix M, and M = I + D, acting on the right over
 the rows where D is nonzero, must take the rows of the input point to the
 rows of the returned point, over the same denominator.  The wall scan reads
 its roots from the layered root window of ``weyl.root_orbit``, so probes of
-one lattice at two depths share one closure.
+one lattice at two depths share one closure, and probes at one built depth
+share one sorted window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BudgetExceeded, NotInConeWithinBudget, ValidationError
-from .exact import Vec, dot
+from .exact import Vec
 from .lattice import RootLattice
 from .weyl import DEFAULT_ROOT_CAP, Word, enumerate_real_roots, simple_reflection
 
@@ -76,12 +84,17 @@ def make_dominant(
     """
     if max_steps < 1:
         raise ValidationError("max_steps must be >= 1")
-    rows = [list(p.re), list(p.im)]  # updated in place, over p.d
-    re, im = rows
+    # p_v of s_v = I - e_v p_v^T, by vertex position: h s_v = h - h[v] p_v.
+    pairings = [simple_reflection(lattice, v).step.p for v in lattice.vertices]
+    re, im = list(p.re), list(p.im)  # updated in place, over p.d
+    n = len(im)
     word: list = []
+    start = 0  # im[:start] is nonnegative
     for step in range(max_steps + 1):
-        neg = next((i for i, x in enumerate(im) if x < 0), None)
-        if neg is None:
+        for neg in range(start, n):
+            if im[neg] < 0:
+                break
+        else:
             return DominanceResult(
                 DualPoint(p.d, tuple(re), tuple(im)),
                 tuple(word),
@@ -90,9 +103,15 @@ def make_dominant(
             )
         if step == max_steps:
             break
-        v = lattice.vertices[neg]
-        simple_reflection(lattice, v).step.act_right(rows)
-        word.append((v, 1))
+        c_re, c_im = re[neg], im[neg]
+        p_v = pairings[neg]
+        for j, b in p_v:
+            re[j] -= c_re * b
+            im[j] -= c_im * b
+        # Below neg only the support of p_v, sorted by index, can have
+        # turned negative.
+        start = p_v[0][0]
+        word.append((lattice.vertices[neg], 1))
     raise NotInConeWithinBudget(max_steps)
 
 
@@ -141,9 +160,9 @@ def is_regular(
         return RegularityResult("undetermined", root_depth, n_bound)
     d, re, im = p.d, p.re, p.im
     for root in roots:
-        if dot(im, root):
+        if sum(map(mul, im, root)):
             continue
-        re_val = dot(re, root)
+        re_val = sum(map(mul, re, root))
         if re_val % d == 0 and abs(re_val) <= n_bound * d:
             # The same wall is cut out by (root, n) and (-root, -n); report
             # the representative whose leading nonzero entry is positive.

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
-from operator import mul, neg
+from operator import neg
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -57,10 +57,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_vec(a: Mat, x: Vec) -> Vec:
     return tuple(sum(r * v for r, v in zip(row, x)) for row in a)
-
-
-def dot(x, y):
-    return sum(map(mul, x, y))
 
 
 def sparse(x: Vec) -> Sparse:

@@ -567,6 +567,10 @@ class _RootLayers:
     ``front`` maps each frontier root to a list of its n pairings followed
     by its bitmask.  It is replaced when a round is stored, left as it is
     when a round raises past cap, and emptied once the closure is closed.
+
+    ``windows`` maps a built depth k to the sorted window of depth k, kept
+    from its first request, so each depth is sorted once.  Stored rounds
+    only append, so a kept window stays the prefix it was sorted from.
     """
 
     def __init__(self, lattice: RootLattice, basis: tuple[Vec, ...]):
@@ -579,6 +583,7 @@ class _RootLayers:
         self.roots = sorted(self.front)
         self.sizes = [len(self.roots)]
         self.closed = False
+        self.windows: dict[int, tuple[Vec, ...]] = {}
 
     @property
     def depth(self) -> int:
@@ -631,6 +636,13 @@ class _RootLayers:
         """Whether the next round would add nothing; nothing is stored."""
         return self._round(0) is not None
 
+    def window(self, depth: int) -> tuple[Vec, ...]:
+        """The sorted window of a built depth, sorted on its first request."""
+        window = self.windows.get(depth)
+        if window is None:
+            window = self.windows[depth] = tuple(sorted(self.roots[: self.sizes[depth]]))
+        return window
+
 
 @lru_cache(maxsize=ROOT_WINDOW_CACHE)
 def _root_layers(lattice: RootLattice, basis: tuple[Vec, ...]) -> _RootLayers:
@@ -654,8 +666,11 @@ def root_orbit(
     two rounds, and a request at or below a depth already built reads the
     cumulative layer sizes.  A round that outgrows cap is not stored.  The
     stabilization probe at word_depth applies the reflections to the last
-    layer once more; it is not stored and never raises.  Every answer, and
-    whether it raises, is that of a fresh closure with the same arguments.
+    layer once more; it is not stored and never raises.  The window is
+    keyed by the depth built, min(word_depth, depth of the closed closure),
+    so every request past a closed closure's depth gets one sorted window.
+    Every answer, and whether it raises, is that of a fresh closure with the
+    same arguments.
     """
     layers = _root_layers(lattice, tuple(basis))
     rounds = max(word_depth, 0)
@@ -670,8 +685,7 @@ def root_orbit(
         stabilized = False
     else:
         stabilized = layers.closed or layers.probe()
-    depth = min(rounds, layers.depth)
-    return tuple(sorted(layers.roots[: layers.sizes[depth]])), stabilized
+    return layers.window(min(rounds, layers.depth)), stabilized
 
 
 def enumerate_real_roots(

@@ -4,13 +4,19 @@ sparse kernels to, and the helpers that only the tests need."""
 from fractions import Fraction
 from itertools import islice, repeat
 from math import lcm
+from operator import mul
 
 from octoweyl.cone import DualPoint
 from octoweyl.errors import BudgetExceeded, InvalidQuiver
-from octoweyl.exact import dot, identity, sparse, sparse_mat_vec, transpose
+from octoweyl.exact import identity, sparse, sparse_mat_vec, transpose
 from octoweyl.ktheory import spherical_twist_K
 from octoweyl.quiver import EXT, HUB
 from octoweyl.weyl import WeylElement, reflection_transvection, translation_element
+
+
+def dot(x, y):
+    """The dense dot product x . y."""
+    return sum(map(mul, x, y))
 
 
 def is_unit_upper_triangular(a) -> bool:

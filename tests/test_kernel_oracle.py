@@ -19,7 +19,7 @@ checked against the flat letters and the dense product, and the
 column-wise closed-form sample check against the sample-by-sample loop it
 replaces.  The layered root window that ``root_orbit`` keeps per lattice
 and basis answers every sequence of requests as a fresh dense closure
-would.  Its rounds, which skip the reflections that fix a root or send it
+would, and keeps one sorted window per built depth.  Its rounds, which skip the reflections that fix a root or send it
 back a layer, match the reference closure of ``oracles.py``, which applies
 every reflection, round by round at the depths the roots suite uses, on a
 braid-moved basis and past a cap.  The cone suite, too, runs with the dense
@@ -39,7 +39,8 @@ dense Bareiss ``determinant`` of ``oracles.py`` on singular, permuted and
 repeated-row matrices, ``numerically_exceptional`` against a scan of the
 dense Gram matrix on braid images with planted failures, and the reflection
 at a class against ``C alpha`` over all Cartan rows; the mutations suite
-runs with the dense kernels disabled.
+runs with the dense kernels disabled.  The whole-word draws of the cone
+suite give the values and the generator state of ``randrange`` calls.
 """
 
 import random
@@ -60,7 +61,6 @@ from octoweyl.errors import (
     NotNormTwo,
 )
 from octoweyl.exact import (
-    dot,
     identity,
     mat_inv,
     mat_mul,
@@ -87,6 +87,7 @@ from octoweyl.suites import (
     _auto_depth,
     closed_form_samples,
     bulk_draws_below_19,
+    draws_below,
     suite_artin,
     suite_cone,
     suite_mutations,
@@ -128,6 +129,7 @@ from octoweyl.weyl import (
 from oracles import (
     ReferenceLayers,
     determinant,
+    dot,
     draws_below_19,
     euler_gram,
     identity_element,
@@ -305,6 +307,42 @@ def test_layered_root_window_matches_fresh_closures(lat, data):
         label="requests",
     )
     check_requests(lat, requests)
+    # Then, per basis, deeper before shallower and the same depth again,
+    # before and after a request that outgrows its cap in a new round.
+    for basis in bases:
+        weyl._root_layers.cache_clear()
+        big, size = DEFAULT_ROOT_CAP, len(dense_closure(lat, basis, 2)[0])
+        depths = ((2, big), (0, big), (2, big), (4, size), (3, big), (1, big), (3, big), (2, big))
+        check_requests(lat, [(basis, d, cap) for d, cap in depths])
+        check_kept_windows(lat, basis)
+
+
+def check_kept_windows(lat, basis):
+    """Every sorted window kept for basis is a fresh closure's window at its
+    key, and only built depths are keys."""
+    layers = weyl._root_layers(lat, basis)
+    assert set(layers.windows) <= set(range(layers.depth + 1))
+    for depth, window in layers.windows.items():
+        assert window == dense_closure(lat, basis, depth)[0]
+        assert root_orbit(lat, basis, depth)[0] is window
+
+
+def test_sorted_window_is_kept_by_built_depth():
+    # E6 closes after 11 rounds, so the cone suite's wall scans at depths 12
+    # and 14, and every request deeper than 11, get the one window of the
+    # closed depth, sorted once.
+    lat = star_lattice((2, 3, 3))
+    basis = tuple(lat.basis_vector(v) for v in lat.vertices)
+    weyl._root_layers.cache_clear()
+    full, _ = root_orbit(lat, basis, 64)
+    layers = weyl._root_layers(lat, basis)
+    assert layers.closed and layers.depth == 11 and len(full) == 72
+    for depth in (14, 12, 11, 64):
+        assert root_orbit(lat, basis, depth)[0] is full
+    shallow, _ = root_orbit(lat, basis, 2)
+    assert root_orbit(lat, basis, 2)[0] is shallow
+    assert sorted(layers.windows) == [2, layers.depth]
+    check_kept_windows(lat, basis)
 
 
 def test_layered_root_window_request_sequence():
@@ -799,6 +837,38 @@ def test_bulk_draws_match_randrange(seed, count):
     a, b = random.Random(seed), random.Random(seed)
     assert list(bulk_draws_below_19(b, count)) == [a.randrange(19) for _ in range(count)]
     assert a.getstate() == b.getstate()
+
+
+# Bounds of one bit, powers of two, the cone suite's 17, 6 and 9, and
+# bounds above 256 (ranks above 256 draw randrange(rank)), up to 2^32 - 1.
+draw_bounds = st.one_of(
+    st.sampled_from([1, 2, 4, 256, 2**31, 17, 6, 9, 257, 300, 1000, 2**31 + 1, 2**32 - 1]),
+    st.integers(1, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, 1729, 4242, 2**64 + 7]), st.integers(0, 2**80)),
+    st.lists(draw_bounds, max_size=80),
+)
+@example(1729, [9] * 7 + [17, 6] * 7 + [7] * 8)
+@example(4242, [17, 6] * 38)
+@example(0, [1] * 20 + [2] * 20)
+@example(2**64 + 7, [300, 257, 1, 17, 2**32 - 1, 6, 9, 512])
+def test_draws_below_match_randrange(seed, bounds):
+    # draws_below reads CPython's getrandbits word order and randrange's
+    # use of the top bits of a word, so this runs on every supported
+    # Python: the same values, and the same state afterwards.
+    a, b = random.Random(seed), random.Random(seed)
+    assert draws_below(b, bounds) == [a.randrange(x) for x in bounds]
+    assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("bound", [0, -1, 2**32])
+def test_draws_below_rejects_bounds_out_of_range(bound):
+    with pytest.raises(ValueError):
+        draws_below(random.Random(0), [6, bound])
 
 
 @settings(max_examples=30, deadline=None)
