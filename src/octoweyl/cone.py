@@ -19,10 +19,11 @@ h -> h - h[v] p_v on both rows, over the support of p_v.  Only that support
 changes, so the search for the next negative imaginary entry starts at its
 lowest index.
 
-A dominance result is checked against its word, not against the chase: the
-word is evaluated to its matrix M, and M = I + D, acting on the right over
-the rows where D is nonzero, must take the rows of the input point to the
-rows of the returned point, over the same denominator.  The wall scan reads
+A dominance result is checked against its word, not against the chase:
+the word's letters, each a simple transvection, applied in turn to the rows
+of the input point (``weyl.act_word``) must give the rows of the returned
+point, over the same denominator.  By associativity that is the input's
+rows times the word's matrix M, without building M.  The wall scan reads
 its roots from the layered root window of ``weyl.root_orbit``, so probes of
 one lattice at two depths share one closure, and probes at one built depth
 share one sorted window.
@@ -59,11 +60,11 @@ class DualPoint:
 class DominanceResult:
     """A dominant point and the word that reaches it.
 
-    The word, evaluated as a matrix M, reproduces the chase exactly: the
-    input's rows times M are the returned point's rows, over the same
-    denominator.  A check of the word therefore applies M itself, for
-    example through ``evaluate_word(lattice, word).act_right`` on
-    ``[list(p.re), list(p.im)]``; it does not replay the chase.
+    The word reproduces the chase exactly: the input's rows times its
+    matrix M are the returned point's rows, over the same denominator.  A
+    check of the word therefore applies the word itself, for example its
+    letters in turn through ``act_word(lattice, word, rows)`` on
+    ``rows = [list(p.re), list(p.im)]``; it does not replay the chase.
     """
 
     point: DualPoint
@@ -77,10 +78,11 @@ def make_dominant(
 ) -> DominanceResult:
     """Chase the imaginary part into the dominant chamber, lowest index first.
 
-    The returned word, evaluated as a matrix M, reproduces the transformation
-    exactly: the input rows times M are the output rows, over the same
-    denominator.  Raises NotInConeWithinBudget when the budget runs out,
-    which cannot distinguish a point outside the cone from a short budget.
+    The returned word reproduces the transformation exactly: the input rows
+    times its matrix M, or its letters applied to them in turn, are the
+    output rows, over the same denominator.  Raises NotInConeWithinBudget
+    when the budget runs out, which cannot distinguish a point outside the
+    cone from a short budget.
     """
     if max_steps < 1:
         raise ValidationError("max_steps must be >= 1")

@@ -66,10 +66,10 @@ from .quiver import LambdaTuple, Weights, as_weights, default_lambda, vertex_str
 from .weyl import (
     DEFAULT_ROOT_CAP,
     WeylElement,
+    act_word,
     enumerate_real_roots,
     enumerate_until_stable,
     evaluate_program,
-    evaluate_word,
     lift_i,
     product_rows,
     project_p,
@@ -563,7 +563,7 @@ def suite_cone(run: SuiteRun) -> dict:
         # The seed's rows over d, chased through the word's transvections:
         # the rows of the pushed point h M over the same d.
         rows = [list(re), [(x + 1) * d for x in draws[:n]]]
-        evaluate_word(star, word).act_right(rows)
+        act_word(star, word, rows)
         return DualPoint(d, *map(tuple, rows))
 
     def steps_to_dominance(p: DualPoint) -> int | None:
@@ -572,10 +572,11 @@ def suite_cone(run: SuiteRun) -> dict:
             res = make_dominant(star, p, cfg.budget)
         except NotInConeWithinBudget:
             return None
-        # The rows of p times the matrix M of the returned word, against the
-        # rows of the returned point over the same denominator.
+        # The rows of p times the matrix M of the returned word, its letters
+        # applied in turn, against the rows of the returned point over the
+        # same denominator.
         rows = [list(p.re), list(p.im)]
-        evaluate_word(star, res.word).act_right(rows)
+        act_word(star, res.word, rows)
         q = res.point
         consistent = q.d == p.d and rows == [list(q.re), list(q.im)]
         return res.steps if consistent and all(x >= 0 for x in q.im) else None

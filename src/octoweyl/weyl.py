@@ -35,7 +35,10 @@ compression", CSR 2007).  Iterating a program yields its letters in order.
 A witness is a label, set where a word is built and read where it is
 evaluated: ``evaluate_word``, the generators, ``translation_element`` and
 ``evaluate_program`` keep theirs, while products, inverses and projections
-carry none.  Two elements are equal when their ranks and rows are.
+carry none.  Two elements are equal when their ranks and rows are.  A word
+that only has to act on a few rows need not become an element:
+``act_word`` applies its letters' simple transvections to the rows in turn,
+which gives the rows times the matrix of ``evaluate_word``.
 
 Every WeylElement this module builds preserves the Cartan form.  The checks
 behind that are made once, not on every product:
@@ -435,6 +438,21 @@ def evaluate_word(lattice: RootLattice, word) -> WeylElement:
         for v in dict.fromkeys(v for v, _e in word)
     }
     return multiply(lattice.rank, (steps[v] for v, _e in word), word)
+
+
+def act_word(lattice: RootLattice, word, rows) -> None:
+    """rows <- rows M in place, M the matrix of ``evaluate_word``.
+
+    Each letter's simple transvection acts on the given rows in turn, so a
+    word of L letters costs L updates of those rows, not a product over
+    every row the word moves.  Every distinct letter is resolved first: an
+    unknown vertex raises UnknownGenerator before any row changes.
+    Exponent signs are ignored, as in ``evaluate_word``.
+    """
+    vertices = tuple(v for v, _e in word)
+    steps = {v: simple_reflection(lattice, v).step for v in dict.fromkeys(vertices)}
+    for v in vertices:
+        steps[v].act_right(rows)
 
 
 def evaluate_program(lattice: RootLattice, word: WordProgram, memo: dict) -> WeylElement:

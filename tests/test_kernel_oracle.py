@@ -23,7 +23,9 @@ would, and keeps one sorted window per built depth.  Its rounds, which skip the 
 back a layer, match the reference closure of ``oracles.py``, which applies
 every reflection, round by round at the depths the roots suite uses, on a
 braid-moved basis and past a cap.  The cone suite, too, runs with the dense
-kernels disabled.
+kernels disabled, and ``act_word``, which its word checks apply to two
+rows letter by letter, is checked against the word's element and its
+dense matrix.
 ``product_rows``, which multiplies a word over the rows it moves, is
 checked against the dense product, and the sparse form criterion of a
 transvection against ``preserves_form``.  The presentation suites and the
@@ -59,6 +61,7 @@ from octoweyl.errors import (
     DeltaNotPreserved,
     NotInConeWithinBudget,
     NotNormTwo,
+    UnknownGenerator,
 )
 from octoweyl.exact import (
     identity,
@@ -211,6 +214,32 @@ def test_evaluate_word_matches_dense_product(lat, data):
     assert element.matrix == dense
     assert element.word == word
     assert preserves_form(lat, element.matrix)
+
+
+catalog_lattices = st.builds(
+    _lattice, st.sampled_from(DEFAULT_CATALOG), st.sampled_from(("star", "octopus"))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog_lattices, st.data())
+def test_act_word_matches_the_word_matrix(lat, data):
+    # The letters applied to the rows in turn give rows M, M the matrix of
+    # evaluate_word, both through its moved rows and as a dense product.
+    letter = st.tuples(st.sampled_from(lat.vertices), st.sampled_from((1, -1)))
+    word = data.draw(st.lists(letter, max_size=40), label="word")
+    rows = data.draw(st.lists(int_vecs(lat.rank), min_size=1, max_size=3), label="rows")
+    acted = [list(r) for r in rows]
+    weyl.act_word(lat, word, acted)
+    element = evaluate_word(lat, word)
+    by_rows = [list(r) for r in rows]
+    element.act_right(by_rows)
+    assert acted == by_rows == [list(r) for r in mat_mul(rows, element.matrix)]
+    # An unknown vertex anywhere in the word raises before any letter acts.
+    before = [list(r) for r in acted]
+    with pytest.raises(UnknownGenerator):
+        weyl.act_word(lat, word + [(("no", "vertex"), 1)] + word, acted)
+    assert acted == before
 
 
 @settings(max_examples=10, deadline=None)

@@ -304,7 +304,20 @@ def test_cone_suite_detects_short_budget():
     assert not rep["pass"]
 
 
-@pytest.mark.parametrize("defect", ["re-entry-off-by-one", "last-letter-dropped"])
+def _linked(lattice, u, v) -> bool:
+    """Whether u != v are joined by an edge: s_u and s_v do not commute."""
+    return u != v and lattice.cartan[lattice.index(u)][lattice.index(v)] != 0
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        "re-entry-off-by-one",
+        "last-letter-dropped",
+        "letter-replaced",
+        "adjacent-letters-swapped",
+    ],
+)
 def test_cone_word_check_sees_a_wrong_result(monkeypatch, defect):
     # The suite applies the returned word to the input's rows and compares
     # with the returned point's rows: a point or a word that does not match
@@ -313,10 +326,23 @@ def test_cone_word_check_sees_a_wrong_result(monkeypatch, defect):
 
     def planted(lattice, p, max_steps):
         res = real(lattice, p, max_steps)
+        word = list(res.word)
         if defect == "re-entry-off-by-one":
             q = res.point
             return replace(res, point=replace(q, re=q.re[:-1] + (q.re[-1] + 1,)))
-        return replace(res, word=res.word[:-1])
+        if defect == "last-letter-dropped":
+            word = word[:-1]
+        elif defect == "letter-replaced" and word:
+            v, e = word[-1]
+            word[-1] = (next(u for u in lattice.vertices if _linked(lattice, u, v)), e)
+        elif defect == "adjacent-letters-swapped":
+            k = next(
+                (k for k in range(len(word) - 1) if _linked(lattice, word[k][0], word[k + 1][0])),
+                None,
+            )
+            if k is not None:
+                word[k], word[k + 1] = word[k + 1], word[k]
+        return replace(res, word=tuple(word))
 
     def holds(rep):
         return {d["check"]: d["holds"] for d in rep["details"]}
