@@ -280,17 +280,19 @@ def cmd_mutate(args) -> int:
     image = braid_word_act(coll, moves)
     check = numerically_exceptional(image)
     full = is_full(image)
+    # The image keeps its classes as supports; the dense ones are for output.
+    classes = [list(c) for c in image.classes]
     payload = {
         "tool": TOOL,
         "weights": list(w.a),
         "kind": lat.kind,
         "word": args.word,
-        "classes": [list(c) for c in image.classes],
+        "classes": classes,
         "numerically_exceptional": check.ok,
         "full": full,
     }
     lines = [f"applied {args.word} to the simples of the {lat.kind} {w}:"]
-    lines += ["  " + str(list(c)) for c in image.classes]
+    lines += ["  " + str(c) for c in classes]
     lines.append(f"numerically exceptional: {check.ok}   full: {full}")
     _emit(args, payload, lines)
     return 0 if check.ok and full else 1

@@ -78,6 +78,7 @@ from .exact import (
     Mat,
     Sparse,
     Vec,
+    dense_rows,
     identity,
     mat_inv,
     mat_mul,
@@ -396,20 +397,27 @@ def _checked(lattice: RootLattice, g: WeylElement) -> WeylElement:
 
 
 @lru_cache(maxsize=GENERATOR_CACHE)
-def reflection_transvection(lattice: RootLattice, alpha: Vec) -> Transvection:
-    """(alpha, C alpha): the reflection x -> x - I(x, alpha) alpha as a transvection.
+def support_reflection(lattice: RootLattice, u: Sparse) -> Transvection:
+    """(u, C u): the reflection x -> x - I(x, alpha) alpha at the vector
+    alpha whose nonzero entries are u, as a transvection.
 
-    C alpha and I(alpha, alpha) are sums over the support of alpha.
-    I(alpha, alpha) = 2 is the only check; it holds exactly when the map is
-    an isometry of the Cartan form.  Memoised per (lattice, class), so the
-    collections of a braid orbit, which share most of their classes, share
-    those classes' reflections.
+    C alpha and I(alpha, alpha) are sums over u.  I(alpha, alpha) = 2 is the
+    only check; it holds exactly when the map is an isometry of the Cartan
+    form.  Memoised per (lattice, support), so the collections of a braid
+    orbit, which share most of their classes, share those classes'
+    reflections.
     """
-    u = sparse(alpha)
     q, norm = _cartan_image(lattice, u)
     if norm != 2:
+        alpha = dense_rows((u,), lattice.rank)[0]
         raise NotNormTwo(f"I(a, a) = {norm} != 2 for a = {alpha}")
     return Transvection(u, tuple(sorted((j, c) for j, c in q.items() if c)))
+
+
+def reflection_transvection(lattice: RootLattice, alpha: Vec) -> Transvection:
+    """The reflection at a norm-two vector, by ``support_reflection`` of its
+    nonzero entries."""
+    return support_reflection(lattice, sparse(alpha))
 
 
 def reflection(lattice: RootLattice, alpha: Vec, word: Word | None = None) -> WeylElement:

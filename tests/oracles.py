@@ -142,6 +142,25 @@ def euler_gram(k) -> tuple:
     return tuple(tuple(dot(x, ey) for ey in e_classes) for x in k.classes)
 
 
+def dense_braid_act(k, move) -> tuple:
+    """The dense classes of a move's image: the pair's moved class is the
+    negated image of the dense reflection x -> x - (x . C p) p through the
+    pivot p, and a shift negates its class.  The oracle of
+    ``ktheory.braid_act``, which reads only the supports of the pair."""
+    classes = list(k.classes)
+    if move[0] == "e":
+        i = move[1]
+        classes[i - 1] = tuple(-a for a in classes[i - 1])
+        return tuple(classes)
+    _, i, sign = move
+    x, y = classes[i - 1], classes[i]
+    pivot, z = (y, x) if sign > 0 else (x, y)
+    c = dot(z, [dot(row, pivot) for row in k.lattice.cartan])
+    moved = tuple(-(a - c * b) for a, b in zip(z, pivot))
+    classes[i - 1 : i + 1] = (y, moved) if sign > 0 else (moved, x)
+    return tuple(classes)
+
+
 def parse_vertex(text: str):
     """The vertex of a label ``1``, ``1*`` or ``(i,j)``, as ``vertex_str``
     writes it."""

@@ -643,7 +643,7 @@ def test_sparse_forms_match_dense(lat, data):
 @given(lattices, st.data())
 def test_euler_gram_matches_pairing_table(lat, data):
     classes = tuple(data.draw(int_vecs(lat.rank)) for _ in range(lat.rank))
-    k = KCollection(classes, lat)
+    k = KCollection.from_classes(classes, lat)
     assert euler_gram(k) == tuple(
         tuple(lat.euler_form(x, y) for y in classes) for x in classes
     )
@@ -1354,7 +1354,7 @@ def planted_collection(lat, data):
         classes[i] = tuple(c * a for a in classes[i])
     elif plant == "add":
         classes[i] = tuple(a + c * b for a, b in zip(classes[i], classes[j]))
-    return KCollection(tuple(classes), lat)
+    return KCollection.from_classes(classes, lat)
 
 
 k_lattices = st.builds(
@@ -1377,7 +1377,7 @@ def test_numerically_exceptional_planted_failures():
     e = list(classes)
 
     def witness(cs):
-        k = KCollection(tuple(cs), lat)
+        k = KCollection.from_classes(cs, lat)
         check = numerically_exceptional(k)
         assert (check.ok, check.witness) == dense_exceptionality(k)
         return check.witness
@@ -1426,7 +1426,7 @@ def cartan_image_cases(lat, data):
 @settings(max_examples=40, deadline=None)
 @given(lattices, st.data())
 def test_support_cartan_image_matches_sparse_mat_vec(lat, data):
-    weyl.reflection_transvection.cache_clear()
+    weyl.support_reflection.cache_clear()
     for alpha in cartan_image_cases(lat, data):
         q = sparse_mat_vec(lat.cartan_rows, alpha)
         if dot(alpha, q) == 2:

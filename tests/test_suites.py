@@ -8,7 +8,15 @@ import pytest
 
 import octoweyl.suites as suites
 from octoweyl.errors import NotStarVertex, ValidationError
-from octoweyl.exact import mat_inv, mat_mul
+from octoweyl.exact import mat_inv, mat_mul, sparse
+from octoweyl.ktheory import (
+    KCollection,
+    braid_act,
+    changed_window,
+    coxeter_agrees_on_window,
+    coxeter_from_collection,
+    simples_collection,
+)
 from octoweyl.lattice import euler_characteristic, octopus_lattice, star_lattice
 from octoweyl.quiver import Weights, default_lambda, parse_lambda, vertex_str
 from octoweyl.suites import (
@@ -27,8 +35,9 @@ from octoweyl.suites import (
     suite_twists,
     suite_vanderlek,
     witness_root,
+    witness_shifts,
 )
-from octoweyl.weyl import simple_reflection
+from octoweyl.weyl import WeylElement, simple_reflection
 
 from oracles import reference_window_entries, reference_witness_root
 
@@ -113,6 +122,57 @@ def test_witness_root_matches_the_parity_recipe(a):
     for v in octo.star_vertices():
         for n in range(-6, 7):
             assert witness_root(octo, v, n) == reference_witness_root(octo, v, n), (v, n)
+
+
+@pytest.mark.parametrize("a", DEFAULT_CATALOG + ((4, 4, 4, 4),))
+def test_witness_shifts_walk_once_each_way(monkeypatch, a):
+    # The shifts of a vertex are e_v + n delta for |n| <= n_bound, from one
+    # walk in each direction: 2 n_bound translation applications, not the
+    # n_bound (n_bound + 1) of a walk from e_v per shift.
+    octo = octopus_lattice(Weights(a), default_lambda(len(a)))
+    real, applied = WeylElement.apply, []
+
+    def counted(self, x):
+        applied.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(WeylElement, "apply", counted)
+    for v in octo.star_vertices():
+        for n_bound in (0, 1, 3):
+            applied.clear()
+            shifts = list(witness_shifts(octo, v, n_bound))
+            assert [n for n, _root in shifts] == list(range(n_bound + 1)) + list(
+                range(-1, -n_bound - 1, -1)
+            )
+            assert len(applied) == 2 * n_bound
+            for n, root in shifts:
+                assert root == reference_witness_root(octo, v, n), (v, n)
+
+
+def test_witness_shifts_stop_at_the_first_failing_shift(monkeypatch):
+    # A planted shift that misses its level fails the vertex's witness check,
+    # and no translation is applied past it.
+    octo = octopus_lattice(Weights((2, 2, 2)), default_lambda(3))
+    real, applied = WeylElement.apply, []
+
+    def wrong_second_step(self, x):
+        applied.append(x)
+        y = real(self, x)
+        return y if len(applied) != 2 else x
+
+    assert all(d["holds"] for d in run_suite("roots-decomposition", (2, 2, 2))["details"])
+    monkeypatch.setattr(WeylElement, "apply", wrong_second_step)
+    shifts = list(witness_shifts(octo, "1", 3))
+    assert [root == reference_witness_root(octo, "1", n) for n, root in shifts] == [
+        True, True, False, False, True, True, True
+    ]
+    applied.clear()
+    rep = run_suite("roots-decomposition", (2, 2, 2))
+    witness = [d for d in rep["details"] if d.get("check") == "witness"]
+    assert not witness[0]["holds"] and witness[0]["vertex"] == "1"
+    # The first vertex stops after its second application; the others
+    # take their 2 n_bound = 6 each.
+    assert len(applied) == 2 + 6 * (len(witness) - 1)
 
 
 WINDOW_CHECKS = ("star-part-membership", "window-count", "window-set-equality")
@@ -351,6 +411,113 @@ def test_cone_word_check_sees_a_wrong_result(monkeypatch, defect):
     assert all(holds(run_suite("cone", (2, 2, 2)))[c] for c in checks)
     monkeypatch.setattr(suites, "make_dominant", planted)
     assert not any(holds(run_suite("cone", (2, 2, 2)))[c] for c in checks)
+
+
+def _planted_braid_act(defect):
+    """``braid_act`` with a planted defect: a braid move that swaps its pair
+    without mutating it, one that gives the mutated class the wrong sign, a
+    shift that leaves its class as it is, or a braid move that also moves
+    the class two slots past its pair (two slots before it at the end) by
+    delta, keeping its norm."""
+
+    def planted(k, move):
+        image = braid_act(k, move)
+        if move[0] == "e":
+            return k if defect == "shift-not-negating" else image
+        supports = list(image.supports)
+        _, i, sign = move
+        if defect == "swap-without-mutation":
+            supports[i - 1 : i + 1] = k.supports[i], k.supports[i - 1]
+        elif defect == "mutated-sign":
+            j = i if sign > 0 else i - 1
+            supports[j] = tuple((c, -a) for c, a in supports[j])
+        elif defect == "two-slots-away":
+            j = i + 2 if i + 2 < len(k) else i - 3
+            x = dict(supports[j])
+            for c, a in sparse(k.lattice.delta):
+                x[c] = x.get(c, 0) + a
+            supports[j] = tuple(sorted((c, a) for c, a in x.items() if a))
+        return KCollection(tuple(supports), k.lattice)
+
+    return planted
+
+
+MUTATION_CHECKS = (
+    "simples-exceptional",
+    "simples-full",
+    "mutation-class-formula",
+    "braid-commuting",
+    "braid-adjacent",
+    "braid-inverse",
+    "shift-involution",
+    "braid-shift-compatibility",
+    "single-move-preservation",
+    "random-word-preservation",
+    "coxeter-mutation-invariance",
+)
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (2, 3, 4)])
+@pytest.mark.parametrize(
+    "defect, fails",
+    [
+        ("swap-without-mutation", {"coxeter-mutation-invariance", "single-move-preservation"}),
+        ("mutated-sign", {"mutation-class-formula", "braid-inverse"}),
+        # The relation words start from the stored image of their first
+        # move, so a shift that does not negate is not undone by a second.
+        ("shift-not-negating", {"shift-involution", "braid-shift-compatibility"}),
+        ("two-slots-away", {"coxeter-mutation-invariance", "single-move-preservation"}),
+    ],
+)
+def test_mutations_checks_see_a_planted_braid_act(monkeypatch, a, defect, fails):
+    def holds(rep):
+        return {d["check"]: d["holds"] for d in rep["details"]}
+
+    assert tuple(holds(run_suite("mutations", a))) == MUTATION_CHECKS
+    assert all(holds(run_suite("mutations", a)).values())
+    monkeypatch.setattr(suites, "braid_act", _planted_braid_act(defect))
+    seen = holds(run_suite("mutations", a))
+    assert not any(seen[c] for c in fails)
+    # The simples and the random words do not go through the planted move.
+    assert all(seen[c] for c in ("simples-exceptional", "simples-full", "random-word-preservation"))
+
+
+def test_planted_swap_fails_the_full_coxeter_comparison():
+    octo = octopus_lattice(Weights((2, 3, 4)), default_lambda(3))
+    simples = simples_collection(octo)
+    c0 = coxeter_from_collection(simples).rows
+    planted = _planted_braid_act("swap-without-mutation")
+    images = [planted(simples, ("b", i, s)) for i in range(1, len(simples)) for s in (1, -1)]
+    assert not all(coxeter_from_collection(k).rows == c0 for k in images)
+
+
+def test_window_is_found_by_comparing_classes():
+    # A move that also changes a class two slots past its pair keeps the
+    # reflections over the pair: a window read off the move misses the
+    # change that the window of changed classes catches.
+    octo = octopus_lattice(Weights((2, 3, 4)), default_lambda(3))
+    simples = simples_collection(octo)
+    c0 = coxeter_from_collection(simples).rows
+    image = _planted_braid_act("two-slots-away")(simples, ("b", 2, 1))
+    assert coxeter_from_collection(image).rows != c0
+    assert coxeter_agrees_on_window(simples, image, range(1, 3))
+    assert changed_window(simples, image) == range(1, 5)
+    assert not coxeter_agrees_on_window(simples, image, range(1, 5))
+
+
+# SHA-256 of json.dumps(run_suite("mutations", w), sort_keys=True) at the
+# default config, for weights beyond the golden set.
+MUTATIONS_DIGESTS = {
+    (2, 3, 20): "50386d08329dfc38254fafe482edfae65a63ae5cdc05411a5e64e3457b04933f",
+    (2, 3, 40): "236866efb31f5ce1b78f700d8b6dff6a97bbe866ac01b9fccfb4833dd1ed814c",
+    (5, 5, 5, 5): "3e6dc37cd59dee3c845992e1cb7376efa5c355a0fc66faef9920a029ecf795d8",
+}
+
+
+@pytest.mark.parametrize("a", sorted(MUTATIONS_DIGESTS))
+def test_mutations_reports_are_pinned(a):
+    report = json.dumps(run_suite("mutations", a), sort_keys=True).encode()
+    assert hashlib.sha256(report).hexdigest() == MUTATIONS_DIGESTS[a]
 
 
 def test_lambda_is_threaded_through_reports():
