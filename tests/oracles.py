@@ -6,7 +6,7 @@ from itertools import islice, repeat
 from math import lcm
 from operator import mul
 
-from octoweyl.cone import DualPoint
+from octoweyl.cone import DualPoint, is_regular
 from octoweyl.errors import BudgetExceeded, InvalidQuiver
 from octoweyl.exact import identity, sparse, sparse_mat_vec, transpose
 from octoweyl.ktheory import spherical_twist_K
@@ -245,6 +245,19 @@ class ReferenceLayers:
     def probe(self) -> bool:
         """Whether the next round would add nothing; nothing is stored."""
         return all(g.apply(x) in self.seen for g in self.gens for x in self.frontier())
+
+
+def reference_regularity_monotone(star, points, root_depth, n_bound, cap) -> bool:
+    """The ``regularity-monotone`` verdict of the cone suite, scanned
+    eagerly: every point at both bounds, each wall hit at the smaller bounds
+    then read against the scan at the larger ones."""
+    ok = True
+    for p in points:
+        small = is_regular(star, p, root_depth, n_bound, cap)
+        large = is_regular(star, p, root_depth + 2, n_bound + 2, cap)
+        if small.status == "on_wall" and large.status == "regular":
+            ok = False
+    return ok
 
 
 def reference_window_entries(octo, star_roots, octo_roots, n_bound, finite) -> list:

@@ -2,14 +2,18 @@
 
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octoweyl.cone import DualPoint, is_regular, make_dominant
 from octoweyl.errors import NotInConeWithinBudget, ValidationError
 from octoweyl.exact import mat_vec, transpose
 from octoweyl.lattice import star_lattice
-from octoweyl.weyl import evaluate_word
+from octoweyl.suites import DEFAULT_CATALOG
+from octoweyl.weyl import DEFAULT_ROOT_CAP, enumerate_real_roots, evaluate_word
 
 from oracles import point_value, rational_point, rational_values
 
@@ -90,18 +94,55 @@ def test_planted_composite_wall():
     assert im_val == 0 and re_val == res.wall_level
 
 
-def test_regularity_monotone_in_bounds():
-    lat = star_lattice((2, 2, 2))
-    points = [
-        rational_point((1, 0, 0, 0), (0, 1, 1, 1)),
-        rational_point((Q(1, 2),) * 4, (1, 1, 1, 1)),
-        rational_point((2, 3, 4, 5), (0, 0, 1, 1)),
-    ]
-    for p in points:
-        small = is_regular(lat, p, 6, 3)
-        large = is_regular(lat, p, 10, 8)
-        if small.status == "on_wall":
-            assert large.status == "on_wall"
+@st.composite
+def wall_probes(draw):
+    """A catalog star, scan bounds (d, N), a cap that the depth-d window
+    fits, and a point: random rationals, or rationals moved onto the wall
+    h(root) = n of a root of the depth-d window, with |n| <= N."""
+    lattice = star_lattice(draw(st.sampled_from(DEFAULT_CATALOG)))
+    depth, n_bound = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    sizes = [len(enumerate_real_roots(lattice, d)) for d in (depth, depth + 2)]
+    cap = draw(st.one_of(st.just(DEFAULT_ROOT_CAP), st.integers(*sizes)))
+    values = st.lists(
+        st.fractions(-8, 8, max_denominator=6), min_size=lattice.rank, max_size=lattice.rank
+    )
+    re, im = draw(values), draw(values)
+    if draw(st.booleans()):
+        root = draw(st.sampled_from(enumerate_real_roots(lattice, depth)))
+        level = draw(st.integers(-n_bound, n_bound))
+        k = next(i for i, x in enumerate(root) if x)
+        im[k] -= sum(map(mul, im, root)) / root[k]
+        re[k] += (level - sum(map(mul, re, root))) / root[k]
+    return lattice, depth, n_bound, cap, rational_point(re, im)
+
+
+def d4_probe(re, im):
+    """A point of the (2,2,2) star at the bounds (6, 3) and the default cap."""
+    return star_lattice((2, 2, 2)), 6, 3, DEFAULT_ROOT_CAP, rational_point(re, im)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wall_probes())
+@example(d4_probe((1, 0, 0, 0), (0, 1, 1, 1)))
+@example(d4_probe((Q(1, 2),) * 4, (1, 1, 1, 1)))
+@example(d4_probe((2, 3, 4, 5), (0, 0, 1, 1)))
+def test_regularity_monotone_in_bounds(probe):
+    # A wall hit at (d, N) is still one at (d + 2, N + 2), unless the larger
+    # window exceeds the cap: its root lies in the larger window, at a level
+    # within the larger bound.  Only a defect of is_regular can therefore
+    # fail the cone suite's regularity-monotone check.
+    lattice, depth, n_bound, cap, p = probe
+    small = is_regular(lattice, p, depth, n_bound, cap)
+    if small.status != "on_wall":
+        return
+    re_val, im_val = point_value(p, small.wall_root)
+    assert im_val == 0 and re_val == small.wall_level and abs(re_val) <= n_bound
+    larger_window = enumerate_real_roots(lattice, depth + 2)
+    assert small.wall_root in larger_window
+    large = is_regular(lattice, p, depth + 2, n_bound + 2, cap)
+    assert large.status in ("on_wall", "undetermined")
+    if cap >= len(larger_window):
+        assert large.status == "on_wall"
 
 
 def test_undetermined_when_enumeration_capped():

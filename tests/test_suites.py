@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import octoweyl.suites as suites
+from octoweyl.cone import RegularityResult
 from octoweyl.errors import NotStarVertex, ValidationError
 from octoweyl.exact import mat_inv, mat_mul, sparse
 from octoweyl.ktheory import (
@@ -39,7 +40,11 @@ from octoweyl.suites import (
 )
 from octoweyl.weyl import WeylElement, simple_reflection
 
-from oracles import reference_window_entries, reference_witness_root
+from oracles import (
+    reference_regularity_monotone,
+    reference_window_entries,
+    reference_witness_root,
+)
 
 DIRECT_SUITES = (
     suite_presentations,
@@ -411,6 +416,84 @@ def test_cone_word_check_sees_a_wrong_result(monkeypatch, defect):
     assert all(holds(run_suite("cone", (2, 2, 2)))[c] for c in checks)
     monkeypatch.setattr(suites, "make_dominant", planted)
     assert not any(holds(run_suite("cone", (2, 2, 2)))[c] for c in checks)
+
+
+def _recorded_wall_scans(monkeypatch):
+    """Record every ``is_regular`` call of the cone suite, in order, as
+    (lattice, point, root_depth, n_bound, cap, status)."""
+    scan, calls = suites.is_regular, []
+
+    def recorded(lattice, p, root_depth, n_bound, cap):
+        res = scan(lattice, p, root_depth, n_bound, cap)
+        calls.append((lattice, p, root_depth, n_bound, cap, res.status))
+        return res
+
+    monkeypatch.setattr(suites, "is_regular", recorded)
+    return calls
+
+
+def _monotone_scans(report, calls):
+    """The smaller and the larger scans of ``regularity-monotone``, told
+    apart by their bounds; the planted-wall scan has neither pair."""
+    depth, n_bound = report["bounds"]["root_depth"], report["bounds"]["n_bound"]
+    small = [c for c in calls if c[2:4] == (depth, n_bound)]
+    large = [c for c in calls if c[2:4] == (depth + 2, n_bound + 2)]
+    return small, large
+
+
+CONE_WEIGHTS = DEFAULT_CATALOG + ((4, 4, 4), (4, 4, 4, 4))
+
+
+@pytest.mark.parametrize("seed", [1729, 4242, 7])
+@pytest.mark.parametrize("a", CONE_WEIGHTS)
+def test_regularity_monotone_matches_the_eager_reference(monkeypatch, a, seed):
+    # The suite scans at the larger bounds only after a wall hit at the
+    # smaller ones; the reference scans every point at both.
+    calls = _recorded_wall_scans(monkeypatch)
+    report = run_suite("cone", a, cfg=SuiteConfig(seed=seed))
+    small, large = _monotone_scans(report, calls)
+    assert len(small) == 6
+    star, cap = small[0][0], small[0][4]
+    points = [c[1] for c in small]
+    depth, n_bound = report["bounds"]["root_depth"], report["bounds"]["n_bound"]
+    expected = reference_regularity_monotone(star, points, depth, n_bound, cap)
+    holds = {d["check"]: d["holds"] for d in report["details"]}
+    assert holds["regularity-monotone"] is expected
+    # One larger scan per wall hit, of the same point, right after it.
+    assert [c[1] for c in large] == [c[1] for c in small if c[5] == "on_wall"]
+    for before, c in zip(calls, calls[1:]):
+        if c in large:
+            assert before in small and before[1] is c[1]
+
+
+@pytest.mark.parametrize("a", CONE_WEIGHTS)
+def test_larger_wall_scan_runs_only_after_a_wall_hit(monkeypatch, a):
+    # At the default seed one or two of the six points are on a wall at the
+    # smaller bounds, the planted point among them: the larger scan runs
+    # once or twice per run, not six times.
+    calls = _recorded_wall_scans(monkeypatch)
+    small, large = _monotone_scans(run_suite("cone", a), calls)
+    hits = sum(c[5] == "on_wall" for c in small)
+    assert small[0][5] == "on_wall" and hits in (1, 2)
+    assert len(large) == hits
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (4, 4, 4, 4)])
+def test_regularity_monotone_sees_a_wall_lost_at_larger_bounds(monkeypatch, a):
+    # A scan that reports every point regular at the larger bounds loses the
+    # planted wall there: only regularity-monotone may fail.
+    real, chi = suites.is_regular, euler_characteristic(Weights(a))
+    larger_depth = (6 if chi <= 0 else 12) + 2
+
+    def planted(lattice, p, root_depth, n_bound, cap):
+        res = real(lattice, p, root_depth, n_bound, cap)
+        if root_depth == larger_depth:
+            return RegularityResult("regular", root_depth, n_bound, res.roots_checked)
+        return res
+
+    monkeypatch.setattr(suites, "is_regular", planted)
+    failing = [d["check"] for d in run_suite("cone", a)["details"] if not d["holds"]]
+    assert failing == ["regularity-monotone"]
 
 
 def _planted_braid_act(defect):
