@@ -10,9 +10,16 @@ tag map) and its reflection and translation letters (letter maps), so new
 weight tuples need no new code.  Verification evaluates both sides of every
 relation under an assignment of matrices to generators and compares
 exactly; it checks that a generator assignment defines a homomorphism,
-nothing more.  Each side is multiplied out by ``weyl.product_rows`` over
-the rows its letters move, and the dense matrices of the two sides are
-built only for a relation that fails.
+nothing more.  A commutation xy = yx of two generators that carry a
+transvection, I - u p^T, is decided from their pairings by
+``weyl.transvections_commute``: the two products differ by exactly
+(p_x . u_y) u_x p_y^T - (p_y . u_x) u_y p_x^T, so the relation holds when
+both pairings vanish or these rank-one matrices agree.  That covers the
+commute families W1.0, 4.3b, 4.3d, 4.3f, E1, Ec, E3 and A1.0 under the
+reflection and translation assignments.  Every other relation, and a
+commutation that the pairings find broken, is multiplied out side by side
+by ``weyl.product_rows`` over the rows its letters move, and the dense
+matrices of the two sides are built only for a relation that fails.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .weyl import (
     simple_reflection,
     translation_element,
     translation_word,
+    transvections_commute,
 )
 
 GroupWord = tuple[tuple[str, int], ...]
@@ -246,8 +254,22 @@ def _evaluate(word: GroupWord, assignment: dict, n: int) -> dict:
     return product_rows(n, steps)
 
 
+def _commute_by_pairings(rel: Relation, assignment: dict) -> bool:
+    """Whether rel is xy = yx on two generators that the pairings of their
+    transvections show to commute; False leaves the relation undecided."""
+    lhs = rel.lhs
+    if len(lhs) != 2 or rel.rhs != lhs[::-1] or lhs[0][1] != 1 or lhs[1][1] != 1:
+        return False
+    a, b = assignment[lhs[0][0]].step, assignment[lhs[1][0]].step
+    return a is not None and b is not None and transvections_commute(a, b)
+
+
 def verify(spec: PresentationSpec, assignment: dict) -> VerificationReport:
-    """Evaluate every relation under the assignment and compare exactly."""
+    """Evaluate every relation under the assignment and compare exactly.
+
+    A commutation of two generators that ``transvections_commute`` finds to
+    hold is decided there; every other relation is multiplied out.
+    """
     missing = [g for g in spec.generators if g not in assignment]
     if missing:
         raise MissingGenerator(f"unassigned generators: {missing}")
@@ -257,6 +279,9 @@ def verify(spec: PresentationSpec, assignment: dict) -> VerificationReport:
     n = sizes.pop()
     outcomes = []
     for rel in spec.relations:
+        if _commute_by_pairings(rel, assignment):
+            outcomes.append(RelationOutcome(rel.tag, True))
+            continue
         lhs = _evaluate(rel.lhs, assignment, n)
         rhs = _evaluate(rel.rhs, assignment, n)
         if lhs == rhs:

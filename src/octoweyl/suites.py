@@ -54,6 +54,8 @@ from .lattice import (
 )
 from .presentations import (
     SEMIDIRECT_LETTERS,
+    PresentationSpec,
+    Relation,
     adjoint_rules,
     artin_spec,
     check_coxeter_power_equivalences,
@@ -328,14 +330,13 @@ def suite_translations(run: SuiteRun) -> dict:
         ok = closed_form_samples(rng, word_el, c_v, octo.delta, cfg.samples)
         run.add("translation-closed-form-samples", ok, vertex=vx, samples=cfg.samples)
 
-    g, t = SEMIDIRECT_LETTERS
-    steps = {}
-    for v in star_verts:
-        steps[g(v), 1] = simple_reflection(octo, v)
-        steps[t(v), 1], steps[t(v), -1] = translations[v], translations[v].inverse()
-    for v, u, rule, lhs, rhs in adjoint_rules(star, g, t):
-        holds = product_rows(n, map(steps.get, lhs)) == product_rows(n, map(steps.get, rhs))
-        run.add(ADJOINT_CHECKS[rule], holds, pair=[v, u])
+    # The adjoint rules, each tagged with its check, verified in their order.
+    rules = list(adjoint_rules(star, *SEMIDIRECT_LETTERS))
+    assignment = semidirect_assignment(octo)
+    rels = tuple(Relation(ADJOINT_CHECKS[rule], lhs, rhs) for _v, _u, rule, lhs, rhs in rules)
+    spec = PresentationSpec("Adjoint", tuple(run.w.a), tuple(assignment), rels)
+    for (v, u, *_), outcome in zip(rules, verify(spec, assignment).outcomes, strict=True):
+        run.add(outcome.tag, outcome.holds, pair=[v, u])
 
     for v in star_verts:
         vx = vertex_str(v)
@@ -549,9 +550,12 @@ def suite_twists(run: SuiteRun) -> None:
     twist_assignment = {}
     for v in octo.vertices:
         s, vx = octo.basis_vector(v), vertex_str(v)
-        twist = twist_assignment[vx] = WeylElement(octo.rank, twist_rows(octo, s))
-        reflects = twist.rows == simple_reflection(octo, v).rows
+        twist = WeylElement(octo.rank, twist_rows(octo, s))
+        reflection = simple_reflection(octo, v)
+        reflects = twist.rows == reflection.rows
         run.add("twist-equals-reflection", reflects, vertex=vx)
+        # A twist equal to its reflection is that element, step and all.
+        twist_assignment[vx] = reflection if reflects else twist
         negates = spherical_twist_K(octo, s, s) == vec_neg(s)
         run.add("twist-negates-own-class", negates, vertex=vx)
     run.add_spec(verify(artin_spec(run.w), twist_assignment))

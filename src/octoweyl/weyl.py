@@ -18,10 +18,12 @@ rows, and acts over those rows alone: x -> x + D x on vectors and
 r -> r + sum_k r[k] D_k on rows.  Since every step names the rows it
 moves, ``product_rows`` multiplies a word over those rows, starting from
 none, and returns the rows that differ from the identity; relation checks
-compare these row dicts.  An element is its moved rows, and its dense
-matrix is built only on request.  The projection to the star lattice
-conjugates by the split basis change T of ``lattice.to_split``, itself a
-transvection, in one ``product_rows`` call over T, the element and T^-1.
+compare these row dicts.  Whether two generators commute needs no
+product: ``transvections_commute`` reads it off their pairings.  An
+element is its moved rows, and its dense matrix is built only on request.
+The projection to the star lattice conjugates by the split basis change T
+of ``lattice.to_split``, itself a transvection, in one ``product_rows``
+call over T, the element and T^-1.
 
 A translation witness follows the induction tau_v = s_v tau_prev s_v
 tau_prev^-1 and has 2^(j+2) - 2 letters at arm depth j, so it is kept as a
@@ -149,6 +151,32 @@ class Transvection:
         if k == 0:
             return Transvection(tuple((i, -a) for i, a in self.u), self.p)
         raise ValueError(f"I - u p^T with p . u = {k} has no integral inverse")
+
+
+def _rank_one(c: int, u: Sparse, p: Sparse) -> dict[tuple[int, int], int]:
+    """c u p^T as {(i, j): entry} over its nonzero entries."""
+    return {(i, j): c * a * b for i, a in u for j, b in p if c * a * b}
+
+
+def transvections_commute(a: Transvection, b: Transvection) -> bool:
+    """Whether I - u_a p_a^T and I - u_b p_b^T commute, from their pairings.
+
+    The two products are I - u_a p_a^T - u_b p_b^T plus (p_a . u_b) u_a p_b^T
+    and (p_b . u_a) u_b p_a^T respectively, so they are equal exactly when
+    these rank-one matrices are.  When both pairings vanish, so do both
+    matrices and no entry is compared.  No row of length n is built.
+    """
+    pa, pb = dict(a.p), dict(b.p)
+    ab = ba = 0
+    for i, x in b.u:
+        if i in pa:
+            ab += x * pa[i]
+    for i, x in a.u:
+        if i in pb:
+            ba += x * pb[i]
+    if not (ab or ba):
+        return True
+    return _rank_one(ab, a.u, b.p) == _rank_one(ba, b.u, a.p)
 
 
 def product_rows(n: int, steps, start: dict[int, Vec] | None = None) -> dict[int, Vec]:

@@ -27,8 +27,10 @@ kernels disabled, and ``act_word``, which its word checks apply to two
 rows letter by letter, is checked against the word's element and its
 dense matrix.
 ``product_rows``, which multiplies a word over the rows it moves, is
-checked against the dense product, and the sparse form criterion of a
-transvection against ``preserves_form``.  The presentation suites and the
+checked against the dense product, ``transvections_commute`` against both
+orders of ``product_rows`` on reflections, translations, random sparse
+transvections and planted nonzero pairings, and the sparse form criterion
+of a transvection against ``preserves_form``.  The presentation suites and the
 twists run with the dense kernels and ``mat_inv`` disabled, and the
 translation and semidirect suites also with cold generator caches, so that
 the generators' form checks run too.  An element is its moved rows: the
@@ -1055,9 +1057,10 @@ def test_cone_suite_runs_without_dense_kernels(monkeypatch):
 
 
 def test_presentation_and_twist_suites_run_without_dense_kernels(monkeypatch):
-    # Both sides of every relation are multiplied over the rows they move;
-    # the twists act as I + D through the rows in which they differ from I,
-    # and each twist, an involution, is its own inverse without mat_inv.
+    # A commutation of two generators is decided from their pairings and
+    # both sides of every other relation are multiplied over the rows they
+    # move.  Each twist is found equal to its reflection by comparing the
+    # rows in which it differs from I, and is then assigned that reflection.
     suites = (
         suite_presentations,
         suite_semidirect,
@@ -1194,6 +1197,64 @@ def test_product_rows_drops_rows_that_go_back_to_unit_rows():
     tau = translation_element(lat, hub)
     assert product_rows(n, (tau, s[arm], tau.inverse(), s[arm])) == {}
     assert product_rows(n, ()) == {}
+
+
+def pairing(p, u):
+    return sum(a * dict(p).get(i, 0) for i, a in u)
+
+
+def sparse_vecs(n):
+    """Integer vectors of length n with at most three nonzero entries, sparse."""
+    entry = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(st.integers(0, n - 1), entry, max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+
+
+def commutation_cases(lat, data):
+    """Pairs of transvections: the lattice's reflections at roots of depth
+    at most two, its translations and their inverses, random sparse ones,
+    and two planted kinds with nonzero pairings.  A reflection (u, p) and
+    (k u, m p) pair to 2k and 2m and commute; (e_v, C e_v) and (e_v, e_j)
+    with j != v pair to 2 one way and 0 the other and do not.  Returns the
+    pairs and the planted pairs with whether they commute."""
+    n = lat.rank
+    reflections = [reflection_transvection(lat, x) for x in enumerate_real_roots(lat, 2)]
+    gens = list(reflections)
+    if lat.is_octopus:
+        taus = [translation_element(lat, v).step for v in lat.star_vertices()]
+        gens += taus + [t.inverse() for t in taus]
+    a, b = (data.draw(st.sampled_from(gens), label=x) for x in "ab")
+    vec = sparse_vecs(n)
+    random_a, random_b = (
+        Transvection(data.draw(vec, label=f"u_{x}"), data.draw(vec, label=f"p_{x}"))
+        for x in "ab"
+    )
+    r = data.draw(st.sampled_from(reflections), label="r")
+    k, m = (data.draw(st.integers(-3, 3).filter(bool), label=x) for x in "km")
+    scaled = Transvection(tuple((i, k * x) for i, x in r.u), tuple((j, m * y) for j, y in r.p))
+    v = data.draw(st.integers(0, n - 1), label="v")
+    j = data.draw(st.integers(0, n - 1).filter(lambda j: j != v), label="j")
+    simple = simple_reflection(lat, lat.vertices[v]).step
+    one_sided = Transvection(((v, 1),), ((j, 1),))
+    assert pairing(r.p, scaled.u) == 2 * k and pairing(scaled.p, r.u) == 2 * m
+    assert pairing(simple.p, one_sided.u) == 2 and pairing(one_sided.p, simple.u) == 0
+    planted = [(r, scaled, True), (simple, one_sided, False), (one_sided, simple, False)]
+    cases = [(a, b), (a, a), (a, random_a), (random_a, random_b)]
+    return cases + [(x, y) for x, y, _ in planted], planted
+
+
+@settings(max_examples=80, deadline=None)
+@given(catalog_lattices, st.data())
+def test_transvections_commute_matches_both_products(lat, data):
+    n = lat.rank
+    cases, planted = commutation_cases(lat, data)
+    for a, b in cases:
+        assert weyl.transvections_commute(a, b) == (
+            product_rows(n, (a, b)) == product_rows(n, (b, a))
+        )
+    for a, b, commute in planted:
+        assert weyl.transvections_commute(a, b) is commute
 
 
 def transvection(u, p):

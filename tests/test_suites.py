@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import octoweyl.presentations as presentations
 import octoweyl.suites as suites
 from octoweyl.cone import RegularityResult
 from octoweyl.errors import NotStarVertex, ValidationError
@@ -38,7 +39,7 @@ from octoweyl.suites import (
     witness_root,
     witness_shifts,
 )
-from octoweyl.weyl import WeylElement, simple_reflection
+from octoweyl.weyl import Transvection, WeylElement, simple_reflection
 
 from oracles import (
     reference_regularity_monotone,
@@ -315,14 +316,17 @@ def test_star_count_bounded_checks_each_root(monkeypatch, plant):
 
 
 def test_adjoint_checks_see_the_suites_translations(monkeypatch):
-    # Swap the translations at (1,1) and (2,1).  The adjoint checks that fail
-    # must be those where r_v tau_u r_v, multiplied densely, differs from
-    # tau_u^-1, tau_u or tau_v tau_u as the Cartan entry of (v, u) selects.
+    # Swap the translations at (1,1) and (2,1), in the suite and in the
+    # semidirect assignment that its adjoint checks verify.  The adjoint
+    # checks that fail must be those where r_v tau_u r_v, multiplied densely,
+    # differs from tau_u^-1, tau_u or tau_v tau_u as the Cartan entry of
+    # (v, u) selects.
     swap = {(1, 1): (2, 1), (2, 1): (1, 1)}
     real = suites.translation_element
-    monkeypatch.setattr(
-        suites, "translation_element", lambda lat, v: real(lat, swap.get(v, v))
-    )
+    for module in (suites, presentations):
+        monkeypatch.setattr(
+            module, "translation_element", lambda lat, v: real(lat, swap.get(v, v))
+        )
     rep = run_suite("translations", (2, 2, 3))
     failing = {
         (d["check"], tuple(d["pair"]))
@@ -345,6 +349,86 @@ def test_adjoint_checks_see_the_suites_translations(monkeypatch):
             if lhs != rhs:
                 expected.add((check, (vertex_str(v), vertex_str(u))))
     assert expected and failing == expected
+
+
+def _perturb_translation(monkeypatch, target=(3, 2)):
+    """Add 2 delta_hub to the hub entry of the p of the translation at
+    target, in the suites and in the paired assignments.  The new p pairs
+    with delta to 2, so the element stays invertible, as an involution; it
+    no longer commutes with the other translations, nor with the hub's
+    reflection, which target's does since target is not next to the hub."""
+    real = suites.translation_element
+
+    def perturbed(lat, v):
+        tau = real(lat, v)
+        if v != target:
+            return tau
+        hub = lat.index("1")
+        p = dict(tau.step.p)
+        p[hub] = p.get(hub, 0) + 2 * lat.delta[hub]
+        step = Transvection(tau.step.u, tuple(sorted(p.items())))
+        return WeylElement.from_step(lat.rank, step, tau.word)
+
+    for module in (suites, presentations):
+        monkeypatch.setattr(module, "translation_element", perturbed)
+
+
+def _assert_bytes_without_pairings(monkeypatch, reports, w):
+    """Each report again with every commutation multiplied out, as
+    ``transvections_commute`` returning False leaves it: the same bytes."""
+    monkeypatch.setattr(presentations, "transvections_commute", lambda a, b: False)
+    for name, report in reports.items():
+        assert json.dumps(run_suite(name, w)) == json.dumps(report)
+
+
+def test_perturbed_translation_fails_the_same_bytes_with_and_without_pairings(monkeypatch):
+    w = (2, 3, 4)
+    _perturb_translation(monkeypatch)
+    reports = {name: run_suite(name, w) for name in ("semidirect", "vanderlek", "translations")}
+    failing = [d for r in reports.values() for d in r["details"] if not d["holds"]]
+    families = {d.get("tag", d.get("check")).split("/")[0] for d in failing}
+    assert {"4.3d", "4.3f", "E3", "Ec", "adjoint-commute"} <= families
+    _assert_bytes_without_pairings(monkeypatch, reports, w)
+
+
+def test_perturbed_twist_fails_the_same_bytes_with_and_without_pairings(monkeypatch):
+    # The twist at (3,3) replaced by the reflection at (3,2), without a step:
+    # only entries that involve (3,3) may fail.
+    w, target = (2, 3, 4), (3, 3)
+    octo = octopus_lattice(Weights(w))
+    real = suites.twist_rows
+    wrong = simple_reflection(octo, (3, 2)).rows
+
+    def planted(lat, s):
+        return wrong if s == lat.basis_vector(target) else real(lat, s)
+
+    monkeypatch.setattr(suites, "twist_rows", planted)
+    report = run_suite("twists", w)
+    failing = [d for d in report["details"] if not d["holds"]]
+    assert any(d.get("spec") == "ArtinA" for d in failing)
+    for d in failing:
+        assert d.get("vertex") == "(3,3)" or "(3,3)" in d["tag"]
+    _assert_bytes_without_pairings(monkeypatch, {"twists": report}, w)
+
+
+def test_adjoint_checks_match_the_semidirect_rules_under_a_defect(monkeypatch):
+    # The translations suite and the semidirect suite verify the same rules:
+    # adjoint-inverse, -commute and -product are 4.3e, 4.3f and 4.3g.
+    w = (2, 3, 4)
+    _perturb_translation(monkeypatch)
+    semidirect = {d["tag"]: d["holds"] for d in run_suite("semidirect", w)["details"]}
+    adjoint = {}
+    for d in run_suite("translations", w)["details"]:
+        v, u = d.get("pair", (None, None))
+        tag = {
+            "adjoint-inverse": f"4.3e/{v}",
+            "adjoint-commute": f"4.3f/{v},{u}",
+            "adjoint-product": f"4.3g/{v},{u}",
+        }.get(d["check"])
+        if tag is not None:
+            adjoint[tag] = d["holds"]
+    rules = {tag: holds for tag, holds in semidirect.items() if tag[:4] in ("4.3e", "4.3f", "4.3g")}
+    assert not all(rules.values()) and adjoint == rules
 
 
 def test_catalog_spans_all_signs():
