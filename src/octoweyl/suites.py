@@ -80,6 +80,7 @@ from .weyl import (
     product_rows,
     project_p,
     simple_reflection,
+    split_roots,
     translation_element,
 )
 
@@ -438,10 +439,10 @@ def suite_roots(run: SuiteRun) -> dict:
         ok = all(star.form(x, x) == 2 and (min(x) >= 0 or max(x) <= 0) for x in star_roots)
         run.add("star-count-bounded", ok, count=len(star_roots), depth=depth)
 
-    octo_roots = enumerate_real_roots(octo, depth, cfg.cap)
-    # The window in split coordinates: star part first, delta coordinate j last.
+    # The window in split coordinates: star part first, delta level j last.
     j = octo.split_indices[1]
-    window = {octo.to_split(x) for x in octo_roots if abs(x[j]) <= cfg.n_bound}
+    octo_roots = split_roots(octo, depth, cfg.cap)
+    window = {beta + (m,) for beta, m in octo_roots if abs(m) <= cfg.n_bound}
     in_star = all(y[:j] in star_roots for y in window)
     run.add("star-part-membership", in_star, window=len(window))
     if chi > 0:

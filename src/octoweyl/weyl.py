@@ -59,6 +59,19 @@ behind that are made once, not on every product:
   the image of an isometry that keeps the delta line is an isometry.
 
 A WeylElement built by ``WeylElement.from_matrix`` is taken as given.
+
+A root closure grows breadth-first layers, one round of reflections at a
+time, and keeps them per (lattice, basis).  On a star, ``_RootLayers`` works
+root by root.  An octopus root is, in split coordinates, a star part beta
+plus a delta level m, and a basis root b splits as (b', l).  Since delta
+spans a line in the radical of the Cartan form, I(b, x) depends on the star
+part of x alone, so the reflection at b sends (beta, m) to
+(beta - c b', m - c l) with c = I(b, x) for any x over beta.  The octopus
+layers ``_OctopusLayers`` group each layer by star class and work out each
+class's pairings and target classes once, for all of its delta levels; they
+check C delta = 0 once, when they are built.  A star closure meets each
+class once, so a class table would only add work there, and stars keep the
+per-root kernel.
 """
 
 from __future__ import annotations
@@ -72,6 +85,7 @@ from .errors import (
     DeltaNotPreserved,
     DimensionMismatch,
     NotNormTwo,
+    NotOctopus,
     NotStarVertex,
     UnknownGenerator,
     ValidationError,
@@ -85,6 +99,7 @@ from .exact import (
     mat_inv,
     mat_mul,
     sparse,
+    sparse_mat_vec,
     transpose,
 )
 from .lattice import RootLattice
@@ -698,9 +713,156 @@ class _RootLayers:
         return window
 
 
+class _OctopusLayers:
+    """The layers of ``_RootLayers`` on an octopus lattice, kept by star class.
+
+    In split coordinates a root is (beta, m), beta its star part and m its
+    delta level, and the basis root b_k splits as (b'_k, l_k).  The
+    reflection s_k sends (beta, m) to (beta - c b'_k, m - c l_k), with
+    c = I(b_k, x) for x = from_split(beta, 0).  This is exact because delta
+    lies in the radical, which the constructor checks once over the Cartan
+    rows: x differs from from_split(beta, m) by m delta, so both pair alike
+    with b_k.  So the pairings, the target class and the level shift of each
+    reflection depend on the class alone; ``moves`` holds them per class,
+    worked out once and applied to every level of the class in every layer.
+
+    Each layer maps a class to {level: bitmask}, the bitmask of the
+    generators that reached the root, and a round skips s_k at a root when
+    c = 0 or s_k reached it, as ``_RootLayers`` does; its argument that no
+    applied reflection lands in an earlier layer holds as it stands, so a
+    new root is looked up in the frontier and the round's own finds alone.
+    ``sizes``, ``closed``, ``grow``, ``probe`` and ``window`` answer as those
+    of ``_RootLayers`` on the same lattice and basis, cap and message
+    included; ``window`` builds its sorted octopus tuples only when asked,
+    and ``split`` reads the roots as (beta, m) pairs without building them.
+    """
+
+    def __init__(self, lattice: RootLattice, basis: tuple[Vec, ...]):
+        if any(sparse_mat_vec(lattice.cartan_rows, lattice.delta)):
+            raise ValueError("delta is not in the radical of the Cartan form")
+        self.hub, j = lattice.split_indices
+        self.pairings = [reflection_transvection(lattice, b).p for b in basis]
+        self.parts = []
+        layer: dict[Vec, dict[int, int]] = {}
+        for b in basis:
+            y = lattice.to_split(b)
+            self.parts.append((sparse(y[:j]), y[j]))
+            layer.setdefault(y[:j], {})[y[j]] = 0
+        self.moves: dict[Vec, tuple[tuple[int, Vec, int], ...]] = {}
+        self.layers = [layer]
+        self.front = layer
+        self.sizes = [sum(map(len, layer.values()))]
+        self.closed = False
+        self.windows: dict[int, tuple[Vec, ...]] = {}
+
+    @property
+    def depth(self) -> int:
+        return len(self.sizes) - 1
+
+    def _moves(self, beta: Vec) -> tuple[tuple[int, Vec, int], ...]:
+        """(bit k, target class, level shift) for each s_k that moves the
+        class beta, worked out on its first request."""
+        moves = self.moves.get(beta)
+        if moves is None:
+            x = beta + (0,)  # from_split(beta, 0): the level comes last
+            out = []
+            for k, (p, (u, level)) in enumerate(zip(self.pairings, self.parts)):
+                c = 0
+                for i, a in p:
+                    c += a * x[i]
+                if c:
+                    target = list(beta)
+                    for i, a in u:
+                        target[i] -= c * a
+                    out.append((1 << k, tuple(target), -c * level))
+            moves = self.moves[beta] = tuple(out)
+        return moves
+
+    def _round(self, room: int) -> tuple[dict, int] | None:
+        """The roots that the next round adds, by class and level with their
+        bitmasks, and their number; None as soon as more than ``room`` are
+        found.  Nothing is stored."""
+        front = self.front
+        new: dict[Vec, dict[int, int]] = {}
+        count = 0
+        for beta, levels in front.items():
+            for bit, target, shift in self._moves(beta):
+                old = front.get(target, ())
+                found = new.get(target)
+                for m, reached in levels.items():
+                    if reached & bit:
+                        continue
+                    y = m + shift
+                    if found is not None and y in found:
+                        found[y] |= bit
+                    elif y not in old:
+                        if count >= room:
+                            return None
+                        if found is None:
+                            found = new[target] = {}
+                        found[y] = bit
+                        count += 1
+        return new, count
+
+    def grow(self, cap: int) -> None:
+        """Add one round; past cap, raise and leave the layers as they were."""
+        found = self._round(cap - self.sizes[-1])
+        if found is None:
+            raise _over_cap(cap, self.depth)
+        new, count = found
+        if not count:
+            self.closed = True
+            self.front = {}
+            return
+        self.layers.append(new)
+        self.sizes.append(self.sizes[-1] + count)
+        self.front = new
+
+    def probe(self) -> bool:
+        """Whether the next round would add nothing; nothing is stored."""
+        return self._round(0) is not None
+
+    def split(self, depth: int):
+        """The (star part, delta level) pairs of the window of a built depth,
+        layer by layer."""
+        for layer in self.layers[: depth + 1]:
+            for beta, levels in layer.items():
+                for m in levels:
+                    yield beta, m
+
+    def window(self, depth: int) -> tuple[Vec, ...]:
+        """The sorted window of a built depth in octopus coordinates, built
+        and sorted on its first request."""
+        window = self.windows.get(depth)
+        if window is None:
+            i, roots = self.hub, []
+            for layer in self.layers[: depth + 1]:
+                for beta, levels in layer.items():
+                    head, b, tail = beta[:i], beta[i], beta[i + 1 :]
+                    roots += [head + (b - m,) + tail + (m,) for m in levels]
+            window = self.windows[depth] = tuple(sorted(roots))
+        return window
+
+
 @lru_cache(maxsize=ROOT_WINDOW_CACHE)
-def _root_layers(lattice: RootLattice, basis: tuple[Vec, ...]) -> _RootLayers:
-    return _RootLayers(lattice, basis)
+def _root_layers(lattice: RootLattice, basis: tuple[Vec, ...]) -> _RootLayers | _OctopusLayers:
+    return (_OctopusLayers if lattice.is_octopus else _RootLayers)(lattice, basis)
+
+
+def _grown_layers(
+    lattice: RootLattice, basis: tuple[Vec, ...], rounds: int, cap: int
+) -> _RootLayers | _OctopusLayers:
+    """The kept layers of (lattice, basis), grown to ``rounds`` unless they
+    close first; raises BudgetExceeded as a fresh closure would."""
+    layers = _root_layers(lattice, tuple(basis))
+    # A fresh closure raises in the first round whose size is past cap.
+    built = min(rounds, layers.depth)
+    first_over = bisect_right(layers.sizes, cap, 1, built + 1)
+    if first_over <= built:
+        raise _over_cap(cap, first_over - 1)
+    while layers.depth < rounds and not layers.closed:
+        layers.grow(cap)
+    return layers
 
 
 def root_orbit(
@@ -726,15 +888,8 @@ def root_orbit(
     Every answer, and whether it raises, is that of a fresh closure with the
     same arguments.
     """
-    layers = _root_layers(lattice, tuple(basis))
     rounds = max(word_depth, 0)
-    # A fresh closure raises in the first round whose size is past cap.
-    built = min(rounds, layers.depth)
-    first_over = bisect_right(layers.sizes, cap, 1, built + 1)
-    if first_over <= built:
-        raise _over_cap(cap, first_over - 1)
-    while layers.depth < rounds and not layers.closed:
-        layers.grow(cap)
+    layers = _grown_layers(lattice, basis, rounds, cap)
     if rounds < layers.depth:
         stabilized = False
     else:
@@ -753,6 +908,22 @@ def enumerate_real_roots(
     basis = tuple(lattice.basis_vector(v) for v in lattice.vertices)
     roots, _ = root_orbit(lattice, basis, word_depth, cap)
     return roots
+
+
+def split_roots(lattice: RootLattice, word_depth: int, cap: int = DEFAULT_ROOT_CAP):
+    """The roots of ``enumerate_real_roots`` on an octopus lattice, unsorted,
+    as (star part, delta level) pairs in split coordinates, read off the
+    octopus layers without building an octopus tuple.  It raises as
+    ``enumerate_real_roots`` does."""
+    if not lattice.is_octopus:
+        raise NotOctopus("only an octopus root has split coordinates")
+    if word_depth < 0:
+        raise ValidationError("word_depth must be >= 0")
+    if cap < 1:
+        raise ValidationError("cap must be >= 1")
+    basis = tuple(lattice.basis_vector(v) for v in lattice.vertices)
+    layers = _grown_layers(lattice, basis, word_depth, cap)
+    return layers.split(min(word_depth, layers.depth))
 
 
 def enumerate_until_stable(

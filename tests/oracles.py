@@ -11,7 +11,12 @@ from octoweyl.errors import BudgetExceeded, InvalidQuiver
 from octoweyl.exact import identity, sparse, sparse_mat_vec, transpose
 from octoweyl.ktheory import spherical_twist_K
 from octoweyl.quiver import EXT, HUB
-from octoweyl.weyl import WeylElement, reflection_transvection, translation_element
+from octoweyl.weyl import (
+    WeylElement,
+    _RootLayers,
+    reflection_transvection,
+    translation_element,
+)
 
 
 def dot(x, y):
@@ -245,6 +250,17 @@ class ReferenceLayers:
     def probe(self) -> bool:
         """Whether the next round would add nothing; nothing is stored."""
         return all(g.apply(x) in self.seen for g in self.gens for x in self.frontier())
+
+
+def generic_window(lattice, depth, cap) -> tuple:
+    """The sorted closure of the simple roots after ``depth`` rounds, grown
+    by the per-root kernel ``weyl._RootLayers`` run directly, octopus
+    lattices included: no kept layers and no star classes.  Past cap it
+    raises as ``enumerate_real_roots`` does."""
+    layers = _RootLayers(lattice, tuple(lattice.basis_vector(v) for v in lattice.vertices))
+    while layers.depth < depth and not layers.closed:
+        layers.grow(cap)
+    return layers.window(min(depth, layers.depth))
 
 
 def reference_regularity_monotone(star, points, root_depth, n_bound, cap) -> bool:

@@ -22,8 +22,10 @@ and basis answers every sequence of requests as a fresh dense closure
 would, and keeps one sorted window per built depth.  Its rounds, which skip the reflections that fix a root or send it
 back a layer, match the reference closure of ``oracles.py``, which applies
 every reflection, round by round at the depths the roots suite uses, on a
-braid-moved basis and past a cap.  The cone suite, too, runs with the dense
-kernels disabled, and ``act_word``, which its word checks apply to two
+braid-moved basis and past a cap, and the octopus layers, kept by star
+class, match the per-root layers on the same octopus lattice, window by
+window, on simple and braid-moved bases and past a cap.  The cone suite,
+too, runs with the dense kernels disabled, and ``act_word``, which its word checks apply to two
 rows letter by letter, is checked against the word's element and its
 dense matrix.
 ``product_rows``, which multiplies a word over the rows it moves, is
@@ -475,6 +477,82 @@ def test_root_rounds_past_cap_match_reference():
         assert set(fast.front) == set(ref.frontier())
         assert fast.probe() == ref.probe()
     assert fast.sizes[:7] == [13, 38, 64, 98, 153, 245, 406] and fast.depth == 7
+
+
+def assert_octopus_layers_agree(lat, basis, depth, cap=DEFAULT_ROOT_CAP):
+    """Grow ``_OctopusLayers`` and the per-root ``_RootLayers`` side by side
+    on one octopus lattice and basis, to depth, until they close or until a
+    round outgrows cap: the sizes, ``closed``, the probe (with ``closed``
+    the ``stabilized`` of ``root_orbit``), the sorted window and the split
+    pairs of every depth, and the round and message of BudgetExceeded."""
+    fast, ref = weyl._OctopusLayers(lat, basis), weyl._RootLayers(lat, basis)
+    while True:
+        assert (fast.sizes, fast.closed) == (ref.sizes, ref.closed)
+        window = ref.window(ref.depth)
+        assert fast.window(fast.depth) == window
+        pairs = list(fast.split(fast.depth))
+        assert sorted(lat.from_split(beta + (m,)) for beta, m in pairs) == list(window)
+        assert fast.probe() == ref.probe()
+        if fast.closed or fast.depth == depth:
+            return
+        if not grow_alike(fast, ref, cap):
+            assert (fast.sizes, fast.closed) == (ref.sizes, ref.closed)
+            return
+
+
+def grow_alike(fast, ref, cap) -> bool:
+    """Grow both layers by a round; whether they grew, after checking that
+    both raised BudgetExceeded with one message or neither did."""
+    messages = []
+    for layers in (fast, ref):
+        try:
+            layers.grow(cap)
+        except BudgetExceeded as e:
+            messages.append(str(e))
+    assert len(messages) in (0, 2) and len(set(messages)) <= 1
+    return not messages
+
+
+def braid_moved_basis(lat, i):
+    """The simple classes after the braid move b_i: real roots, not simple."""
+    return braid_act(simples_collection(lat), ("b", i, 1)).classes
+
+
+@pytest.mark.parametrize("a", DEFAULT_CATALOG, ids=str)
+def test_octopus_layers_match_per_root_kernel_at_suite_depths(a):
+    # The roots suite closes the catalog's octopus lattices to 24, 12 or 4 rounds.
+    lat, depth = _lattice(a, "octopus"), suite_roots_depths(a)[1]
+    simple = tuple(lat.basis_vector(v) for v in lat.vertices)
+    for basis in (simple, braid_moved_basis(lat, 1)):
+        assert_octopus_layers_agree(lat, basis, depth)
+    # The kept layers of an octopus are kept by class, those of a star by root.
+    star = star_lattice(a)
+    assert type(weyl._root_layers(lat, simple)) is weyl._OctopusLayers
+    assert type(weyl._root_layers(star, simple[:-1])) is weyl._RootLayers
+
+
+@settings(max_examples=25, deadline=None)
+@given(octopus_lattices, st.data())
+def test_octopus_layers_match_per_root_kernel(lat, data):
+    i = data.draw(st.integers(0, lat.rank - 1), label="braid index (0: simple basis)")
+    basis = braid_moved_basis(lat, i) if i else tuple(lat.basis_vector(v) for v in lat.vertices)
+    depth = data.draw(st.integers(0, 6), label="depth")
+    cap = data.draw(st.integers(lat.rank, 300) | st.just(DEFAULT_ROOT_CAP), label="cap")
+    assert_octopus_layers_agree(lat, basis, depth, cap)
+
+
+def test_octopus_layers_past_cap_match_per_root_kernel():
+    # Octopus (2,2,2) sizes after 0..4 rounds: 5, 18, 46, 88, 135.  A cap
+    # below the basis size, then each round once one root past cap and once
+    # at cap: each side raises alike and keeps its layers, or grows alike.
+    lat = octopus_lattice((2, 2, 2))
+    basis = tuple(lat.basis_vector(v) for v in lat.vertices)
+    fast, ref = weyl._OctopusLayers(lat, basis), weyl._RootLayers(lat, basis)
+    for cap in (1, 17, 18, 45, 46, 87, 87, 88, 134, 135):
+        grow_alike(fast, ref, cap)
+        assert (fast.sizes, fast.closed) == (ref.sizes, ref.closed)
+        assert fast.window(fast.depth) == ref.window(ref.depth)
+    assert fast.sizes == [5, 18, 46, 88, 135]
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)

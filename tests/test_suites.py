@@ -42,6 +42,7 @@ from octoweyl.suites import (
 from octoweyl.weyl import Transvection, WeylElement, simple_reflection
 
 from oracles import (
+    generic_window,
     reference_regularity_monotone,
     reference_window_entries,
     reference_witness_root,
@@ -188,9 +189,10 @@ def _window_entries(rep) -> list:
     return [d for d in rep["details"] if d.get("check") in WINDOW_CHECKS]
 
 
-def _reference_entries(a, rep) -> list:
+def _reference_entries(a, rep, plant=None) -> list:
     """The reference window entries of a roots-decomposition report, over the
-    roots that ``suites`` enumerates at the depth the report names."""
+    octopus roots that the per-root kernel ``generic_window`` closes at the
+    depth the report names, with the plant's root dropped or added."""
     w = Weights(a)
     octo, star = octopus_lattice(w, default_lambda(w.r)), star_lattice(w)
     depth, cap, n_bound = (rep["bounds"][k] for k in ("depth", "cap", "n_bound"))
@@ -199,7 +201,10 @@ def _reference_entries(a, rep) -> list:
         star_roots = set(suites.enumerate_until_stable(star, cap=cap))
     else:
         star_roots = set(suites.enumerate_real_roots(star, depth, cap))
-    octo_roots = suites.enumerate_real_roots(octo, depth, cap)
+    octo_roots = generic_window(octo, depth, cap)
+    if plant is not None:
+        x = octo.from_split(_planted_root(plant, octo, depth, cap, n_bound))
+        octo_roots = [r for r in octo_roots if r != x] if plant == "drop" else [*octo_roots, x]
     return reference_window_entries(octo, star_roots, octo_roots, n_bound, finite)
 
 
@@ -222,17 +227,16 @@ def test_short_explicit_depth_keeps_its_window_failure():
     assert equal == dict(check="window-set-equality", holds=False)
 
 
-def _plant_window(plant, octo, roots, n_bound):
-    """The octopus roots with one window root dropped, or with a vector added
-    from split coordinates: 2 e_1 (not a star root) at delta coordinate 1,
-    or at n_bound + 1, outside the window."""
+def _planted_root(plant, octo, depth, cap, n_bound):
+    """In split coordinates, the root that a plant drops, the first window
+    root of the generic closure in octopus order, or the vector it adds:
+    2 e_1 (not a star root) at delta level 1, or at n_bound + 1, outside
+    the window."""
     j = octo.split_indices[1]
-    twice_hub = (2,) + (0,) * (j - 1)
     if plant == "drop":
-        dropped = next(x for x in roots if abs(x[j]) <= n_bound)
-        return [x for x in roots if x != dropped]
-    m = 1 if plant == "not-star" else n_bound + 1
-    return list(roots) + [octo.from_split(twice_hub + (m,))]
+        window = (x for x in generic_window(octo, depth, cap) if abs(x[j]) <= n_bound)
+        return octo.to_split(next(window))
+    return (2,) + (0,) * (j - 1) + (1 if plant == "not-star" else n_bound + 1,)
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (2, 3, 3)])
@@ -245,17 +249,21 @@ def _plant_window(plant, octo, roots, n_bound):
     ],
 )
 def test_planted_window_is_judged_as_the_reference_judges_it(monkeypatch, a, plant, holds):
+    # The plant goes into the (star part, delta level) pairs that the suite
+    # reads off the octopus layers, before its band filter.
     clean = run_suite("roots-decomposition", a)
-    real = suites.enumerate_real_roots
+    real = suites.split_roots
 
     def planted(lat, depth, cap):
-        roots = real(lat, depth, cap)
-        return _plant_window(plant, lat, roots, 3) if lat.is_octopus else roots
+        y = _planted_root(plant, lat, depth, cap, 3)
+        pair = (y[:-1], y[-1])
+        pairs = list(real(lat, depth, cap))
+        return [p for p in pairs if p != pair] if plant == "drop" else pairs + [pair]
 
-    monkeypatch.setattr(suites, "enumerate_real_roots", planted)
+    monkeypatch.setattr(suites, "split_roots", planted)
     rep = run_suite("roots-decomposition", a)
     entries = _window_entries(rep)
-    assert entries == _reference_entries(a, rep)
+    assert entries == _reference_entries(a, rep, plant)
     assert [d["holds"] for d in entries] == holds
     if plant == "beyond":
         assert entries == _window_entries(clean)
@@ -305,7 +313,7 @@ def test_star_count_bounded_checks_each_root(monkeypatch, plant):
     real = suites.enumerate_real_roots
 
     def planted(lat, depth, cap):
-        return list(real(lat, depth, cap)) + ([] if lat.is_octopus else [x])
+        return list(real(lat, depth, cap)) + [x]
 
     def bounded(rep):
         return next(d for d in rep["details"] if d.get("check") == "star-count-bounded")

@@ -41,6 +41,7 @@ from octoweyl.weyl import (
     root_orbit,
     serre_coxeter_matrix,
     simple_reflection,
+    split_roots,
     translation_element,
     translation_word,
 )
@@ -233,6 +234,28 @@ def test_root_enumeration_counts():
 def test_root_enumeration_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_real_roots(octopus_lattice((2, 2, 2)), 50, cap=40)
+
+
+def test_octopus_layers_check_that_delta_is_radical():
+    # Euler row (1,1) loses its arrow to 1*, so the Cartan rows of 1 and 1*
+    # differ and C delta = C e_1* - C e_1 is no longer 0.  The octopus
+    # layers check this once, when they are built, before any round.
+    good = octopus_lattice((2, 2, 2))
+    rows = list(good.euler_rows)
+    assert rows[1] == ((1, 1), (4, -1))
+    rows[1] = ((1, 1),)
+    bad = lattice.RootLattice(good.kind, good.weights, good.vertices, tuple(rows))
+    assert bad.form(bad.delta, bad.basis_vector((1, 1))) == 1
+    basis = tuple(bad.basis_vector(v) for v in bad.vertices)
+    with pytest.raises(ValueError, match="delta is not in the radical"):
+        root_orbit(bad, basis, 2)
+    with pytest.raises(ValueError, match="delta is not in the radical"):
+        split_roots(bad, 0)
+
+
+def test_split_roots_needs_an_octopus():
+    with pytest.raises(NotOctopus):
+        split_roots(star_lattice((2, 2, 2)), 2)
 
 
 def test_group_enumeration():
