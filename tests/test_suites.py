@@ -695,6 +695,24 @@ def test_mutations_reports_are_pinned(a):
     assert hashlib.sha256(report).hexdigest() == MUTATIONS_DIGESTS[a]
 
 
+# SHA-256 over json.dumps(run_suite("cone", w, cfg=SuiteConfig(seed=seed)),
+# sort_keys=True) for w in the catalog and then (4, 4, 4, 4): the cone
+# suite's random points away from the golden seed.
+CONE_DIGESTS = {
+    7: "c04355cb3b5fd5436abec7797e9d9799d436a5531ff16cd90728bcfd60180b9a",
+    4242: "ad8488670f11c1947b8213258b1ee9c534131e44cbf326cc1944725df479b56d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CONE_DIGESTS))
+def test_cone_reports_are_pinned(seed):
+    h = hashlib.sha256()
+    for a in DEFAULT_CATALOG + ((4, 4, 4, 4),):
+        report = run_suite("cone", a, cfg=SuiteConfig(seed=seed))
+        h.update(json.dumps(report, sort_keys=True).encode())
+    assert h.hexdigest() == CONE_DIGESTS[seed]
+
+
 def test_lambda_is_threaded_through_reports():
     w = Weights((2, 2, 2, 2))
     lam = default_lambda(4)
