@@ -86,6 +86,21 @@ def sparse_mat_vec(rows: tuple[Sparse, ...], x) -> tuple:
     return tuple(out)
 
 
+def sparse_vec_mat(x: Sparse, rows: tuple[Sparse, ...]) -> dict[int, int]:
+    """x^T a as {index: value}, for the matrix a given by its sparse rows:
+    the sum of the rows in the support of x."""
+    out: dict[int, int] = {}
+    for i, a in x:
+        for j, b in rows[i]:
+            out[j] = out.get(j, 0) + a * b
+    return out
+
+
+def sparse_dot(row: dict[int, int], x: Sparse) -> int:
+    """row . x for a row given as {index: value} and a sparse x."""
+    return sum(a * row.get(j, 0) for j, a in x)
+
+
 def sparse_form(rows: tuple[Sparse, ...], x: Vec, y: Vec) -> int:
     """x^T a y for the matrix a given by its sparse rows, summed over the
     rows in the support of x: a term per entry of those rows."""

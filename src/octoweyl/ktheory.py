@@ -53,7 +53,9 @@ from .exact import (
     identity,
     sparse,
     sparse_determinant,
+    sparse_dot,
     sparse_mat_vec,
+    sparse_vec_mat,
 )
 from .lattice import RootLattice
 from .weyl import WeylElement, multiply, product_rows, support_reflection
@@ -175,20 +177,6 @@ def parse_braid_word(text: str) -> tuple[Move, ...]:
     return tuple(parse_move(t) for t in tokens)
 
 
-def _pairing_row(rows: tuple[Sparse, ...], x: Sparse) -> dict[int, int]:
-    """x^T R, for the matrix R of the given sparse rows, over the rows in
-    the support of x."""
-    out: dict[int, int] = {}
-    for i, a in x:
-        for j, e in rows[i]:
-            out[j] = out.get(j, 0) + a * e
-    return out
-
-
-def _dot(row: dict[int, int], x: Sparse) -> int:
-    return sum(a * row.get(j, 0) for j, a in x)
-
-
 def braid_act(k: KCollection, move: Move) -> KCollection:
     """Apply one mutation or shift; returns a new collection.
 
@@ -217,7 +205,7 @@ def braid_act(k: KCollection, move: Move) -> KCollection:
     except NotNormTwo:
         dense = dense_rows((pivot,), lat.rank)[0]
         raise NotNormOne(f"pivot class {dense} has self-pairing != 1") from None
-    c = _dot(dict(z), p)
+    c = sparse_dot(dict(z), p)
     moved = {j: -a for j, a in z}
     if c:
         for j, a in pivot:
@@ -290,12 +278,12 @@ def preserved_on_window(k: KCollection, image: KCollection, window: range) -> bo
         return False
     classes = image.supports[a:b]
     for m, x in enumerate(classes):
-        row = _pairing_row(lat.euler_rows, x)
-        if _dot(row, x) != 1 or any(c < a and e for c, e in row.items()):
+        row = sparse_vec_mat(x, lat.euler_rows)
+        if sparse_dot(row, x) != 1 or any(c < a and e for c, e in row.items()):
             return False
-        if any(_dot(row, y) for y in classes[:m]):
+        if any(sparse_dot(row, y) for y in classes[:m]):
             return False
-        column = _pairing_row(lat.cartan_rows, x)
+        column = sparse_vec_mat(x, lat.cartan_rows)
         for c, e in row.items():
             column[c] = column.get(c, 0) - e
         if any(c >= b and e for c, e in column.items()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidLambda, InvalidQuiver, InvalidWeights
-from .exact import Sparse, parse_rational
+from .exact import Sparse, format_rational, parse_rational
 
 Vertex = str | tuple[int, int]
 
@@ -89,8 +89,7 @@ class ProjPoint:
     def __str__(self) -> str:
         if self.is_infinity:
             return "inf"
-        x = self.p
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return format_rational(self.p)
 
 
 INFINITY = ProjPoint(Fraction(1), Fraction(0))

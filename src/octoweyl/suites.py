@@ -4,7 +4,8 @@ Every suite takes a weight tuple (plus optional marked points and bounds),
 runs a family of exact checks, and returns a JSON-ready report with one
 entry per check.  All randomness comes from an explicitly seeded generator
 so reports are reproducible bit for bit; the translations' closed-form
-samples are drawn in bulk and checked all at once as packed integers.
+samples are drawn in bulk and checked all at once as packed integers, and
+the cone suite draws its points by plain ``randrange`` calls.
 
 A suite is a body registered with ``@_suite(name)``.  It gets a prepared
 ``SuiteRun``, records each check with ``run.add`` and returns its bounds;
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from math import lcm
-from struct import unpack
 
 from .cone import DualPoint, is_regular, make_dominant
 from .errors import NotInConeWithinBudget, NotStarVertex, ValidationError
@@ -246,30 +246,6 @@ def bulk_draws_below_19(rng: random.Random, count: int) -> bytearray:
         k = count - len(out)
         words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
         out += words[3::4].translate(_TOP_5_BITS, _REJECTED)
-    return out
-
-
-def draws_below(rng: random.Random, bounds) -> list[int]:
-    """The values of ``rng.randrange(b)`` for the bounds b in order, each
-    1 <= b < 2^32, leaving the generator where those calls leave it.
-
-    randrange(b) takes the top b.bit_length() bits of the next 32-bit word
-    until they are below b.  ``getrandbits(32 m)`` is the next m words,
-    lowest first; a word gives at most one value, so no round draws more
-    words than values are missing.
-    """
-    if bounds and (min(bounds) < 1 or max(bounds) >> 32):
-        raise ValueError("every bound must be in 1 .. 2^32 - 1")
-    out: list[int] = []
-    i, count = 0, len(bounds)
-    while i < count:
-        m = count - i
-        for word in unpack(f"<{m}L", rng.getrandbits(32 * m).to_bytes(4 * m, "little")):
-            b = bounds[i]
-            x = word >> (32 - b.bit_length())
-            if x < b:
-                out.append(x)
-                i += 1
     return out
 
 
@@ -562,17 +538,12 @@ def suite_twists(run: SuiteRun) -> None:
     run.add_spec(verify(artin_spec(run.w), twist_assignment))
 
 
-# A rational a/b of the cone suite is the pair randint(-8, 8), randint(1, 6),
-# drawn as randrange(17) - 8, randrange(6) + 1.
-_RATIONAL_BOUNDS = (17, 6)
-
-
-def _random_values(draws):
-    """The rationals a/b of the pairs of draws below ``_RATIONAL_BOUNDS``:
-    the lcm d of their b, and their numerators over d."""
-    b = [x + 1 for x in draws[1::2]]
-    d = lcm(*b)
-    return d, tuple((a - 8) * (d // y) for a, y in zip(draws[::2], b))
+def _random_rationals(rng: random.Random, count: int) -> tuple[int, tuple[int, ...]]:
+    """count rationals a/b, each drawn as randrange(17) - 8 over
+    randrange(6) + 1: the lcm d of their b, and their numerators over d."""
+    pairs = [(rng.randrange(17) - 8, rng.randrange(6) + 1) for _ in range(count)]
+    d = lcm(*(b for _a, b in pairs))
+    return d, tuple(a * (d // b) for a, b in pairs)
 
 
 @_suite("cone")
@@ -581,23 +552,22 @@ def suite_cone(run: SuiteRun) -> dict:
     star, cfg, rng = run.star, run.cfg, run.rng
     chi = euler_characteristic(run.w)
     n = star.rank
-    # Each point's values come from one draws_below call: 2n rationals, or
-    # n values of randint(1, 9), n rationals and 8 letters randrange(n).
-    random_bounds = _RATIONAL_BOUNDS * (2 * n)
-    pushed_bounds = (9,) * n + _RATIONAL_BOUNDS * n + (n,) * 8
 
     def random_point():
-        d, values = _random_values(draws_below(rng, random_bounds))
+        d, values = _random_rationals(rng, 2 * n)
         return DualPoint(d, values[:n], values[n:])
 
     def pushed_point():
-        """A dominant seed pushed by a random word: a point inside the cone."""
-        draws = draws_below(rng, pushed_bounds)
-        d, re = _random_values(draws[n : 3 * n])
-        word = [(star.vertices[i], 1) for i in draws[3 * n :]]
+        """A dominant seed pushed by a random word: a point inside the cone.
+
+        It draws n seed values randrange(9) + 1, then n rationals, then 8
+        letters randrange(n)."""
+        seeds = [rng.randrange(9) + 1 for _ in range(n)]
+        d, re = _random_rationals(rng, n)
+        word = [(star.vertices[rng.randrange(n)], 1) for _ in range(8)]
         # The seed's rows over d, chased through the word's transvections:
         # the rows of the pushed point h M over the same d.
-        rows = [list(re), [(x + 1) * d for x in draws[:n]]]
+        rows = [list(re), [x * d for x in seeds]]
         act_word(star, word, rows)
         return DualPoint(d, *map(tuple, rows))
 

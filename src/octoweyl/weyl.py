@@ -61,9 +61,12 @@ behind that are made once, not on every product:
 A WeylElement built by ``WeylElement.from_matrix`` is taken as given.
 
 A root closure grows breadth-first layers, one round of reflections at a
-time, and keeps them per (lattice, basis).  On a star, ``_RootLayers`` works
-root by root.  An octopus root is, in split coordinates, a star part beta
-plus a delta level m, and a basis root b splits as (b', l).  Since delta
+time, and keeps them per (lattice, basis).  The shell ``_ClosureLayers``
+holds the depth, the cap contract of a round, the probe and the sorted
+windows; a kernel supplies its round, how it stores a round and how it
+lists the roots of a depth.  On a star, ``_RootLayers`` works root by
+root.  An octopus root is, in split coordinates, a star part beta plus a
+delta level m, and a basis root b splits as (b', l).  Since delta
 spans a line in the radical of the Cartan form, I(b, x) depends on the star
 part of x alone, so the reflection at b sends (beta, m) to
 (beta - c b', m - c l) with c = I(b, x) for any x over beta.  The octopus
@@ -99,7 +102,9 @@ from .exact import (
     mat_inv,
     mat_mul,
     sparse,
+    sparse_dot,
     sparse_mat_vec,
+    sparse_vec_mat,
     transpose,
 )
 from .lattice import RootLattice
@@ -159,8 +164,7 @@ class Transvection:
         """Closed form: I - u p^T is an involution when p . u = 2 (a
         reflection) and has inverse I + u p^T when p . u = 0 (a translation);
         for any other p . u its determinant 1 - p . u is not a unit."""
-        p = dict(self.p)
-        k = sum(a * p.get(i, 0) for i, a in self.u)
+        k = sparse_dot(dict(self.p), self.u)
         if k == 2:
             return self
         if k == 0:
@@ -408,12 +412,8 @@ def preserves_form(lattice: RootLattice, m: Mat) -> bool:
 def _cartan_image(lattice: RootLattice, u: Sparse) -> tuple[dict[int, int], int]:
     """q = I u as {index: value}, the sum of the Cartan rows (equally, the
     columns: the form is symmetric) in the support of u, and I(u, u)."""
-    rows = lattice.cartan_rows
-    q: dict[int, int] = {}
-    for i, a in u:
-        for j, c in rows[i]:
-            q[j] = q.get(j, 0) + a * c
-    return q, sum(a * q.get(i, 0) for i, a in u)
+    q = sparse_vec_mat(u, lattice.cartan_rows)
+    return q, sparse_dot(q, u)
 
 
 def transvection_preserves_form(lattice: RootLattice, t: Transvection) -> bool:
@@ -606,15 +606,67 @@ def _over_cap(cap: int, reached: int) -> BudgetExceeded:
     return BudgetExceeded(f"root closure exceeded cap {cap} at depth {reached}")
 
 
-class _RootLayers:
-    """The breadth-first layers of one closure, grown a round at a time.
+class _ClosureLayers:
+    """The shell of a closure's breadth-first layers, grown a round at a time.
 
-    ``roots`` lists the closure layer by layer, each layer sorted, and
-    ``sizes[k]`` is its size after k rounds, so the window of depth k is the
-    prefix ``roots[:sizes[k]]``, whose sorted runs make sorting it cheap, and
-    the last layer is the frontier of the next round.  Every stored round
+    A kernel sets ``front``, the frontier that the next round starts from,
+    and the size of the basis layer, and supplies ``_round``, which returns
+    the roots that the next round adds and their number, or None as soon as
+    more than its ``room`` are found, storing nothing; ``_store``, which
+    keeps a round; and ``_roots``, which lists the roots of a built depth.
+    ``sizes[k]`` is the closure's size after k rounds.  Every stored round
     added a root; ``closed`` records that the round after the last one
-    added none.
+    added none.  ``front`` is replaced when a round is stored, left as it is
+    when a round raises past cap, and emptied once the closure is closed.
+
+    ``windows`` maps a built depth k to the sorted window of depth k, kept
+    from its first request, so each depth is sorted once.  Stored rounds
+    only append, so a kept window stays the one it was sorted from.
+    """
+
+    def __init__(self, front: dict, size: int):
+        self.front = front
+        self.sizes = [size]
+        self.closed = False
+        self.windows: dict[int, tuple[Vec, ...]] = {}
+
+    @property
+    def depth(self) -> int:
+        return len(self.sizes) - 1
+
+    def grow(self, cap: int) -> None:
+        """Add one round; past cap, raise and leave the layers as they were."""
+        found = self._round(cap - self.sizes[-1])
+        if found is None:
+            raise _over_cap(cap, self.depth)
+        new, count = found
+        if not count:
+            self.closed = True
+            self.front = {}
+            return
+        self._store(new)
+        self.sizes.append(self.sizes[-1] + count)
+        self.front = new
+
+    def probe(self) -> bool:
+        """Whether the next round would add nothing; nothing is stored."""
+        return self._round(0) is not None
+
+    def window(self, depth: int) -> tuple[Vec, ...]:
+        """The sorted window of a built depth, sorted on its first request."""
+        window = self.windows.get(depth)
+        if window is None:
+            window = self.windows[depth] = tuple(sorted(self._roots(depth)))
+        return window
+
+
+class _RootLayers(_ClosureLayers):
+    """The closure layers of a star, kept root by root.
+
+    ``roots`` lists the closure layer by layer, each layer sorted, so the
+    window of depth k is the prefix ``roots[:sizes[k]]``, whose sorted runs
+    make sorting it cheap, and the last layer is the frontier of the next
+    round.
 
     A round does not apply every reflection to every frontier root.  Each
     frontier root x carries its pairings c_k = p_k . x with the generators
@@ -634,12 +686,7 @@ class _RootLayers:
     Each case contradicts that s_k is applied at x.
 
     ``front`` maps each frontier root to a list of its n pairings followed
-    by its bitmask.  It is replaced when a round is stored, left as it is
-    when a round raises past cap, and emptied once the closure is closed.
-
-    ``windows`` maps a built depth k to the sorted window of depth k, kept
-    from its first request, so each depth is sorted once.  Stored rounds
-    only append, so a kept window stays the prefix it was sorted from.
+    by its bitmask.
     """
 
     def __init__(self, lattice: RootLattice, basis: tuple[Vec, ...]):
@@ -648,20 +695,13 @@ class _RootLayers:
         # The basis roots' pairings; u_k is b_k, so those of b_k are column k of G.
         pairings = [[sum(b[j] * v for j, v in g.p) for g in gens] for b in basis]
         self.columns = [sparse(c) for c in pairings]
-        self.front: dict[Vec, list[int]] = {b: c + [0] for b, c in zip(basis, pairings)}
-        self.roots = sorted(self.front)
-        self.sizes = [len(self.roots)]
-        self.closed = False
-        self.windows: dict[int, tuple[Vec, ...]] = {}
+        front = {b: c + [0] for b, c in zip(basis, pairings)}
+        self.roots = sorted(front)
+        super().__init__(front, len(self.roots))
 
-    @property
-    def depth(self) -> int:
-        return len(self.sizes) - 1
-
-    def _round(self, room: int) -> dict[Vec, list[int]] | None:
+    def _round(self, room: int) -> tuple[dict[Vec, list[int]], int] | None:
         """The roots that the next round adds, each mapped to its pairings
-        and bitmask as in ``front``; None as soon as more than ``room`` are
-        found.  Nothing is stored."""
+        and bitmask as in ``front``, and their number."""
         front, steps, columns = self.front, self.steps, self.columns
         n = len(steps)
         new: dict[Vec, list[int]] = {}
@@ -686,35 +726,17 @@ class _RootLayers:
                         d[m] -= ck * v
                     d[n] = 1 << k
                     new[y] = d
-        return new
+        return new, len(new)
 
-    def grow(self, cap: int) -> None:
-        """Add one round; past cap, raise and leave the layers as they were."""
-        new = self._round(cap - len(self.roots))
-        if new is None:
-            raise _over_cap(cap, self.depth)
-        if not new:
-            self.closed = True
-            self.front = {}
-            return
+    def _store(self, new: dict[Vec, list[int]]) -> None:
         self.roots += sorted(new)
-        self.sizes.append(len(self.roots))
-        self.front = new
 
-    def probe(self) -> bool:
-        """Whether the next round would add nothing; nothing is stored."""
-        return self._round(0) is not None
-
-    def window(self, depth: int) -> tuple[Vec, ...]:
-        """The sorted window of a built depth, sorted on its first request."""
-        window = self.windows.get(depth)
-        if window is None:
-            window = self.windows[depth] = tuple(sorted(self.roots[: self.sizes[depth]]))
-        return window
+    def _roots(self, depth: int) -> list[Vec]:
+        return self.roots[: self.sizes[depth]]
 
 
-class _OctopusLayers:
-    """The layers of ``_RootLayers`` on an octopus lattice, kept by star class.
+class _OctopusLayers(_ClosureLayers):
+    """The closure layers of an octopus, kept by star class.
 
     In split coordinates a root is (beta, m), beta its star part and m its
     delta level, and the basis root b_k splits as (b'_k, l_k).  The
@@ -731,10 +753,10 @@ class _OctopusLayers:
     c = 0 or s_k reached it, as ``_RootLayers`` does; its argument that no
     applied reflection lands in an earlier layer holds as it stands, so a
     new root is looked up in the frontier and the round's own finds alone.
-    ``sizes``, ``closed``, ``grow``, ``probe`` and ``window`` answer as those
-    of ``_RootLayers`` on the same lattice and basis, cap and message
-    included; ``window`` builds its sorted octopus tuples only when asked,
-    and ``split`` reads the roots as (beta, m) pairs without building them.
+    Every answer is that of ``_RootLayers`` on the same lattice and basis,
+    cap and message included; ``window`` builds its sorted octopus tuples
+    only when asked, and ``split`` reads the roots as (beta, m) pairs
+    without building them.
     """
 
     def __init__(self, lattice: RootLattice, basis: tuple[Vec, ...]):
@@ -750,14 +772,7 @@ class _OctopusLayers:
             layer.setdefault(y[:j], {})[y[j]] = 0
         self.moves: dict[Vec, tuple[tuple[int, Vec, int], ...]] = {}
         self.layers = [layer]
-        self.front = layer
-        self.sizes = [sum(map(len, layer.values()))]
-        self.closed = False
-        self.windows: dict[int, tuple[Vec, ...]] = {}
-
-    @property
-    def depth(self) -> int:
-        return len(self.sizes) - 1
+        super().__init__(layer, sum(map(len, layer.values())))
 
     def _moves(self, beta: Vec) -> tuple[tuple[int, Vec, int], ...]:
         """(bit k, target class, level shift) for each s_k that moves the
@@ -780,8 +795,7 @@ class _OctopusLayers:
 
     def _round(self, room: int) -> tuple[dict, int] | None:
         """The roots that the next round adds, by class and level with their
-        bitmasks, and their number; None as soon as more than ``room`` are
-        found.  Nothing is stored."""
+        bitmasks, and their number."""
         front = self.front
         new: dict[Vec, dict[int, int]] = {}
         count = 0
@@ -804,23 +818,8 @@ class _OctopusLayers:
                         count += 1
         return new, count
 
-    def grow(self, cap: int) -> None:
-        """Add one round; past cap, raise and leave the layers as they were."""
-        found = self._round(cap - self.sizes[-1])
-        if found is None:
-            raise _over_cap(cap, self.depth)
-        new, count = found
-        if not count:
-            self.closed = True
-            self.front = {}
-            return
+    def _store(self, new: dict[Vec, dict[int, int]]) -> None:
         self.layers.append(new)
-        self.sizes.append(self.sizes[-1] + count)
-        self.front = new
-
-    def probe(self) -> bool:
-        """Whether the next round would add nothing; nothing is stored."""
-        return self._round(0) is not None
 
     def split(self, depth: int):
         """The (star part, delta level) pairs of the window of a built depth,
@@ -830,28 +829,20 @@ class _OctopusLayers:
                 for m in levels:
                     yield beta, m
 
-    def window(self, depth: int) -> tuple[Vec, ...]:
-        """The sorted window of a built depth in octopus coordinates, built
-        and sorted on its first request."""
-        window = self.windows.get(depth)
-        if window is None:
-            i, roots = self.hub, []
-            for layer in self.layers[: depth + 1]:
-                for beta, levels in layer.items():
-                    head, b, tail = beta[:i], beta[i], beta[i + 1 :]
-                    roots += [head + (b - m,) + tail + (m,) for m in levels]
-            window = self.windows[depth] = tuple(sorted(roots))
-        return window
+    def _roots(self, depth: int) -> list[Vec]:
+        """The roots of a built depth in octopus coordinates."""
+        i = self.hub
+        return [beta[:i] + (beta[i] - m,) + beta[i + 1 :] + (m,) for beta, m in self.split(depth)]
 
 
 @lru_cache(maxsize=ROOT_WINDOW_CACHE)
-def _root_layers(lattice: RootLattice, basis: tuple[Vec, ...]) -> _RootLayers | _OctopusLayers:
+def _root_layers(lattice: RootLattice, basis: tuple[Vec, ...]) -> _ClosureLayers:
     return (_OctopusLayers if lattice.is_octopus else _RootLayers)(lattice, basis)
 
 
 def _grown_layers(
     lattice: RootLattice, basis: tuple[Vec, ...], rounds: int, cap: int
-) -> _RootLayers | _OctopusLayers:
+) -> _ClosureLayers:
     """The kept layers of (lattice, basis), grown to ``rounds`` unless they
     close first; raises BudgetExceeded as a fresh closure would."""
     layers = _root_layers(lattice, tuple(basis))
@@ -897,16 +888,20 @@ def root_orbit(
     return layers.window(min(rounds, layers.depth)), stabilized
 
 
-def enumerate_real_roots(
-    lattice: RootLattice, word_depth: int, cap: int = DEFAULT_ROOT_CAP
-) -> tuple[Vec, ...]:
-    """Real roots reachable from the simple roots within word_depth reflections."""
+def _check_request(word_depth: int, cap: int) -> None:
+    """Reject a closure request of negative depth or a cap below one root."""
     if word_depth < 0:
         raise ValidationError("word_depth must be >= 0")
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    basis = tuple(lattice.basis_vector(v) for v in lattice.vertices)
-    roots, _ = root_orbit(lattice, basis, word_depth, cap)
+
+
+def enumerate_real_roots(
+    lattice: RootLattice, word_depth: int, cap: int = DEFAULT_ROOT_CAP
+) -> tuple[Vec, ...]:
+    """Real roots reachable from the simple roots within word_depth reflections."""
+    _check_request(word_depth, cap)
+    roots, _ = root_orbit(lattice, identity(lattice.rank), word_depth, cap)
     return roots
 
 
@@ -917,12 +912,8 @@ def split_roots(lattice: RootLattice, word_depth: int, cap: int = DEFAULT_ROOT_C
     ``enumerate_real_roots`` does."""
     if not lattice.is_octopus:
         raise NotOctopus("only an octopus root has split coordinates")
-    if word_depth < 0:
-        raise ValidationError("word_depth must be >= 0")
-    if cap < 1:
-        raise ValidationError("cap must be >= 1")
-    basis = tuple(lattice.basis_vector(v) for v in lattice.vertices)
-    layers = _grown_layers(lattice, basis, word_depth, cap)
+    _check_request(word_depth, cap)
+    layers = _grown_layers(lattice, identity(lattice.rank), word_depth, cap)
     return layers.split(min(word_depth, layers.depth))
 
 
@@ -930,8 +921,7 @@ def enumerate_until_stable(
     lattice: RootLattice, max_depth: int = 64, cap: int = DEFAULT_ROOT_CAP
 ) -> tuple[Vec, ...]:
     """Full root enumeration for a finite system; raises if it does not stabilize."""
-    basis = tuple(lattice.basis_vector(v) for v in lattice.vertices)
-    roots, stabilized = root_orbit(lattice, basis, max_depth, cap)
+    roots, stabilized = root_orbit(lattice, identity(lattice.rank), max_depth, cap)
     if not stabilized:
         raise BudgetExceeded(f"root system did not stabilize within depth {max_depth}")
     return roots

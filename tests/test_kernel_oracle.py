@@ -49,6 +49,7 @@ runs with the dense kernels disabled.  The whole-word draws of the cone
 suite give the values and the generator state of ``randrange`` calls.
 """
 
+import copy
 import random
 import sys
 from fractions import Fraction
@@ -94,7 +95,6 @@ from octoweyl.suites import (
     _auto_depth,
     closed_form_samples,
     bulk_draws_below_19,
-    draws_below,
     suite_artin,
     suite_cone,
     suite_mutations,
@@ -388,15 +388,50 @@ def test_layered_root_window_request_sequence():
     )
     layers = weyl._root_layers(lat, basis)
     assert layers.sizes == [13, 38, 64, 98, 153, 245]
+    before = kept_state(layers)
     # Round 6 outgrows the cap: it raises and is not stored.
     with pytest.raises(BudgetExceeded, match="exceeded cap 300 at depth 5$"):
         root_orbit(lat, basis, 6, 300)
-    assert layers.sizes == [13, 38, 64, 98, 153, 245]
+    assert kept_state(layers) == before
     assert len(layers.roots) == 245 and len(layers.front) == 245 - 153
     # Below the built depth the cap is checked against the stored sizes.
     with pytest.raises(BudgetExceeded, match="exceeded cap 100 at depth 3$"):
         root_orbit(lat, basis, 4, 100)
+    assert kept_state(layers) == before
     requests = ((6, 300), (6, 406), (4, 100), (3, 100), (0, 13), (7, DEFAULT_ROOT_CAP))
+    check_requests(lat, [(basis, d, cap) for d, cap in requests])
+
+
+def kept_state(layers):
+    """A copy of what kept layers store: sizes, roots or layers, frontier
+    and sorted windows, less the move cache of octopus layers, which a
+    round may fill whether it is stored or not."""
+    state = copy.deepcopy(vars(layers))
+    state.pop("moves", None)
+    return state
+
+
+def test_layered_octopus_window_request_sequence(monkeypatch):
+    # Octopus (2,2,2) closure sizes after 0..4 rounds: 5, 18, 46, 88, 135.
+    lat = octopus_lattice((2, 2, 2))
+    basis = tuple(lat.basis_vector(v) for v in lat.vertices)
+    weyl._root_layers.cache_clear()
+    check_requests(lat, [(basis, d, cap) for d, cap in ((2, 46), (3, 88), (1, 18))])
+    layers = weyl._root_layers(lat, basis)
+    assert type(layers) is weyl._OctopusLayers and layers.sizes == [5, 18, 46, 88]
+    before = kept_state(layers)
+    # Round 4 outgrows the cap: it raises and is not stored.
+    with pytest.raises(BudgetExceeded, match="exceeded cap 100 at depth 3$"):
+        root_orbit(lat, basis, 4, 100)
+    assert kept_state(layers) == before
+    # Below the built depth the cap is checked against the stored sizes,
+    # without running a round.
+    with monkeypatch.context() as m:
+        m.setattr(weyl._OctopusLayers, "_round", lambda self, room: pytest.fail("a round ran"))
+        with pytest.raises(BudgetExceeded, match="exceeded cap 40 at depth 1$"):
+            root_orbit(lat, basis, 2, 40)
+    assert kept_state(layers) == before
+    requests = ((4, 100), (4, 135), (2, 40), (1, 18), (0, 5), (5, DEFAULT_ROOT_CAP))
     check_requests(lat, [(basis, d, cap) for d, cap in requests])
 
 
@@ -946,38 +981,6 @@ def test_bulk_draws_match_randrange(seed, count):
     a, b = random.Random(seed), random.Random(seed)
     assert list(bulk_draws_below_19(b, count)) == [a.randrange(19) for _ in range(count)]
     assert a.getstate() == b.getstate()
-
-
-# Bounds of one bit, powers of two, the cone suite's 17, 6 and 9, and
-# bounds above 256 (ranks above 256 draw randrange(rank)), up to 2^32 - 1.
-draw_bounds = st.one_of(
-    st.sampled_from([1, 2, 4, 256, 2**31, 17, 6, 9, 257, 300, 1000, 2**31 + 1, 2**32 - 1]),
-    st.integers(1, 2**32 - 1),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.one_of(st.sampled_from([0, 1729, 4242, 2**64 + 7]), st.integers(0, 2**80)),
-    st.lists(draw_bounds, max_size=80),
-)
-@example(1729, [9] * 7 + [17, 6] * 7 + [7] * 8)
-@example(4242, [17, 6] * 38)
-@example(0, [1] * 20 + [2] * 20)
-@example(2**64 + 7, [300, 257, 1, 17, 2**32 - 1, 6, 9, 512])
-def test_draws_below_match_randrange(seed, bounds):
-    # draws_below reads CPython's getrandbits word order and randrange's
-    # use of the top bits of a word, so this runs on every supported
-    # Python: the same values, and the same state afterwards.
-    a, b = random.Random(seed), random.Random(seed)
-    assert draws_below(b, bounds) == [a.randrange(x) for x in bounds]
-    assert a.getstate() == b.getstate()
-
-
-@pytest.mark.parametrize("bound", [0, -1, 2**32])
-def test_draws_below_rejects_bounds_out_of_range(bound):
-    with pytest.raises(ValueError):
-        draws_below(random.Random(0), [6, bound])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,13 +1,19 @@
 """Star and octopus construction: counts, validation, canonical order."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octoweyl.errors import InvalidLambda, InvalidWeights
+from octoweyl.exact import format_rational
 from octoweyl.quiver import (
     EXT,
     HUB,
+    INFINITY,
+    ONE,
+    ZERO,
     LambdaTuple,
     ProjPoint,
     Weights,
@@ -68,6 +74,21 @@ def test_projective_point_equality_is_cross_multiplication():
     assert parse_point("3") != parse_point("1/3")
     with pytest.raises(InvalidLambda):
         ProjPoint(0, 0)
+
+
+@given(st.fractions(), st.integers(-50, 50).filter(bool))
+@example(Fraction(-3, 4), 1)
+@example(Fraction(-5), 1)
+@example(Fraction(6, 8), -2)
+def test_point_text_is_the_rational_text(x, scale):
+    # Negative, integral and reduced values, given by any nonzero multiple.
+    assert str(ProjPoint(x * scale, scale)) == format_rational(x)
+
+
+@given(st.lists(st.fractions().filter(lambda x: x not in (0, 1)), unique=True, max_size=6))
+def test_lambda_text_round_trips(values):
+    lam = LambdaTuple((INFINITY, ZERO, ONE) + tuple(ProjPoint(x, 1) for x in values))
+    assert parse_lambda(str(lam)) == lam
 
 
 def test_lambda_does_not_change_quiver():
