@@ -7,25 +7,27 @@ order: involutions, commute/braid pairs, hub and arm bound pairs over the
 sigma words, translation commutation, the inverse rule 4.3e and the
 ordered-pair adjoint rules.  A presentation names the families it uses (a
 tag map) and its reflection and translation letters (letter maps), so new
-weight tuples need no new code.  Verification evaluates both sides of every
-relation under an assignment of matrices to generators and compares
-exactly; it checks that a generator assignment defines a homomorphism,
-nothing more.  A commutation xy = yx of two generators that carry a
-transvection, I - u p^T, is decided from their pairings by
-``weyl.transvections_commute``: the two products differ by exactly
-(p_x . u_y) u_x p_y^T - (p_y . u_x) u_y p_x^T, so the relation holds when
-both pairings vanish or these rank-one matrices agree.  That covers the
-commute families W1.0, 4.3b, 4.3d, 4.3f, E1, Ec, E3 and A1.0 under the
-reflection and translation assignments.  Every other relation, and a
-commutation that the pairings find broken, is multiplied out side by side
-by ``weyl.product_rows`` over the rows its letters move, and the dense
-matrices of the two sides are built only for a relation that fails.
+weight tuples need no new code.  Each letter map is called once per vertex
+per spec: every side is a concatenation of the vertices' one-letter words
+and the arm heads' sigma words, each built once and shared.  Verification
+evaluates both sides of every relation under an assignment of matrices to
+generators and compares exactly; it checks that a generator assignment
+defines a homomorphism, nothing more.  A commutation xy = yx of two
+generators that carry a transvection is decided from their pairings by
+``weyl.transvections_commute``; that covers the commute families W1.0,
+4.3b, 4.3d, 4.3f, E1, Ec, E3 and A1.0 under the reflection and translation
+assignments.  Every other relation, and a commutation that the pairings
+find broken, is multiplied out side by side by ``weyl.product_rows`` over
+the rows its letters move, and the dense matrices of the two sides are
+built only for a relation that fails; ``RelationOutcome.add_sides`` writes
+them into the one report entry that a suite builds per relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, MissingGenerator
 from .exact import Mat
@@ -43,8 +45,7 @@ from .weyl import (
 GroupWord = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     tag: str
     lhs: GroupWord
     rhs: GroupWord
@@ -64,19 +65,21 @@ class PresentationSpec:
             raise MissingGenerator(f"relations use non-generator letters: {stray}")
 
 
-@dataclass(frozen=True)
-class RelationOutcome:
+class RelationOutcome(NamedTuple):
     tag: str
     holds: bool
     lhs_matrix: Mat | None = None
     rhs_matrix: Mat | None = None
 
+    def add_sides(self, entry: dict) -> dict:
+        """entry, with the dense matrices of a failing relation's two sides."""
+        entry["lhs"] = [list(r) for r in self.lhs_matrix]
+        entry["rhs"] = [list(r) for r in self.rhs_matrix]
+        return entry
+
     def to_json(self) -> dict:
         entry = {"tag": self.tag, "holds": self.holds}
-        if not self.holds:
-            entry["lhs"] = [list(r) for r in self.lhs_matrix]
-            entry["rhs"] = [list(r) for r in self.rhs_matrix]
-        return entry
+        return entry if self.holds else self.add_sides(entry)
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,9 @@ class VerificationReport:
         }
 
 
-def _word(*letters) -> GroupWord:
-    return tuple((g, 1) for g in letters)
+def letter_words(lat: RootLattice, letters) -> tuple[GroupWord, ...]:
+    """The one-letter word ((letters(v), 1),) of each vertex v, in vertex order."""
+    return tuple(((letters(v), 1),) for v in lat.vertices)
 
 
 def sigma_word(v) -> GroupWord:
@@ -116,7 +120,8 @@ def _letters(name: str):
     return lambda v: f"{name}[{vertex_str(v)}]"
 
 
-# Reflection and translation letter maps of the two paired presentations.
+# Letter maps of the reflection-only presentations, then of the two paired ones.
+_VERTEX_LETTERS = (vertex_str,)
 SEMIDIRECT_LETTERS = (_letters("w"), _letters("tau"))
 _VAN_DER_LEK_LETTERS = (_letters("g"), _letters("rho"))
 
@@ -126,52 +131,46 @@ _STAR_TAGS = {"involution": "W0", "pair": ("W1.0", "W1.1")}
 _BOUND_TAGS = {"hub-bound": "W2", "arm-bound": "W3"}
 
 
-def _relations(lat: RootLattice, tags: dict, g, t=None):
+def _relations(lat: RootLattice, tags: dict, g: tuple, t: tuple = ()):
     """Yield the relation families named in ``tags``, in this fixed order.
 
-    With I = ``lat.cartan``, g/t the reflection/translation letter maps,
-    s the ``sigma_word``s on vertex letters, h_i = g((i, 1)) and arms i < j:
+    With I = ``lat.cartan``, g/t the reflection/translation ``letter_words``,
+    s the ``sigma_word``s on vertex letters, h_i = g_(i,1) and arms i < j:
     involution g_v g_v = 1; pair g_v g_u = g_u g_v if I(v,u) = 0, the braid
     rule if I(v,u) = -1; hub-bound h_i s_1 h_i s_1 = s_1 h_i s_1 h_i;
     arm-bound h_i s_(j,1) = s_(j,1) h_i (a) and h_j s_(i,1) = s_(i,1) h_j (b);
     translations t_v t_u = t_u t_v; inverse and adjoint, the rule-0 and the
     rule-1/2 entries of ``adjoint_rules``.
     """
-    verts = lat.vertices
     c = lat.cartan
-    s = [vertex_str(v) for v in verts]
-    pairs = list(combinations(range(len(verts)), 2))
+    s = [vertex_str(v) for v in lat.vertices]
+    pairs = list(combinations(range(len(s)), 2))
     if "involution" in tags:
-        for a, v in enumerate(verts):
-            yield Relation(f"{tags['involution']}/{s[a]}", _word(g(v), g(v)), ())
+        for a, x in enumerate(g):
+            yield Relation(f"{tags['involution']}/{s[a]}", x + x, ())
     if "pair" in tags:
         commute, braid = tags["pair"]
         for a, b in pairs:
-            x, y = g(verts[a]), g(verts[b])
+            x, y = g[a], g[b]
             if c[a][b] == 0:
-                yield Relation(f"{commute}/{s[a]},{s[b]}", _word(x, y), _word(y, x))
+                yield Relation(f"{commute}/{s[a]},{s[b]}", x + y, y + x)
             elif c[a][b] == -1:
-                lhs, rhs = _word(x, y, x), _word(y, x, y)
-                yield Relation(f"{braid}/{s[a]},{s[b]}", lhs, rhs)
+                yield Relation(f"{braid}/{s[a]},{s[b]}", x + y + x, y + x + y)
     arms = range(1, lat.weights.r + 1)
     if "hub-bound" in tags:
         s1 = sigma_word(HUB)
         for i in arms:
-            x = _word(g((i, 1)))
-            lhs, rhs = x + s1 + x + s1, s1 + x + s1 + x
-            yield Relation(f"{tags['hub-bound']}/i={i}", lhs, rhs)
+            x = g[lat.index((i, 1))]
+            yield Relation(f"{tags['hub-bound']}/i={i}", x + s1 + x + s1, s1 + x + s1 + x)
     if "arm-bound" in tags:
         prefix = tags["arm-bound"]
-        for i, j in combinations(arms, 2):
-            xi, xj = _word(g((i, 1))), _word(g((j, 1)))
-            si, sj = sigma_word((i, 1)), sigma_word((j, 1))
+        heads = [(i, g[lat.index((i, 1))], sigma_word((i, 1))) for i in arms]
+        for (i, xi, si), (j, xj, sj) in combinations(heads, 2):
             yield Relation(f"{prefix}a/i={i},j={j}", xi + sj, sj + xi)
             yield Relation(f"{prefix}b/i={i},j={j}", xj + si, si + xj)
     if "translations" in tags:
         for a, b in pairs:
-            x, y = t(verts[a]), t(verts[b])
-            tag = f"{tags['translations']}/{s[a]},{s[b]}"
-            yield Relation(tag, _word(x, y), _word(y, x))
+            yield Relation(f"{tags['translations']}/{s[a]},{s[b]}", t[a] + t[b], t[b] + t[a])
     if "inverse" in tags:
         for v, _, rule, lhs, rhs in adjoint_rules(lat, g, t):
             if rule == 0:
@@ -182,36 +181,33 @@ def _relations(lat: RootLattice, tags: dict, g, t=None):
                 yield Relation(f"{tags['adjoint'][rule - 1]}/{v},{u}", lhs, rhs)
 
 
-def adjoint_rules(lat: RootLattice, g, t):
+def adjoint_rules(lat: RootLattice, g: tuple, t: tuple):
     """Yield ``(v, u, rule, lhs, rhs)`` over the ordered vertex pairs, row by
-    row with the diagonal, with v and u as vertex strings and I = ``lat.cartan``:
-    rule 0 g_v t_v g_v = t_v^-1 (v = u); rule 1 g_v t_u = t_u g_v if
-    I(v,u) = 0; rule 2 g_v t_u g_v = t_u t_v if I(v,u) = -1."""
+    row with the diagonal, with v and u as vertex strings, g/t the reflection/
+    translation ``letter_words`` and I = ``lat.cartan``: rule 0
+    g_v t_v g_v = t_v^-1 (v = u); rule 1 g_v t_u = t_u g_v if I(v,u) = 0;
+    rule 2 g_v t_u g_v = t_u t_v if I(v,u) = -1."""
     s = [vertex_str(v) for v in lat.vertices]
-    gs = [(g(v), 1) for v in lat.vertices]
-    ts = [(t(v), 1) for v in lat.vertices]
     for a, row in enumerate(lat.cartan):
         for b, entry in enumerate(row):
             if a == b:
-                yield s[a], s[a], 0, (gs[a], ts[a], gs[a]), ((ts[a][0], -1),)
+                yield s[a], s[a], 0, g[a] + t[a] + g[a], ((t[a][0][0], -1),)
             elif entry == 0:
-                yield s[a], s[b], 1, (gs[a], ts[b]), (ts[b], gs[a])
+                yield s[a], s[b], 1, g[a] + t[b], t[b] + g[a]
             elif entry == -1:
-                yield s[a], s[b], 2, (gs[a], ts[b], gs[a]), (ts[b], ts[a])
+                yield s[a], s[b], 2, g[a] + t[b] + g[a], t[b] + t[a]
 
 
-def _spec(name: str, lat: RootLattice, tags: dict, g, t=None) -> PresentationSpec:
-    """The presentation of ``tags`` on the letters of g (then t) per vertex."""
-    gens = tuple(map(g, lat.vertices))
-    if t is not None:
-        gens += tuple(map(t, lat.vertices))
-    rels = tuple(_relations(lat, tags, g, t))
-    return PresentationSpec(name, tuple(lat.weights.a), gens, rels)
+def _spec(name: str, lat: RootLattice, tags: dict, *maps) -> PresentationSpec:
+    """The presentation of ``tags`` on the letters of each map (g, then t) per vertex."""
+    words = [letter_words(lat, m) for m in maps]
+    gens = tuple(x for w in words for (x, _), in w)
+    return PresentationSpec(name, tuple(lat.weights.a), gens, tuple(_relations(lat, tags, *words)))
 
 
 def star_coxeter_spec(w: Weights) -> PresentationSpec:
     """Coxeter relations of the star diagram on one generator per vertex."""
-    return _spec("StarCoxeter", star_lattice(w), _STAR_TAGS, vertex_str)
+    return _spec("StarCoxeter", star_lattice(w), _STAR_TAGS, *_VERTEX_LETTERS)
 
 
 def semidirect_spec(w: Weights) -> PresentationSpec:
@@ -230,14 +226,14 @@ def generalized_coxeter_spec_W(w: Weights) -> PresentationSpec:
     """Coxeter relations of the octopus diagram plus the bound-pair rules."""
     lat = octopus_lattice(w, default_lambda(w.r))
     tags = {**_STAR_TAGS, **_BOUND_TAGS}
-    return _spec("GeneralizedCoxeterW", lat, tags, vertex_str)
+    return _spec("GeneralizedCoxeterW", lat, tags, *_VERTEX_LETTERS)
 
 
 def artin_spec(w: Weights) -> PresentationSpec:
     """The octopus relations without involutions: the Artin-side presentation."""
     lat = octopus_lattice(w, default_lambda(w.r))
     tags = {"pair": ("A1.0", "A1.1"), "hub-bound": "A2", "arm-bound": "A3"}
-    return _spec("ArtinA", lat, tags, vertex_str)
+    return _spec("ArtinA", lat, tags, *_VERTEX_LETTERS)
 
 
 def van_der_lek_spec(w: Weights) -> PresentationSpec:
@@ -321,18 +317,18 @@ def check_coxeter_power_equivalences(w: Weights) -> VerificationReport:
     square to the identity alongside their sigma-forms.
     """
     lat = octopus_lattice(w, default_lambda(w.r))
-    hub, ext = vertex_str(HUB), vertex_str(EXT)
-    heads = [vertex_str((i, 1)) for i in range(1, w.r + 1)]
+    g = letter_words(lat, *_VERTEX_LETTERS)
+    hub, ext = g[lat.index(HUB)], g[lat.index(EXT)]
+    heads = [g[lat.index((i, 1))] for i in range(1, w.r + 1)]
     # In the order of the sigma forms: W2 per arm, then W3a, W3b per arm pair.
-    powers = [_word(hub, x, ext, x) * 3 for x in heads]
+    powers = [(hub + x + ext + x) * 3 for x in heads]
     for x, y in combinations(heads, 2):
-        powers.append(_word(x, hub, x, ext, y, ext) * 2)
-        powers.append(_word(x, ext, x, hub, y, hub) * 2)
+        powers.append((x + hub + x + ext + y + ext) * 2)
+        powers.append((x + ext + x + hub + y + hub) * 2)
     rels = []
-    sigma_forms = _relations(lat, _BOUND_TAGS, vertex_str)
-    for rel, power in zip(sigma_forms, powers, strict=True):
+    for rel, power in zip(_relations(lat, _BOUND_TAGS, g), powers, strict=True):
         rels.append(Relation(f"{rel.tag} sigma", rel.lhs, rel.rhs))
         rels.append(Relation(f"{rel.tag} power", power, ()))
-    gens = tuple(map(vertex_str, lat.vertices))
+    gens = tuple(x for (x, _), in g)
     spec = PresentationSpec("PowerEquivalences", tuple(w.a), gens, tuple(rels))
     return verify(spec, reflection_assignment(lat))

@@ -60,6 +60,7 @@ from .presentations import (
     artin_spec,
     check_coxeter_power_equivalences,
     generalized_coxeter_spec_W,
+    letter_words,
     reflection_assignment,
     semidirect_assignment,
     semidirect_spec,
@@ -155,7 +156,9 @@ class SuiteRun:
 
     def add_spec(self, report) -> None:
         """One entry per relation of a presentations.VerificationReport."""
-        self.details += [{"spec": report.spec_name, **o.to_json()} for o in report.outcomes]
+        for o in report.outcomes:
+            entry = {"spec": report.spec_name, "tag": o.tag, "holds": o.holds}
+            self.details.append(entry if o.holds else o.add_sides(entry))
 
 
 SUITES = {}
@@ -308,7 +311,7 @@ def suite_translations(run: SuiteRun) -> dict:
         run.add("translation-closed-form-samples", ok, vertex=vx, samples=cfg.samples)
 
     # The adjoint rules, each tagged with its check, verified in their order.
-    rules = list(adjoint_rules(star, *SEMIDIRECT_LETTERS))
+    rules = list(adjoint_rules(star, *(letter_words(star, m) for m in SEMIDIRECT_LETTERS)))
     assignment = semidirect_assignment(octo)
     rels = tuple(Relation(ADJOINT_CHECKS[rule], lhs, rhs) for _v, _u, rule, lhs, rhs in rules)
     spec = PresentationSpec("Adjoint", tuple(run.w.a), tuple(assignment), rels)

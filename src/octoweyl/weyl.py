@@ -121,16 +121,18 @@ ROOT_WINDOW_CACHE = 2  # (lattice, basis) pairs whose root layers are kept
 class Transvection:
     """The map x -> x - (p . x) u, whose matrix is I - u p^T.
 
-    ``moved`` is the support of u: the rows in which I - u p^T differs from
-    the identity, stored once.
+    ``moved`` is the support of u, the rows in which I - u p^T differs from
+    the identity, and ``p_row`` is p as {index: value}, both stored once.
     """
 
     u: Sparse
     p: Sparse
     moved: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    p_row: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "moved", tuple(i for i, _a in self.u))
+        object.__setattr__(self, "p_row", dict(self.p))
 
     def apply(self, x: Vec) -> Vec:
         """x - (p . x) u on a column vector: only the support of u changes."""
@@ -164,7 +166,7 @@ class Transvection:
         """Closed form: I - u p^T is an involution when p . u = 2 (a
         reflection) and has inverse I + u p^T when p . u = 0 (a translation);
         for any other p . u its determinant 1 - p . u is not a unit."""
-        k = sparse_dot(dict(self.p), self.u)
+        k = sparse_dot(self.p_row, self.u)
         if k == 2:
             return self
         if k == 0:
@@ -185,14 +187,11 @@ def transvections_commute(a: Transvection, b: Transvection) -> bool:
     these rank-one matrices are.  When both pairings vanish, so do both
     matrices and no entry is compared.  No row of length n is built.
     """
-    pa, pb = dict(a.p), dict(b.p)
     ab = ba = 0
     for i, x in b.u:
-        if i in pa:
-            ab += x * pa[i]
+        ab += x * a.p_row.get(i, 0)
     for i, x in a.u:
-        if i in pb:
-            ba += x * pb[i]
+        ba += x * b.p_row.get(i, 0)
     if not (ab or ba):
         return True
     return _rank_one(ab, a.u, b.p) == _rank_one(ba, b.u, a.p)
@@ -846,6 +845,8 @@ def _grown_layers(
     """The kept layers of (lattice, basis), grown to ``rounds`` unless they
     close first; raises BudgetExceeded as a fresh closure would."""
     layers = _root_layers(lattice, tuple(basis))
+    if layers.sizes[0] > cap:
+        raise BudgetExceeded(f"root closure basis of {layers.sizes[0]} roots exceeds cap {cap}")
     # A fresh closure raises in the first round whose size is past cap.
     built = min(rounds, layers.depth)
     first_over = bisect_right(layers.sizes, cap, 1, built + 1)
@@ -866,7 +867,7 @@ def root_orbit(
 
     Returns the sorted closure after word_depth rounds and whether it had
     already stabilized.  Raises BudgetExceeded when the closure outgrows cap;
-    the message names the depth of the last round that fitted.
+    the message names the last depth that fitted, or a basis past cap.
 
     The layers of the last ``ROOT_WINDOW_CACHE`` (lattice, basis) pairs are
     kept, so a request for depth d + 2 after depth d grows the closure by

@@ -256,8 +256,11 @@ def generic_window(lattice, depth, cap) -> tuple:
     """The sorted closure of the simple roots after ``depth`` rounds, grown
     by the per-root kernel ``weyl._RootLayers`` run directly, octopus
     lattices included: no kept layers and no star classes.  Past cap it
-    raises as ``enumerate_real_roots`` does."""
+    raises as ``enumerate_real_roots`` does, at every depth when the simple
+    roots alone are more than cap."""
     layers = _RootLayers(lattice, tuple(lattice.basis_vector(v) for v in lattice.vertices))
+    if layers.sizes[0] > cap:
+        raise BudgetExceeded(f"root closure basis of {layers.sizes[0]} roots exceeds cap {cap}")
     while layers.depth < depth and not layers.closed:
         layers.grow(cap)
     return layers.window(min(depth, layers.depth))

@@ -111,6 +111,18 @@ def test_capped_root_closure_names_its_depth(capsys):
     assert lines[0] == "error: root closure exceeded cap 100 at depth 3"
 
 
+@pytest.mark.parametrize("depth", ["0", "1", "3"])
+@pytest.mark.parametrize("kind, size", [("star", 4), ("octopus", 5)])
+def test_basis_past_cap_fails_at_every_depth(capsys, kind, size, depth):
+    # The simple roots alone do not fit a cap of 1, whatever the depth.
+    code, out, err = run(
+        capsys, "roots", "--weights", "2,2,2", "--kind", kind, "--depth", depth, "--cap", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: root closure basis of {size} roots exceeds cap 1"]
+
+
 def test_coxeter_subcommand(capsys):
     code, out, _ = run(capsys, "coxeter", "--weights", "2,2,2", "--format", "json")
     assert code == 0

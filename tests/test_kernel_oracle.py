@@ -24,7 +24,8 @@ back a layer, match the reference closure of ``oracles.py``, which applies
 every reflection, round by round at the depths the roots suite uses, on a
 braid-moved basis and past a cap, and the octopus layers, kept by star
 class, match the per-root layers on the same octopus lattice, window by
-window, on simple and braid-moved bases and past a cap.  The cone suite,
+window, on simple and braid-moved bases and past a cap; a basis past cap
+raises at every depth on both kernels, as the reference does.  The cone suite,
 too, runs with the dense kernels disabled, and ``act_word``, which its word checks apply to two
 rows letter by letter, is checked against the word's element and its
 dense matrix.
@@ -32,7 +33,9 @@ dense matrix.
 checked against the dense product, ``transvections_commute`` against both
 orders of ``product_rows`` on reflections, translations, random sparse
 transvections and planted nonzero pairings, and the sparse form criterion
-of a transvection against ``preserves_form``.  The presentation suites and the
+of a transvection against ``preserves_form``; a transvection's stored
+pairing row is its pairing as a dict, and a suite's relation entries are
+the outcomes' JSON.  The presentation suites and the
 twists run with the dense kernels and ``mat_inv`` disabled, and the
 translation and semidirect suites also with cold generator caches, so that
 the generators' form checks run too.  An element is its moved rows: the
@@ -92,6 +95,7 @@ from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import (
     DEFAULT_CATALOG,
     SuiteConfig,
+    SuiteRun,
     _auto_depth,
     closed_form_samples,
     bulk_draws_below_19,
@@ -139,6 +143,7 @@ from oracles import (
     dot,
     draws_below_19,
     euler_gram,
+    generic_window,
     identity_element,
     point_value,
     rational_point,
@@ -299,6 +304,25 @@ def test_transvection_without_integral_inverse_is_rejected():
 
 
 @settings(max_examples=20, deadline=None)
+@given(lattices, st.data())
+def test_stored_pairing_row_is_the_pairing(lat, data):
+    # Reflections, translations, their inverses and the reflection at a
+    # real root that is not simple: p_row is p as a dict, and it takes no
+    # part in equality, hashing or repr.
+    steps = [simple_reflection(lat, v).step for v in lat.vertices]
+    if lat.is_octopus:
+        steps += [translation_element(lat, v).step for v in lat.star_vertices()]
+        steps += [translation_element(lat, v).inverse().step for v in lat.star_vertices()]
+    steps += [t.inverse() for t in steps]
+    alpha = data.draw(st.sampled_from(enumerate_real_roots(lat, 2)), label="root")
+    steps.append(weyl.support_reflection(lat, sparse(alpha)))
+    for t in steps:
+        assert t.p_row == dict(t.p)
+        twin = Transvection(t.u, t.p)
+        assert twin == t and hash(twin) == hash(t) and "p_row" not in repr(t)
+
+
+@settings(max_examples=20, deadline=None)
 @given(lattices, st.integers(0, 4))
 def test_root_orbit_matches_dense_closure(lat, depth):
     basis = tuple(lat.basis_vector(v) for v in lat.vertices)
@@ -308,8 +332,8 @@ def test_root_orbit_matches_dense_closure(lat, depth):
 def check_requests(lat, requests):
     """Each (basis, depth, cap) answer of root_orbit against a fresh dense closure.
 
-    Every cap is at least the basis size, so a closure past cap has grown
-    in some round, and a fresh closure raises exactly then.
+    A closure past cap raises: in the round that outgrew cap, or at any
+    depth when the basis alone is past cap.
     """
     oracle = {}
     for basis, depth, cap in requests:
@@ -334,7 +358,7 @@ def test_layered_root_window_matches_fresh_closures(lat, data):
         braid_act(simples_collection(lat), ("b", i, 1)).classes,
     )
     weyl._root_layers.cache_clear()
-    caps = st.integers(lat.rank, 300) | st.just(DEFAULT_ROOT_CAP)
+    caps = st.integers(1, 300) | st.just(DEFAULT_ROOT_CAP)
     requests = data.draw(
         st.lists(st.tuples(st.sampled_from(bases), st.integers(0, 4), caps), max_size=10),
         label="requests",
@@ -512,6 +536,30 @@ def test_root_rounds_past_cap_match_reference():
         assert set(fast.front) == set(ref.frontier())
         assert fast.probe() == ref.probe()
     assert fast.sizes[:7] == [13, 38, 64, 98, 153, 245, 406] and fast.depth == 7
+
+
+@pytest.mark.parametrize("kind", ("star", "octopus"))
+def test_basis_past_cap_raises_at_every_depth(kind):
+    # Both kernels, cold and over layers already built past the basis; a
+    # cap of the basis size still fits at depth 0.
+    lat = _lattice((2, 2, 2), kind)
+    basis = identity(lat.rank)
+    weyl._root_layers.cache_clear()
+    for cap in (1, lat.rank - 1):
+        message = f"root closure basis of {lat.rank} roots exceeds cap {cap}"
+        for depth in (0, 1, 3, 0):
+            with pytest.raises(BudgetExceeded) as raised:
+                root_orbit(lat, basis, depth, cap)
+            assert str(raised.value) == message
+            with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+                enumerate_real_roots(lat, depth, cap)
+            with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+                generic_window(lat, depth, cap)
+            if kind == "octopus":
+                with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+                    weyl.split_roots(lat, depth, cap)
+        assert len(root_orbit(lat, basis, 2, DEFAULT_ROOT_CAP)[0]) > lat.rank
+    assert root_orbit(lat, basis, 0, lat.rank) == (tuple(sorted(basis)), False)
 
 
 def assert_octopus_layers_agree(lat, basis, depth, cap=DEFAULT_ROOT_CAP):
@@ -1402,18 +1450,23 @@ def dense_side(word, matrices):
     return out
 
 
-def test_failing_outcomes_carry_the_dense_products():
+def planted_semidirect():
+    """The semidirect spec of (2, 3, 4) and an assignment under which many
+    of its relations fail and some still hold: two translations swapped, and
+    one reflection replaced by a bare matrix of another reflection."""
     w = Weights((2, 3, 4))
     lat = octopus_lattice(w, default_lambda(w.r))
-    spec = semidirect_spec(w)
     assignment = semidirect_assignment(lat)
-    # Two translations swapped, and one reflection replaced by a bare
-    # matrix of another reflection: many relations fail, some still hold.
     assignment["tau[1]"], assignment["tau[(1,1)]"] = (
         assignment["tau[(1,1)]"],
         assignment["tau[1]"],
     )
     assignment["w[(2,1)]"] = WeylElement.from_matrix(simple_reflection(lat, (3, 1)).matrix)
+    return semidirect_spec(w), assignment
+
+
+def test_failing_outcomes_carry_the_dense_products():
+    spec, assignment = planted_semidirect()
     matrices = {g: a.matrix for g, a in assignment.items()}
     report = verify(spec, assignment)
     assert report.failures() and len(report.failures()) < len(report.outcomes)
@@ -1424,6 +1477,19 @@ def test_failing_outcomes_carry_the_dense_products():
             assert outcome.lhs_matrix is outcome.rhs_matrix is None
         else:
             assert (outcome.lhs_matrix, outcome.rhs_matrix) == (lhs, rhs)
+
+
+def test_suite_entries_are_the_outcomes_json():
+    # Each entry that add_spec writes is the outcome's JSON behind its spec
+    # name, key for key in the same order, whether the relation holds or not.
+    spec, assignment = planted_semidirect()
+    report = verify(spec, assignment)
+    run = SuiteRun(Weights(spec.weights), None, SuiteConfig())
+    run.add_spec(report)
+    expected = [{"spec": spec.name, **o.to_json()} for o in report.outcomes]
+    assert [list(e.items()) for e in run.details] == [list(e.items()) for e in expected]
+    assert {e["holds"] for e in run.details} == {True, False}
+    assert all(("lhs" in e) == (not e["holds"]) for e in run.details)
 
 
 @st.composite

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from octoweyl import presentations
 from octoweyl.errors import DimensionMismatch, MissingGenerator, NotStarVertex
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.presentations import (
@@ -15,6 +16,7 @@ from octoweyl.presentations import (
     artin_spec,
     check_coxeter_power_equivalences,
     generalized_coxeter_spec_W,
+    letter_words,
     reflection_assignment,
     semidirect_assignment,
     semidirect_spec,
@@ -117,7 +119,7 @@ def test_adjoint_rules_follow_the_cartan_matrix(a):
     w = Weights(a)
     star = star_lattice(w)
     labels = [vertex_str(v) for v in star.vertices]
-    rules = list(adjoint_rules(star, *SEMIDIRECT_LETTERS))
+    rules = list(adjoint_rules(star, *(letter_words(star, m) for m in SEMIDIRECT_LETTERS)))
     # Every ordered pair once, row by row, the diagonal included.
     assert [(v, u) for v, u, *_ in rules] == [(v, u) for v in labels for u in labels]
     for v, u, rule, lhs, rhs in rules:
@@ -222,6 +224,39 @@ def test_sigma_word_base_case():
     for v in ("1*", "x"):
         with pytest.raises(NotStarVertex):
             sigma_word(v)
+
+
+def counting(letter_map, key, calls: Counter):
+    """letter_map, counting its calls in calls by (key, vertex)."""
+
+    def wrapped(v):
+        calls[key, v] += 1
+        return letter_map(v)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("a", DEFAULT_CATALOG + ((4, 4, 4, 4),), ids=str)
+def test_spec_builders_call_each_letter_map_once_per_vertex(monkeypatch, a):
+    calls = Counter()
+    for name in ("_VERTEX_LETTERS", "SEMIDIRECT_LETTERS", "_VAN_DER_LEK_LETTERS"):
+        maps = enumerate(getattr(presentations, name))
+        monkeypatch.setattr(presentations, name, tuple(counting(m, (name, k), calls) for k, m in maps))
+    w = Weights(a)
+    star, octo = star_lattice(w), octopus_lattice(w, default_lambda(w.r))
+    builders = (
+        (star_coxeter_spec, star, "_VERTEX_LETTERS", 1),
+        (generalized_coxeter_spec_W, octo, "_VERTEX_LETTERS", 1),
+        (artin_spec, octo, "_VERTEX_LETTERS", 1),
+        (semidirect_spec, star, "SEMIDIRECT_LETTERS", 2),
+        (van_der_lek_spec, star, "_VAN_DER_LEK_LETTERS", 2),
+        (check_coxeter_power_equivalences, octo, "_VERTEX_LETTERS", 1),
+    )
+    for build, lat, name, maps in builders:
+        calls.clear()
+        build(w)
+        once = Counter({((name, k), v): 1 for k in range(maps) for v in lat.vertices})
+        assert calls == once, build.__name__
 
 
 def test_report_json_schema():
