@@ -55,8 +55,8 @@ from .lattice import (
 from .presentations import (
     SEMIDIRECT_LETTERS,
     PresentationSpec,
-    Relation,
-    adjoint_rules,
+    adjoint_families,
+    adjoint_pairs,
     artin_spec,
     check_coxeter_power_equivalences,
     generalized_coxeter_spec_W,
@@ -232,7 +232,7 @@ def suite_prop44(run: SuiteRun) -> None:
     run.add_spec(check_coxeter_power_equivalences(run.w))
 
 
-# The check names of the translations suite, by rule of ``adjoint_rules``.
+# The check names of the translations suite, by rule of ``adjoint_pairs``.
 ADJOINT_CHECKS = ("adjoint-inverse", "adjoint-commute", "adjoint-product")
 
 
@@ -310,13 +310,16 @@ def suite_translations(run: SuiteRun) -> dict:
         ok = closed_form_samples(rng, word_el, c_v, octo.delta, cfg.samples)
         run.add("translation-closed-form-samples", ok, vertex=vx, samples=cfg.samples)
 
-    # The adjoint rules, each tagged with its check, verified in their order.
-    rules = list(adjoint_rules(star, *(letter_words(star, m) for m in SEMIDIRECT_LETTERS)))
+    # The adjoint rules, as families tagged by their checks, verified in
+    # their order: the outcomes follow ``adjoint_pairs``.
+    letters = [letter_words(star, m) for m in SEMIDIRECT_LETTERS]
     assignment = semidirect_assignment(octo)
-    rels = tuple(Relation(ADJOINT_CHECKS[rule], lhs, rhs) for _v, _u, rule, lhs, rhs in rules)
-    spec = PresentationSpec("Adjoint", tuple(run.w.a), tuple(assignment), rels)
-    for (v, u, *_), outcome in zip(rules, verify(spec, assignment).outcomes, strict=True):
-        run.add(outcome.tag, outcome.holds, pair=[v, u])
+    families = adjoint_families(star, ADJOINT_CHECKS, *letters, labelled=False)
+    spec = PresentationSpec("Adjoint", tuple(run.w.a), tuple(assignment), tuple(families))
+    s = [vertex_str(v) for v in star.vertices]
+    outcomes = verify(spec, assignment).outcomes
+    for (a, b, _rule), outcome in zip(adjoint_pairs(star), outcomes, strict=True):
+        run.add(outcome.tag, outcome.holds, pair=[s[a], s[b]])
 
     for v in star_verts:
         vx = vertex_str(v)

@@ -18,12 +18,18 @@ rows, and acts over those rows alone: x -> x + D x on vectors and
 r -> r + sum_k r[k] D_k on rows.  Since every step names the rows it
 moves, ``product_rows`` multiplies a word over those rows, starting from
 none, and returns the rows that differ from the identity; relation checks
-compare these row dicts.  Whether two generators commute needs no
-product: ``transvections_commute`` reads it off their pairings.  An
-element is its moved rows, and its dense matrix is built only on request.
-The projection to the star lattice conjugates by the split basis change T
-of ``lattice.to_split``, itself a transvection, in one ``product_rows``
-call over T, the element and T^-1.
+compare these row dicts.  A relation on one or two generators often
+needs no product: ``holds_by_pairings`` reads it off the pairings of their
+transvections.  An involution x^2 = 1 holds when p . u = 2; a commutation
+is decided either way by ``transvections_commute``; a braid xyx = yxy
+holds when p_a . u_a = p_b . u_b = 2 and (p_a . u_b)(p_b . u_a) = 1, for
+then xy has order 3 (the proof is at the kernel; for simple reflections
+it is Kac, Infinite-dimensional Lie algebras, Prop. 3.13).  A
+``PairingIndex`` over named generators skips the kernel for a commutation
+whose two pairings are zero.  An element is its moved rows, and its dense
+matrix is built only on request.  The projection to the star lattice
+conjugates by the split basis change T of ``lattice.to_split``, itself a
+transvection, in one ``product_rows`` call over T, the element and T^-1.
 
 A translation witness follows the induction tau_v = s_v tau_prev s_v
 tau_prev^-1 and has 2^(j+2) - 2 letters at arm depth j, so it is kept as a
@@ -187,14 +193,74 @@ def transvections_commute(a: Transvection, b: Transvection) -> bool:
     these rank-one matrices are.  When both pairings vanish, so do both
     matrices and no entry is compared.  No row of length n is built.
     """
-    ab = ba = 0
-    for i, x in b.u:
-        ab += x * a.p_row.get(i, 0)
-    for i, x in a.u:
-        ba += x * b.p_row.get(i, 0)
+    ab, ba = sparse_dot(a.p_row, b.u), sparse_dot(b.p_row, a.u)
     if not (ab or ba):
         return True
     return _rank_one(ab, a.u, b.p) == _rank_one(ba, b.u, a.p)
+
+
+# The relation kinds on one or two generators: x x = 1, x y = y x, x y x = y x y.
+INVOLUTION, COMMUTE, BRAID = "involution", "commute", "braid"
+
+
+def holds_by_pairings(kind: str, a: Transvection, b: Transvection) -> bool:
+    """Whether the pairings of a and b show the relation of ``kind`` on
+    A = I - u_a p_a^T and B = I - u_b p_b^T to hold; False leaves it undecided.
+
+    - involution (b = a): A^2 = I - (2 - p_a . u_a) u_a p_a^T, so A^2 = I
+      when p_a . u_a = 2;
+    - commute: ``transvections_commute``, which decides either way;
+    - braid ABA = BAB: holds when p_a . u_a = p_b . u_b = 2 and
+      (p_a . u_b)(p_b . u_a) = 1.  The Gram matrix of the pairings then has
+      determinant 3, so u_a, u_b are independent and V is the direct sum of
+      span(u_a, u_b) and ker p_a n ker p_b.  Both parts are invariant, A and
+      B fix the second, and on the first AB has trace -1 and determinant 1,
+      so (AB)^3 = I, which with A^2 = B^2 = I is ABA = BAB.  For two simple
+      reflections with a_ab a_ba = 1 this is the order 3 of s_a s_b (Kac,
+      Infinite-dimensional Lie algebras, Prop. 3.13).
+    """
+    if kind == COMMUTE:
+        return transvections_commute(a, b)
+    if sparse_dot(a.p_row, a.u) != 2:
+        return False
+    if kind == INVOLUTION:
+        return True
+    cross = sparse_dot(a.p_row, b.u) * sparse_dot(b.p_row, a.u)
+    return sparse_dot(b.p_row, b.u) == 2 and cross == 1
+
+
+class PairingIndex:
+    """Relations on named generators, decided from their transvections.
+
+    ``steps`` maps each generator of the index to its transvection.  An
+    index from each coordinate to the generators whose u touches it gives,
+    for each generator x, ``near[x]``: the generators y whose u meets the
+    support of p_x, so that p_x . u_y = 0 for every other y.  A commutation
+    of x and y with y not near x and x not near y has both pairings zero and
+    holds with no kernel call; every other relation on generators of the
+    index goes to ``holds_by_pairings``.  A relation on a generator outside
+    the index is undecided, so the index of no generators decides nothing.
+    """
+
+    def __init__(self, steps: dict):
+        self.steps = steps
+        touching: dict[int, list] = {}
+        for name, t in steps.items():
+            for i in t.moved:
+                touching.setdefault(i, []).append(name)
+        self.near = {
+            name: {y for j, _b in t.p for y in touching.get(j, ())} for name, t in steps.items()
+        }
+
+    def holds(self, kind: str, x, y) -> bool:
+        """Whether the relation of ``kind`` on x and y holds by the pairings;
+        False leaves it undecided."""
+        near_x, near_y = self.near.get(x), self.near.get(y)
+        if near_x is None or near_y is None:
+            return False
+        if kind == COMMUTE and y not in near_x and x not in near_y:
+            return True
+        return holds_by_pairings(kind, self.steps[x], self.steps[y])
 
 
 def product_rows(n: int, steps, start: dict[int, Vec] | None = None) -> dict[int, Vec]:

@@ -35,7 +35,12 @@ orders of ``product_rows`` on reflections, translations, random sparse
 transvections and planted nonzero pairings, and the sparse form criterion
 of a transvection against ``preserves_form``; a transvection's stored
 pairing row is its pairing as a dict, and a suite's relation entries are
-the outcomes' JSON.  The presentation suites and the
+the outcomes' JSON.  The pairing kernel ``holds_by_pairings`` says that an
+involution or a braid holds only where ``product_rows`` agrees, on the
+same pairs and on planted ones with parallel u and every small pairing,
+and it decides every involution and braid of the five specs; the pairing
+index agrees with ``transvections_commute`` on every ordered pair of the
+catalog assignments.  The presentation suites and the
 twists run with the dense kernels and ``mat_inv`` disabled, and the
 translation and semidirect suites also with cold generator caches, so that
 the generators' form checks run too.  An element is its moved rows: the
@@ -56,6 +61,7 @@ import copy
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 import pytest
@@ -90,7 +96,18 @@ from octoweyl.ktheory import (
     simples_collection,
 )
 from octoweyl.lattice import euler_characteristic, octopus_lattice, star_lattice
-from octoweyl.presentations import semidirect_assignment, semidirect_spec, verify
+from octoweyl import presentations
+from octoweyl.presentations import (
+    artin_spec,
+    generalized_coxeter_spec_W,
+    reflection_assignment,
+    semidirect_assignment,
+    semidirect_spec,
+    star_coxeter_spec,
+    van_der_lek_assignment,
+    van_der_lek_spec,
+    verify,
+)
 from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import (
     DEFAULT_CATALOG,
@@ -1384,6 +1401,112 @@ def test_transvections_commute_matches_both_products(lat, data):
         )
     for a, b, commute in planted:
         assert weyl.transvections_commute(a, b) is commute
+
+
+def planted_pair(n, data):
+    """Two transvections with drawn pairings on coordinates i != j: u_a = e_i
+    and u_b = e_j, or u_b = m e_i, parallel to u_a; p_a . u_a and p_b . u_b
+    in {0, 1, 2, 3} (times m when parallel), cross pairings whose product
+    runs over {0, ..., 4} among others, and an entry of each p off the
+    supports of u."""
+    i, j, k = data.draw(st.permutations(range(n)), label="coordinates")[:3]
+    parallel = data.draw(st.booleans(), label="parallel")
+    m = data.draw(st.sampled_from((1, -1, 2)), label="m") if parallel else 1
+    self_a, self_b = (data.draw(st.integers(0, 3), label=f"p.u_{x}") for x in "ab")
+    cross = st.sampled_from((0, 1, -1, 2, -2, 3, 4))
+    ab, ba = data.draw(cross, label="p_a.u_b"), data.draw(cross, label="p_b.u_a")
+    noise = st.integers(-2, 2)
+    if parallel:
+        # p_b . u_b = m self_b and a cross product of m self_a self_b.
+        u_b, p_a, p_b = {i: m}, {i: self_a}, {i: self_b}
+    else:
+        u_b, p_a, p_b = {j: 1}, {i: self_a, j: ab}, {i: ba, j: self_b}
+    p_a[k] = data.draw(noise, label="p_a[k]")
+    p_b[k] = data.draw(noise, label="p_b[k]")
+    a = Transvection(((i, 1),), tuple(sorted((x, c) for x, c in p_a.items() if c)))
+    b = Transvection(tuple(u_b.items()), tuple(sorted((x, c) for x, c in p_b.items() if c)))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalog_lattices, st.data())
+def test_pairing_kernel_holds_only_where_the_products_agree(lat, data):
+    # The kernel may leave a relation undecided, but a relation that it
+    # finds to hold must hold in product_rows: an involution squares to the
+    # identity, a braid's two sides agree, and a commutation is decided
+    # exactly either way.
+    n = lat.rank
+    cases, _planted = commutation_cases(lat, data)
+    cases.append(planted_pair(n, data))
+    for a, b in cases:
+        for x in (a, b):
+            if weyl.holds_by_pairings(weyl.INVOLUTION, x, x):
+                assert product_rows(n, (x, x)) == {}
+        braid = product_rows(n, (a, b, a)) == product_rows(n, (b, a, b))
+        assert braid or not weyl.holds_by_pairings(weyl.BRAID, a, b)
+        commute = product_rows(n, (a, b)) == product_rows(n, (b, a))
+        assert weyl.holds_by_pairings(weyl.COMMUTE, a, b) == commute
+
+
+def test_pairing_kernel_decides_exactly_the_braid_rule_on_planted_pairs():
+    # u_a = e_0, u_b = e_1, with every self pairing in {0, ..., 3} and
+    # cross pairings whose product takes every value in {-4, ..., 4}: a
+    # braid is decided exactly when both self pairings are 2 and the
+    # product is 1, an involution exactly when its self pairing is 2, and
+    # each decided relation holds in product_rows.
+    n, crosses = 3, (0, 1, -1, 2, -2, 3, 4)
+    decided = set()
+    for self_a, self_b, ab, ba in product(range(4), range(4), crosses, crosses):
+        a = Transvection(((0, 1),), tuple((j, c) for j, c in ((0, self_a), (1, ab), (2, 1)) if c))
+        b = Transvection(((1, 1),), tuple((j, c) for j, c in ((0, ba), (1, self_b), (2, -1)) if c))
+        assert weyl.holds_by_pairings(weyl.INVOLUTION, a, a) == (self_a == 2)
+        assert (product_rows(n, (a, a)) == {}) == (self_a == 2)
+        if weyl.holds_by_pairings(weyl.BRAID, a, b):
+            decided.add((self_a, self_b, ab * ba))
+            assert product_rows(n, (a, b, a)) == product_rows(n, (b, a, b))
+    assert decided == {(2, 2, 1)}
+
+
+def catalog_assignments(a):
+    """The generator assignments of the suites at weights a, by spec builder."""
+    w = Weights(a)
+    star, octo = star_lattice(w), octopus_lattice(w, default_lambda(w.r))
+    return {
+        star_coxeter_spec: reflection_assignment(star),
+        generalized_coxeter_spec_W: reflection_assignment(octo),
+        artin_spec: reflection_assignment(octo),
+        semidirect_spec: semidirect_assignment(octo),
+        van_der_lek_spec: van_der_lek_assignment(octo),
+    }
+
+
+def test_pairings_decide_every_involution_and_braid_of_the_specs():
+    decided = 0
+    for a in DEFAULT_CATALOG + ((4, 4, 4), (4, 4, 4, 4)):
+        for build, assignment in catalog_assignments(a).items():
+            index = presentations.pairing_index(assignment)
+            for kind, entries in build(Weights(a)).families:
+                if kind in (weyl.INVOLUTION, weyl.BRAID):
+                    for tag, x, y in entries:
+                        assert index.holds(kind, x, y), (a, tag)
+                        decided += 1
+    assert decided == 838
+
+
+@pytest.mark.parametrize("a", DEFAULT_CATALOG, ids=str)
+def test_pairing_index_agrees_with_transvections_commute(a):
+    # Every ordered pair of generators of every assignment, a generator
+    # with itself included: the index decides each commutation exactly, and
+    # a generator that it does not list as near pairs to zero with it.
+    for assignment in catalog_assignments(a).values():
+        index = presentations.pairing_index(assignment)
+        steps = {g: e.step for g, e in assignment.items()}
+        assert index.steps == steps
+        for x, y in product(steps, repeat=2):
+            commute = weyl.transvections_commute(steps[x], steps[y])
+            assert index.holds(weyl.COMMUTE, x, y) == commute, (x, y)
+            if y not in index.near[x]:
+                assert pairing(steps[x].p, steps[y].u) == 0
 
 
 def transvection(u, p):

@@ -10,6 +10,8 @@ from octoweyl.errors import DimensionMismatch, MissingGenerator, NotStarVertex
 from octoweyl.lattice import octopus_lattice, star_lattice
 from octoweyl.presentations import (
     SEMIDIRECT_LETTERS,
+    WORDS,
+    Family,
     PresentationSpec,
     Relation,
     adjoint_rules,
@@ -28,7 +30,13 @@ from octoweyl.presentations import (
 )
 from octoweyl.quiver import Weights, default_lambda, vertex_str
 from octoweyl.suites import DEFAULT_CATALOG
-from octoweyl.weyl import Transvection, evaluate_word, simple_reflection, translation_element
+from octoweyl.weyl import (
+    INVOLUTION,
+    Transvection,
+    evaluate_word,
+    simple_reflection,
+    translation_element,
+)
 
 from oracles import identity_element, parse_vertex
 
@@ -176,7 +184,10 @@ def test_missing_generator_and_dimension_mismatch():
 def test_spec_rejects_relation_letter_outside_generators():
     stray = Relation("W0/x", (("x", 1), ("x", 1)), ())
     with pytest.raises(MissingGenerator, match="'x'"):
-        PresentationSpec("Stray", (2, 2, 2), ("1", "1*"), (stray,))
+        PresentationSpec("Stray", (2, 2, 2), ("1", "1*"), (Family(WORDS, (stray,)),))
+    with pytest.raises(MissingGenerator, match="'x'"):
+        involution = Family(INVOLUTION, (("W0/x", "x", "x"),))
+        PresentationSpec("Stray", (2, 2, 2), ("1", "1*"), (involution,))
 
 
 def test_adjoining_involutions_recovers_coxeter_spec():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -39,7 +40,7 @@ from octoweyl.suites import (
     witness_root,
     witness_shifts,
 )
-from octoweyl.weyl import Transvection, WeylElement, simple_reflection
+from octoweyl.weyl import PairingIndex, Transvection, WeylElement, simple_reflection
 
 from oracles import (
     generic_window,
@@ -381,12 +382,59 @@ def _perturb_translation(monkeypatch, target=(3, 2)):
         monkeypatch.setattr(module, "translation_element", perturbed)
 
 
-def _assert_bytes_without_pairings(monkeypatch, reports, w):
-    """Each report again with every commutation multiplied out, as
-    ``transvections_commute`` returning False leaves it: the same bytes."""
-    monkeypatch.setattr(presentations, "transvections_commute", lambda a, b: False)
-    for name, report in reports.items():
-        assert json.dumps(run_suite(name, w)) == json.dumps(report)
+def _undecided(monkeypatch):
+    """Turn every pairing decision of ``presentations.verify`` off: an index
+    of no generators leaves every relation to be multiplied out."""
+    monkeypatch.setattr(presentations, "pairing_index", lambda assignment: PairingIndex({}))
+
+
+def _assert_bytes_without_pairings(monkeypatch, reports):
+    """Each report, keyed by (suite, weights), again with every relation
+    multiplied out: the same bytes."""
+    _undecided(monkeypatch)
+    for (name, w), report in reports.items():
+        assert json.dumps(run_suite(name, w)) == json.dumps(report), (name, w)
+
+
+# The suites that verify relations through ``presentations.verify``.
+RELATION_SUITES = (
+    "presentations",
+    "semidirect",
+    "artin",
+    "vanderlek",
+    "prop44",
+    "translations",
+    "twists",
+)
+
+
+def test_clean_catalog_reports_are_the_same_bytes_without_pairings(monkeypatch):
+    reports = {(name, a): run_suite(name, a) for a in DEFAULT_CATALOG for name in RELATION_SUITES}
+    assert all(report["pass"] for report in reports.values())
+    _assert_bytes_without_pairings(monkeypatch, reports)
+
+
+def test_presentations_multiplies_out_no_coxeter_relation(monkeypatch):
+    # At (2,3,4) the pairings decide every W0, W1.0 and W1.1 relation, so
+    # product_rows runs only for the two sides of each W2 and W3 relation;
+    # with every pairing decision off it runs for both sides of every one.
+    calls = []
+    real = presentations.product_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(presentations, "product_rows", counted)
+    report = run_suite("presentations", (2, 3, 4))
+    families = Counter(d["tag"].split("/")[0] for d in report["details"])
+    assert families["W0"] and families["W1.0"] and families["W1.1"]
+    bound = sum(count for family, count in families.items() if family[:2] in ("W2", "W3"))
+    assert bound and len(calls) == 2 * bound
+    calls.clear()
+    _undecided(monkeypatch)
+    assert run_suite("presentations", (2, 3, 4)) == report
+    assert len(calls) == 2 * len(report["details"])
 
 
 def test_perturbed_translation_fails_the_same_bytes_with_and_without_pairings(monkeypatch):
@@ -396,7 +444,7 @@ def test_perturbed_translation_fails_the_same_bytes_with_and_without_pairings(mo
     failing = [d for r in reports.values() for d in r["details"] if not d["holds"]]
     families = {d.get("tag", d.get("check")).split("/")[0] for d in failing}
     assert {"4.3d", "4.3f", "E3", "Ec", "adjoint-commute"} <= families
-    _assert_bytes_without_pairings(monkeypatch, reports, w)
+    _assert_bytes_without_pairings(monkeypatch, {(name, w): r for name, r in reports.items()})
 
 
 def test_perturbed_twist_fails_the_same_bytes_with_and_without_pairings(monkeypatch):
@@ -416,7 +464,7 @@ def test_perturbed_twist_fails_the_same_bytes_with_and_without_pairings(monkeypa
     assert any(d.get("spec") == "ArtinA" for d in failing)
     for d in failing:
         assert d.get("vertex") == "(3,3)" or "(3,3)" in d["tag"]
-    _assert_bytes_without_pairings(monkeypatch, {"twists": report}, w)
+    _assert_bytes_without_pairings(monkeypatch, {("twists", w): report})
 
 
 def test_adjoint_checks_match_the_semidirect_rules_under_a_defect(monkeypatch):
