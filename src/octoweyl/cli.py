@@ -68,7 +68,7 @@ def _lattices(args):
     if args.weights is None:
         raise ValidationError("--weights is required for this command")
     w = parse_weights(args.weights)
-    lam = parse_lambda(args.lam) if args.lam else default_lambda(w.r)
+    lam = parse_lambda(args.lam) if args.lam is not None else default_lambda(w.r)
     if len(lam.entries) != w.r:
         raise ValidationError(
             f"lambda tuple has {len(lam.entries)} points for {w.r} arms"

@@ -77,11 +77,6 @@ class KCollection:
                 f"{len(self.supports)} classes on a rank {self.lattice.rank} lattice"
             )
 
-    @classmethod
-    def from_classes(cls, classes, lattice: RootLattice) -> "KCollection":
-        """The collection of the given dense classes."""
-        return cls(tuple(map(sparse, classes)), lattice)
-
     def __len__(self) -> int:
         return len(self.supports)
 

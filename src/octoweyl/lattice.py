@@ -174,10 +174,6 @@ class RootLattice:
         i, j = self.split_indices
         return y[:i] + (y[i] - y[j],) + y[i + 1 :]
 
-    def star_part(self, x: Vec) -> Vec:
-        """Image of x under the projection that kills delta, in star coordinates."""
-        return self.to_split(x)[: self.split_indices[1]]
-
     def delta_coordinate(self, x: Vec) -> int:
         return x[self.split_indices[1]]
 

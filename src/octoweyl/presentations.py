@@ -23,18 +23,14 @@ commutations (W1.0, 4.3b, 4.3d, 4.3f, E1, Ec, E3, A1.0 and the
 (W1.1, 4.3c, E1-2, A1.1) go through ``pairing_index``, the one place where
 a relation is decided from its generators' transvections: a commutation
 whose two pairings are zero holds with no kernel call, and the others go
-to ``weyl.holds_by_pairings``.  An involution I - u p^T squares to I when
-p . u = 2, a commutation is decided exactly either way, and a braid holds
-when both p . u are 2 and the cross pairings multiply to 1, since the
-product of the two generators then has order 3 (the proof is at the
-kernel; for simple reflections it is Kac, Infinite-dimensional Lie
-algebras, Prop. 3.13).  Every relation that the pairings leave undecided,
-and every other family (the bound pairs, 4.3e, 4.3g, Ea, the adjoint
-products and the power forms), is multiplied out side by side by
+to ``weyl.holds_by_pairings``, which states the involution and braid rules
+and proves them.  Every relation that the pairings leave undecided, and
+every other family (the bound pairs, 4.3e, 4.3g, Ea, the adjoint products
+and the power forms), is multiplied out side by side by
 ``weyl.product_rows`` over the rows its letters move, and the dense
-matrices of the two sides are built only for a relation that fails;
-``RelationOutcome.add_sides`` writes them into the one report entry that a
-suite builds per relation.
+matrices of the two sides are built only for a relation that fails.
+``suites.SuiteRun.add_spec`` writes each outcome as one report entry,
+with those two matrices for a relation that fails.
 """
 
 from __future__ import annotations
@@ -138,16 +134,6 @@ class RelationOutcome(NamedTuple):
     lhs_matrix: Mat | None = None
     rhs_matrix: Mat | None = None
 
-    def add_sides(self, entry: dict) -> dict:
-        """entry, with the dense matrices of a failing relation's two sides."""
-        entry["lhs"] = [list(r) for r in self.lhs_matrix]
-        entry["rhs"] = [list(r) for r in self.rhs_matrix]
-        return entry
-
-    def to_json(self) -> dict:
-        entry = {"tag": self.tag, "holds": self.holds}
-        return entry if self.holds else self.add_sides(entry)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -161,14 +147,6 @@ class VerificationReport:
 
     def failures(self) -> tuple[RelationOutcome, ...]:
         return tuple(o for o in self.outcomes if not o.holds)
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec_name,
-            "weights": list(self.weights),
-            "relations": [o.to_json() for o in self.outcomes],
-            "pass": self.passed,
-        }
 
 
 def letter_words(lat: RootLattice, letters) -> tuple[GroupWord, ...]:
@@ -281,25 +259,16 @@ def _adjoint_sides(rule: int, x: GroupWord, t_a: GroupWord, t_b: GroupWord):
     return x + t_b + x, t_b + t_a
 
 
-def adjoint_rules(lat: RootLattice, g: tuple, t: tuple):
-    """Yield ``(v, u, rule, lhs, rhs)`` over the ordered vertex pairs, row by
-    row with the diagonal, with v and u as vertex strings, g/t the reflection/
-    translation ``letter_words`` and I = ``lat.cartan``: rule 0
-    g_v t_v g_v = t_v^-1 (v = u); rule 1 g_v t_u = t_u g_v if I(v,u) = 0;
-    rule 2 g_v t_u g_v = t_u t_v if I(v,u) = -1."""
-    s = [vertex_str(v) for v in lat.vertices]
-    for a, b, rule in adjoint_pairs(lat):
-        yield s[a], s[b], rule, *_adjoint_sides(rule, g[a], t[a], t[b])
-
-
 def adjoint_families(
     lat: RootLattice, prefixes: tuple, g: tuple, t: tuple, labelled: bool = True
 ) -> list[Family]:
     """The families of the adjoint rules of ``adjoint_pairs`` whose tag
-    prefix, ``prefixes[rule]``, is not None, in their order: each rule-1
-    commutation held as its letters, every other rule as a ``Relation``.
-    A labelled tag names the vertices after its prefix; an unlabelled tag
-    is the prefix alone."""
+    prefix, ``prefixes[rule]``, is not None, in their order, with g/t the
+    reflection/translation ``letter_words``: rule 0 g_v t_v g_v = t_v^-1;
+    rule 1 g_v t_u = t_u g_v, held as its letters; rule 2
+    g_v t_u g_v = t_u t_v.  Rules 0 and 2 are ``Relation``s.  A labelled
+    tag names the vertices after its prefix; an unlabelled tag is the
+    prefix alone."""
     s = [vertex_str(v) for v in lat.vertices]
     items = []
     for a, b, rule in adjoint_pairs(lat):

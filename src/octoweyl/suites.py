@@ -155,10 +155,14 @@ class SuiteRun:
         self.details.append({"check": check, **data, "holds": holds})
 
     def add_spec(self, report) -> None:
-        """One entry per relation of a presentations.VerificationReport."""
+        """One entry per relation of a presentations.VerificationReport, with
+        the dense matrices of both sides of a relation that fails."""
         for o in report.outcomes:
             entry = {"spec": report.spec_name, "tag": o.tag, "holds": o.holds}
-            self.details.append(entry if o.holds else o.add_sides(entry))
+            if not o.holds:
+                entry["lhs"] = [list(r) for r in o.lhs_matrix]
+                entry["rhs"] = [list(r) for r in o.rhs_matrix]
+            self.details.append(entry)
 
 
 SUITES = {}

@@ -9,7 +9,7 @@ from operator import mul
 from octoweyl.cone import DualPoint, is_regular
 from octoweyl.errors import BudgetExceeded, InvalidQuiver
 from octoweyl.exact import identity, sparse, sparse_mat_vec, transpose
-from octoweyl.ktheory import spherical_twist_K
+from octoweyl.ktheory import KCollection, spherical_twist_K
 from octoweyl.quiver import EXT, HUB
 from octoweyl.weyl import (
     WeylElement,
@@ -64,6 +64,17 @@ def determinant(a) -> int:
 def sparse_rows(a) -> tuple:
     """The sparse rows of a dense matrix."""
     return tuple(sparse(row) for row in a)
+
+
+def collection_of(classes, lattice) -> KCollection:
+    """The collection of the given dense classes."""
+    return KCollection(tuple(map(sparse, classes)), lattice)
+
+
+def star_part(octo, x):
+    """Image of x under the octopus projection that kills delta, in star
+    coordinates: the split coordinates of x without the last."""
+    return octo.to_split(x)[: octo.split_indices[1]]
 
 
 def euler_matrix(q) -> tuple:
@@ -286,7 +297,7 @@ def reference_window_entries(octo, star_roots, octo_roots, n_bound, finite) -> l
     ``from_split``.  The count and set entries are made for a finite star."""
     window = [x for x in octo_roots if abs(octo.delta_coordinate(x)) <= n_bound]
     shifts = range(-n_bound, n_bound + 1)
-    in_star = all(octo.star_part(x) in star_roots for x in window)
+    in_star = all(star_part(octo, x) in star_roots for x in window)
     out = [dict(check="star-part-membership", window=len(window), holds=in_star)]
     if finite:
         count, expected = len(window), len(star_roots) * len(shifts)

@@ -253,6 +253,25 @@ def test_malformed_lambda_entry_is_one_line_exit_2(lam):
     assert repr(lam.split(",")[-1]) in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("describe",),
+        ("roots",),
+        ("coxeter",),
+        ("verify", "--suite", "prop44"),
+        ("mutate", "--word", "b1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_lambda_is_one_line_exit_2(capsys, argv):
+    # An empty --lambda is a malformed tuple, not a request for the default.
+    code, out, err = run(capsys, *argv, "--weights", "2,3,4", "--lambda", "")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: cannot parse marked point ''"]
+
+
 def test_closed_stdout_ends_quietly():
     # The reader of the pipe is gone before the report is written.
     read_end, write_end = os.pipe()

@@ -88,7 +88,6 @@ from octoweyl.exact import (
     transpose,
 )
 from octoweyl.ktheory import (
-    KCollection,
     braid_act,
     braid_word_act,
     is_full,
@@ -156,6 +155,7 @@ from octoweyl.weyl import (
 
 from oracles import (
     ReferenceLayers,
+    collection_of,
     determinant,
     dot,
     draws_below_19,
@@ -823,7 +823,7 @@ def test_sparse_forms_match_dense(lat, data):
 @given(lattices, st.data())
 def test_euler_gram_matches_pairing_table(lat, data):
     classes = tuple(data.draw(int_vecs(lat.rank)) for _ in range(lat.rank))
-    k = KCollection.from_classes(classes, lat)
+    k = collection_of(classes, lat)
     assert euler_gram(k) == tuple(
         tuple(lat.euler_form(x, y) for y in classes) for x in classes
     )
@@ -1603,14 +1603,21 @@ def test_failing_outcomes_carry_the_dense_products():
 
 
 def test_suite_entries_are_the_outcomes_json():
-    # Each entry that add_spec writes is the outcome's JSON behind its spec
-    # name, key for key in the same order, whether the relation holds or not.
+    # Each entry that add_spec writes is its outcome, key for key in the
+    # order spec, tag, holds, and for a failing relation lhs, rhs: the
+    # outcome's dense sides as lists.
     spec, assignment = planted_semidirect()
     report = verify(spec, assignment)
     run = SuiteRun(Weights(spec.weights), None, SuiteConfig())
     run.add_spec(report)
-    expected = [{"spec": spec.name, **o.to_json()} for o in report.outcomes]
-    assert [list(e.items()) for e in run.details] == [list(e.items()) for e in expected]
+    expected = []
+    for o in report.outcomes:
+        entry = [("spec", spec.name), ("tag", o.tag), ("holds", o.holds)]
+        if not o.holds:
+            entry += [("lhs", [list(r) for r in o.lhs_matrix])]
+            entry += [("rhs", [list(r) for r in o.rhs_matrix])]
+        expected.append(entry)
+    assert [list(e.items()) for e in run.details] == expected
     assert {e["holds"] for e in run.details} == {True, False}
     assert all(("lhs" in e) == (not e["holds"]) for e in run.details)
 
@@ -1685,7 +1692,7 @@ def planted_collection(lat, data):
         classes[i] = tuple(c * a for a in classes[i])
     elif plant == "add":
         classes[i] = tuple(a + c * b for a, b in zip(classes[i], classes[j]))
-    return KCollection.from_classes(classes, lat)
+    return collection_of(classes, lat)
 
 
 k_lattices = st.builds(
@@ -1708,7 +1715,7 @@ def test_numerically_exceptional_planted_failures():
     e = list(classes)
 
     def witness(cs):
-        k = KCollection.from_classes(cs, lat)
+        k = collection_of(cs, lat)
         check = numerically_exceptional(k)
         assert (check.ok, check.witness) == dense_exceptionality(k)
         return check.witness

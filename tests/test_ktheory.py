@@ -29,7 +29,7 @@ from octoweyl.quiver import Weights, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
 from octoweyl.weyl import WeylElement, coxeter_element, evaluate_word, simple_reflection
 
-from oracles import dense_braid_act, euler_gram, twist_matrix
+from oracles import collection_of, dense_braid_act, euler_gram, twist_matrix
 
 weight_tuples = st.lists(st.integers(2, 4), min_size=3, max_size=4).map(tuple)
 
@@ -44,7 +44,7 @@ def test_simples_are_numerically_exceptional():
 def test_swapped_simples_fail_with_witness():
     lat = octopus_lattice((2, 2, 2))
     k = simples_collection(lat)
-    swapped = KCollection.from_classes((k.classes[1], k.classes[0]) + k.classes[2:], lat)
+    swapped = collection_of((k.classes[1], k.classes[0]) + k.classes[2:], lat)
     check = numerically_exceptional(swapped)
     assert not check.ok
     i, j, value, expected = check.witness
@@ -54,7 +54,7 @@ def test_swapped_simples_fail_with_witness():
 def test_rank_mismatch():
     lat = octopus_lattice((2, 2, 2))
     with pytest.raises(RankMismatch):
-        KCollection.from_classes((lat.basis_vector("1"),), lat)
+        collection_of((lat.basis_vector("1"),), lat)
 
 
 def test_single_right_mutation_worked_example():
@@ -177,7 +177,7 @@ def window_image(lat, data, roots_only):
     for i in range(a, b):
         if data.draw(st.integers(0, 4), label="replace") == 0:
             classes[i] = data.draw(new, label="class")
-    return simples, KCollection.from_classes(classes, lat), range(a, b)
+    return simples, collection_of(classes, lat), range(a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,7 +264,7 @@ def test_pivot_norm_guard():
     lat = octopus_lattice((2, 2, 2))
     bad = (1, 0, 0, 0, 1)  # self-pairing 4
     classes = (bad,) + simples_collection(lat).classes[1:]
-    k = KCollection.from_classes(classes, lat)
+    k = collection_of(classes, lat)
     with pytest.raises(NotNormOne):
         braid_act(k, ("b", 1, -1))  # pivot is the bad first entry
     with pytest.raises(IndexOutOfRange):

@@ -27,7 +27,7 @@ from octoweyl.lattice import (
 from octoweyl.quiver import BoundQuiver, Weights, build_octopus, build_star, default_lambda
 from octoweyl.suites import DEFAULT_CATALOG
 
-from oracles import euler_matrix, is_unit_upper_triangular, radical_basis, sparse_rows
+from oracles import euler_matrix, is_unit_upper_triangular, radical_basis, sparse_rows, star_part
 
 weight_tuples = st.lists(st.integers(2, 5), min_size=3, max_size=4).map(tuple)
 wide_weight_tuples = st.lists(st.integers(2, 7), min_size=3, max_size=5).map(tuple)
@@ -211,7 +211,7 @@ def test_split_basis_roundtrip(a, data):
 def test_star_part_and_delta_coordinate():
     lat = octopus_lattice((2, 2, 2))
     x = (5, 1, -2, 0, 3)  # = (5 + 3) alpha_1 + ... + 3 delta in split form
-    assert lat.star_part(x) == (8, 1, -2, 0)
+    assert star_part(lat, x) == (8, 1, -2, 0)
     assert lat.delta_coordinate(x) == 3
 
 

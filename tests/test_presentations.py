@@ -14,7 +14,7 @@ from octoweyl.presentations import (
     Family,
     PresentationSpec,
     Relation,
-    adjoint_rules,
+    adjoint_families,
     artin_spec,
     check_coxeter_power_equivalences,
     generalized_coxeter_spec_W,
@@ -29,7 +29,7 @@ from octoweyl.presentations import (
     verify,
 )
 from octoweyl.quiver import Weights, default_lambda, vertex_str
-from octoweyl.suites import DEFAULT_CATALOG
+from octoweyl.suites import DEFAULT_CATALOG, SuiteConfig, SuiteRun
 from octoweyl.weyl import (
     INVOLUTION,
     Transvection,
@@ -127,26 +127,31 @@ def test_adjoint_rules_follow_the_cartan_matrix(a):
     w = Weights(a)
     star = star_lattice(w)
     labels = [vertex_str(v) for v in star.vertices]
-    rules = list(adjoint_rules(star, *(letter_words(star, m) for m in SEMIDIRECT_LETTERS)))
-    # Every ordered pair once, row by row, the diagonal included.
-    assert [(v, u) for v, u, *_ in rules] == [(v, u) for v in labels for u in labels]
-    for v, u, rule, lhs, rhs in rules:
-        entry = star.cartan[labels.index(v)][labels.index(u)]
-        g_v, t_v, t_u = (f"w[{v}]", 1), (f"tau[{v}]", 1), (f"tau[{u}]", 1)
-        expected = {
-            2: (0, (g_v, t_v, g_v), ((f"tau[{v}]", -1),)),
-            0: (1, (g_v, t_u), (t_u, g_v)),
-            -1: (2, (g_v, t_u, g_v), (t_u, t_v)),
-        }[entry]
-        assert (rule, lhs, rhs) == expected, (v, u)
+    g, t = (letter_words(star, m) for m in SEMIDIRECT_LETTERS)
+    families = adjoint_families(star, ("R0", "R1", "R2"), g, t)
+    rules = [rel for family in families for rel in family.relations()]
+    # Every ordered pair once, row by row, the diagonal included, under the
+    # rule that its Cartan entry picks, with that rule's sides.
+    expected = []
+    for v in labels:
+        for u in labels:
+            entry = star.cartan[labels.index(v)][labels.index(u)]
+            g_v, t_v, t_u = (f"w[{v}]", 1), (f"tau[{v}]", 1), (f"tau[{u}]", 1)
+            by_entry = {
+                2: Relation(f"R0/{v}", (g_v, t_v, g_v), ((f"tau[{v}]", -1),)),
+                0: Relation(f"R1/{v},{u}", (g_v, t_u), (t_u, g_v)),
+                -1: Relation(f"R2/{v},{u}", (g_v, t_u, g_v), (t_u, t_v)),
+            }
+            expected.append(by_entry[entry])
+    assert [rel.tag for rel in rules] == [rel.tag for rel in expected]
+    assert rules == expected
     # The 4.3e-g relations of the semidirect presentation are its entries.
-    families = ("4.3e", "4.3f", "4.3g")
-    inverse = [Relation(f"4.3e/{v}", lhs, rhs) for v, _, r, lhs, rhs in rules if r == 0]
-    adjoint = [
-        Relation(f"{families[r]}/{v},{u}", lhs, rhs) for v, u, r, lhs, rhs in rules if r
-    ]
+    rename = {"R0": "4.3e", "R1": "4.3f", "R2": "4.3g"}
+    renamed = [Relation(rename[r.tag[:2]] + r.tag[2:], r.lhs, r.rhs) for r in rules]
+    inverse = [r for r in renamed if r.tag.startswith("4.3e")]
+    adjoint = [r for r in renamed if not r.tag.startswith("4.3e")]
     spec = semidirect_spec(w)
-    assert [r for r in spec.relations if r.tag[:4] in families] == inverse + adjoint
+    assert [r for r in spec.relations if r.tag[:4] in rename.values()] == inverse + adjoint
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (2, 3, 3), (2, 2, 2, 2)])
@@ -165,9 +170,14 @@ def test_failure_carries_witness_matrices():
     assert "W1.1/1,(1,1)" in failing
     bad = next(o for o in report.failures())
     assert bad.lhs_matrix is not None and bad.rhs_matrix is not None
-    blob = report.to_json()
-    assert blob["pass"] is False
-    assert any("lhs" in entry for entry in blob["relations"])
+    run = SuiteRun(w, None, SuiteConfig())
+    run.add_spec(report)
+    # Exactly the failing entries carry the dense sides, as lists.
+    assert {e["tag"] for e in run.details if "lhs" in e} == failing
+    entry = next(e for e in run.details if e["tag"] == bad.tag)
+    assert entry["holds"] is False
+    assert entry["lhs"] == [list(r) for r in bad.lhs_matrix]
+    assert entry["rhs"] == [list(r) for r in bad.rhs_matrix]
 
 
 def test_missing_generator_and_dimension_mismatch():
@@ -273,11 +283,12 @@ def test_spec_builders_call_each_letter_map_once_per_vertex(monkeypatch, a):
 def test_report_json_schema():
     w = Weights((2, 2, 2))
     report = verify(star_coxeter_spec(w), reflection_assignment(star_lattice(w)))
-    blob = report.to_json()
-    assert blob["spec"] == "StarCoxeter"
-    assert blob["weights"] == [2, 2, 2]
-    assert all(set(e) == {"tag", "holds"} for e in blob["relations"])
-    assert blob["pass"] is True
+    assert (report.spec_name, report.weights, report.passed) == ("StarCoxeter", (2, 2, 2), True)
+    run = SuiteRun(w, None, SuiteConfig())
+    run.add_spec(report)
+    assert [list(e) for e in run.details] == [["spec", "tag", "holds"]] * len(report.outcomes)
+    assert [e["tag"] for e in run.details] == [o.tag for o in report.outcomes]
+    assert all(e["spec"] == "StarCoxeter" and e["holds"] is True for e in run.details)
 
 
 # SHA-256 over the relation lists of the five specs and the power-equivalence
